@@ -10,9 +10,9 @@ from .errors import (BlowUpError, ConfigurationError, CorrectionOvershootError,
 from .grid import (BoundaryKind, Discretization, PhaseGrid, SpatialGrid,
                    TimeGrids, VelocityGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
-from .moments import (ConservedField, MomentField, conserved_to_primitive,
+from .moments import (MomentField, conserved_to_primitive,
                       primitive_to_conserved, project)
-from .lifting import Distribution, lift, maxwellian
+from .lifting import Distribution, lift
 from .kinetic import (ConstantTau, KineticParams, bgk_relax, constant_tau,
                       propagate_kinetic, stable_dt_kinetic, transport_update)
 from .fluid import (FluidParams, euler_flux, propagate_fluid, rusanov_flux,

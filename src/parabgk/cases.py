@@ -132,6 +132,6 @@ def force_field(case: str, space: SpatialGrid) -> np.ndarray | None:
     """Per-cell field of the case, or None when the case is force-free."""
     if case not in _INITIAL:
         raise ConfigurationError(f"unknown case '{case}'")
-    if case == "beams":
+    if PRESETS[case].has_force:
         return external_force(space.centers)
     return None

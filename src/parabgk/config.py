@@ -45,17 +45,7 @@ class RunConfig:
     workers: int = 1
     mode: str = "parareal"
     out_dir: str = "out"
-    use_frozen_prefix: bool = True
     preset: str | None = None
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 _CASTS = {
@@ -65,7 +55,6 @@ _CASTS = {
     "cfl_kinetic": float, "cfl_fluid": float,
     "n_x": int, "n_vx": int, "n_vy": int, "n_vz": int,
     "n_g": int, "n_f": int, "k_max": int, "workers": int,
-    "use_frozen_prefix": _parse_bool,
 }
 
 # Keys a presetless config must spell out; everything else has defaults.

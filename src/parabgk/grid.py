@@ -4,17 +4,19 @@ Space is a uniform cell-centered grid on [x_min, x_max]. Velocity is a
 cell-centered cube on [-v_max, v_max]^3 with an independent point count per
 axis, so strongly anisotropic resolutions (fine along v_x, coarse transverse)
 stay affordable. Time carries two nested uniform levels: coarse windows for
-the outer iteration and a fine step cap used inside each window.
+the outer iteration and a fine step cap used inside each window; `march` is
+the one stepping loop both propagators run inside a window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import BlowUpError, ConfigurationError
 
 __all__ = [
     "BoundaryKind",
@@ -26,7 +28,12 @@ __all__ = [
     "build_spatial_grid",
     "build_velocity_grid",
     "build_time_grids",
+    "march",
 ]
+
+# Fraction of the remaining span below which it is treated as already reached;
+# guards against a spurious final microstep from accumulated rounding.
+_SPAN_GUARD = 1e-12
 
 
 class BoundaryKind(Enum):
@@ -125,3 +132,29 @@ def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
     coarse_times = np.linspace(0.0, t_final, n_g + 1)
     return TimeGrids(float(t_final), int(n_g), int(n_f),
                      t_final / n_g, t_final / n_f, coarse_times)
+
+
+def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,
+          fault: Callable, dt_max: float | None = None):
+    """Advance state from t0 to t1 with steps min(stable_dt, dt_max, remaining).
+
+    advance(state, dt) returns the next state and fault(state) describes what
+    makes it unusable, or returns None; a fault aborts with the 1-based step.
+    """
+    if t1 < t0:
+        raise ConfigurationError(f"need t1 >= t0, got [{t0}, {t1}]")
+    span = t1 - t0
+    elapsed = 0.0
+    step = 0
+    while span - elapsed > _SPAN_GUARD * span:
+        dt = stable_dt(state)
+        if dt_max is not None:
+            dt = min(dt, dt_max)
+        dt = min(dt, span - elapsed)
+        state = advance(state, dt)
+        step += 1
+        problem = fault(state)
+        if problem is not None:
+            raise BlowUpError(f"{problem} at step {step}", step=step)
+        elapsed += dt
+    return state

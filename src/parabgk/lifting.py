@@ -10,7 +10,7 @@ from .errors import DegenerateStateError
 from .grid import PhaseGrid
 from .moments import MomentField
 
-__all__ = ["Distribution", "maxwellian", "lift"]
+__all__ = ["Distribution", "lift"]
 
 
 @dataclass
@@ -18,19 +18,6 @@ class Distribution:
     """Discrete distribution f[i, jx, jy, jz] on a phase grid."""
 
     values: np.ndarray  # (n_x, n_vx, n_vy, n_vz)
-
-    def copy(self) -> "Distribution":
-        return Distribution(self.values.copy())
-
-
-def maxwellian(rho: float, u, theta: float, v) -> float:
-    """Point value of the local Maxwellian at a single velocity."""
-    if theta <= 0.0:
-        raise DegenerateStateError(f"need theta > 0, got {theta}")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    norm = rho / (2.0 * np.pi * theta) ** 1.5
-    return float(norm * np.exp(-np.sum((v - u) ** 2) / (2.0 * theta)))
 
 
 def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False) -> Distribution:

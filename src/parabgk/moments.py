@@ -2,10 +2,11 @@
 
 The moment triple (rho, u, theta) is the primitive description shared by the
 coarse solver and the outer iteration; (rho, rho u, E) with
-E = rho |u|^2 / 2 + 3 rho theta / 2 is the conserved form used by the flux
-update. Projection uses plain midpoint quadrature on the velocity cube. The
-temperature is taken around the already-computed discrete mean, so a point
-mass projects to theta = 0 instead of a rounding residue.
+E = rho |u|^2 / 2 + 3 rho theta / 2, packed per cell into an (n_x, 5) array,
+is the conserved form used by the flux update. Projection uses plain midpoint
+quadrature on the velocity cube. The temperature is taken around the
+already-computed discrete mean, so a point mass projects to theta = 0 instead
+of a rounding residue.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .grid import PhaseGrid
 
 __all__ = [
     "MomentField",
-    "ConservedField",
     "project",
     "primitive_to_conserved",
     "conserved_to_primitive",
@@ -54,27 +54,6 @@ class MomentField:
         return max(float(np.max(np.abs(self.rho - other.rho))),
                    float(np.max(np.abs(self.u - other.u))),
                    float(np.max(np.abs(self.theta - other.theta))))
-
-
-@dataclass
-class ConservedField:
-    """Conserved variables per cell: density, momentum, total energy."""
-
-    rho: np.ndarray     # (n_x,)
-    mom: np.ndarray     # (n_x, 3)
-    energy: np.ndarray  # (n_x,)
-
-    def to_array(self) -> np.ndarray:
-        """Pack into the (n_x, 5) layout used by the flux kernels."""
-        out = np.empty((self.rho.shape[0], 5))
-        out[:, 0] = self.rho
-        out[:, 1:4] = self.mom
-        out[:, 4] = self.energy
-        return out
-
-    @staticmethod
-    def from_array(v: np.ndarray) -> "ConservedField":
-        return ConservedField(v[:, 0].copy(), v[:, 1:4].copy(), v[:, 4].copy())
 
 
 def _folded_first_moment(marg: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -113,17 +92,24 @@ def project(f: "Distribution", grid: PhaseGrid) -> MomentField:
     return MomentField(rho, u, theta)
 
 
-def primitive_to_conserved(U: MomentField) -> ConservedField:
-    mom = U.rho[:, None] * U.u
+def primitive_to_conserved(U: MomentField) -> np.ndarray:
+    """Packed conserved states (rho, rho u, E) of shape (n_x, 5)."""
+    v = np.empty((U.n_x, 5))
+    v[:, 0] = U.rho
+    v[:, 1:4] = U.rho[:, None] * U.u
     kinetic = 0.5 * U.rho * np.einsum("ij,ij->i", U.u, U.u)
-    return ConservedField(U.rho.copy(), mom, kinetic + 1.5 * U.rho * U.theta)
+    v[:, 4] = kinetic + 1.5 * U.rho * U.theta
+    return v
 
 
-def conserved_to_primitive(V: ConservedField) -> MomentField:
-    if np.any(V.rho <= 0.0):
+def conserved_to_primitive(v: np.ndarray) -> MomentField:
+    """Primitive moments of packed conserved states (n_x, 5)."""
+    rho = v[:, 0].copy()
+    if np.any(rho <= 0.0):
         raise DegenerateStateError("nonpositive density in conserved state")
-    u = V.mom / V.rho[:, None]
-    internal = V.energy - 0.5 * np.einsum("ij,ij->i", V.mom, u)
+    mom = v[:, 1:4]
+    u = mom / rho[:, None]
+    internal = v[:, 4] - 0.5 * np.einsum("ij,ij->i", mom, u)
     if np.any(internal <= 0.0):
         raise DegenerateStateError("nonpositive internal energy in conserved state")
-    return MomentField(V.rho.copy(), u, internal / (1.5 * V.rho))
+    return MomentField(rho, u, internal / (1.5 * rho))

@@ -7,9 +7,9 @@ and no reduction depends on completion order, so results are bitwise
 identical for any worker count.
 
 After iteration k the first k snapshots coincide with the window-wise fine
-trajectory and never change again, so by default both loops of iteration k
-start at window k. The classic sweep over all windows is kept behind a flag;
-the two produce identical iterates and the equivalence is exercised in tests.
+chain (`fine_moment_chain`) and never change again, so both loops of
+iteration k start at window k. The classic sweep over all windows yields the
+same iterates to rounding at higher cost; the tests keep it as an oracle.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import Executor, FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, CorrectionOvershootError
+from .errors import ConfigurationError, CorrectionOvershootError, SolverError
 from .fluid import FluidParams, propagate_fluid
 from .grid import Discretization
 from .kinetic import KineticParams, propagate_kinetic
@@ -52,7 +53,6 @@ class PararealConfig:
 
     k_max: int
     tol: float
-    use_frozen_prefix: bool = True
     workers: int = 1
 
     def __post_init__(self):
@@ -76,28 +76,21 @@ class ParTrajectory:
     """State of the outer iteration over one time horizon.
 
     snapshots[n] approximates the moments at coarse time T^n for the current
-    iterate; previous holds the iterate before the last correction; jumps[n-1]
-    stores the fine-minus-coarse defect of window n. Jump buffers are
-    allocated once and reused across iterations.
+    iterate; jumps[n-1] stores the fine-minus-coarse defect of window n. Jump
+    buffers are allocated once and reused across iterations.
     """
 
     snapshots: list[MomentField]
-    previous: list[MomentField]
     jumps: list[MomentField]
     iteration: int = 0
     frozen_upto: int = 0
 
 
 class WorkRange(NamedTuple):
-    """Inclusive window range [start, end] owned by one worker rank.
-
-    my_chunk repeats end - start for compatibility with the integer recipe the
-    distribution mirrors; size is the actual number of owned windows.
-    """
+    """Inclusive window range [start, end] owned by one worker rank, and its size."""
 
     start: int
     end: int
-    my_chunk: int
     size: int
 
 
@@ -115,9 +108,8 @@ def initial_coarse_sweep(U0: MomentField, disc: Discretization,
         snapshots.append(propagate_fluid(snapshots[-1], float(times[n - 1]),
                                          float(times[n]), disc.phase, fluid,
                                          disc.bc, dt_max=disc.time.dt_g))
-    previous = [s.copy() for s in snapshots]
     jumps = [_zero_like(U0) for _ in range(disc.time.n_g)]
-    return ParTrajectory(snapshots, previous, jumps)
+    return ParTrajectory(snapshots, jumps)
 
 
 def _window_jump(n: int, U: MomentField, disc: Discretization,
@@ -178,18 +170,16 @@ def _store_jump(slot: MomentField, delta: MomentField) -> None:
 
 def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
                   kinetic: KineticParams, fluid: FluidParams,
-                  use_frozen_prefix: bool = True,
                   executor: Executor | None = None,
                   timing: dict | None = None) -> None:
-    """Fill the jump slots of iteration k from the previous iterate.
+    """Fill the jump slots of windows k..n_g from the previous iterate.
 
     Windows are dispatched as independent tasks with dynamic assignment when
     an executor is given; each result lands in its own slot, so the outcome
-    does not depend on scheduling.
+    does not depend on scheduling. A worker that dies breaks the pool; that
+    surfaces as a SolverError naming the iteration and the window.
     """
-    start = k if use_frozen_prefix else 1
-    n_g = disc.time.n_g
-    indices = range(start, n_g + 1)
+    indices = range(k, disc.time.n_g + 1)
     stage_max = [0.0, 0.0, 0.0, 0.0]
     if executor is None:
         for n in indices:
@@ -198,15 +188,21 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
             _store_jump(traj.jumps[n - 1], delta)
             stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
     else:
-        pending = {executor.submit(_window_jump_remote,
-                                   (n, traj.snapshots[n - 1].rho,
-                                    traj.snapshots[n - 1].u,
-                                    traj.snapshots[n - 1].theta))
-                   for n in indices}
+        window_of = {executor.submit(_window_jump_remote,
+                                     (n, traj.snapshots[n - 1].rho,
+                                      traj.snapshots[n - 1].u,
+                                      traj.snapshots[n - 1].theta)): n
+                     for n in indices}
+        pending = set(window_of)
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                n, delta, stages = fut.result()
+            for fut in sorted(done, key=window_of.get):
+                try:
+                    n, delta, stages = fut.result()
+                except BrokenProcessPool as exc:
+                    raise SolverError(
+                        f"worker pool broke in iteration {k} at window "
+                        f"{window_of[fut]}: {exc}") from exc
                 _store_jump(traj.jumps[n - 1], delta)
                 stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
     if timing is not None:
@@ -215,20 +211,18 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
 
 
 def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
-                          fluid: FluidParams,
-                          use_frozen_prefix: bool = True) -> float:
-    """Coarse sweep plus stored jumps; returns the successive-iterate error.
+                          fluid: FluidParams) -> float:
+    """Coarse sweep plus stored jumps from window k on; returns the error.
 
     The error is the largest absolute componentwise change over all windows.
     A correction that leaves the physical regime aborts the run: the jump
     data cannot be trusted past that point.
     """
-    start = k if use_frozen_prefix else 1
     times = disc.time.coarse_times
     old = traj.snapshots
     new = [s.copy() for s in old]
     error = 0.0
-    for n in range(start, disc.time.n_g + 1):
+    for n in range(k, disc.time.n_g + 1):
         coarse = propagate_fluid(new[n - 1], float(times[n - 1]), float(times[n]),
                                  disc.phase, fluid, disc.bc,
                                  dt_max=disc.time.dt_g)
@@ -241,7 +235,6 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
                 f"correction left the physical regime in window {n}", slice_index=n)
         error = max(error, corrected.sup_distance(old[n]))
         new[n] = corrected
-    traj.previous = old
     traj.snapshots = new
     traj.iteration = k
     traj.frozen_upto = min(k, disc.time.n_g)
@@ -261,11 +254,9 @@ def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
     try:
         for k in range(1, config.k_max + 1):
             tic = time.perf_counter()
-            compute_jumps(traj, k, disc, kinetic, fluid,
-                          use_frozen_prefix=config.use_frozen_prefix,
-                          executor=executor, timing=timing)
-            error = sequential_correction(traj, k, disc, fluid,
-                                          use_frozen_prefix=config.use_frozen_prefix)
+            compute_jumps(traj, k, disc, kinetic, fluid, executor=executor,
+                          timing=timing)
+            error = sequential_correction(traj, k, disc, fluid)
             record = ConvergenceRecord(k, error, time.perf_counter() - tic)
             records.append(record)
             if sink is not None:
@@ -311,7 +302,7 @@ def work_distribution(work: int, n_p: int, rank: int) -> WorkRange:
     remainder = work % n_p
     start = rank * chunk + min(remainder, rank) + 1
     end = (rank + 1) * chunk + min(remainder, rank + 1)
-    return WorkRange(start, end, end - start, max(0, end - start + 1))
+    return WorkRange(start, end, max(0, end - start + 1))
 
 
 def parareal_cost(k: int, t_kin: float, t_fluid: float, t_lift: float,

@@ -51,9 +51,7 @@ def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) 
 
 def run_parareal_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams,
                       fluid: FluidParams, U0: MomentField, timing: dict | None = None):
-    par_cfg = PararealConfig(k_max=cfg.k_max, tol=cfg.tol,
-                             use_frozen_prefix=cfg.use_frozen_prefix,
-                             workers=cfg.workers)
+    par_cfg = PararealConfig(k_max=cfg.k_max, tol=cfg.tol, workers=cfg.workers)
     return run_parareal(U0, par_cfg, disc, kinetic, fluid, timing=timing)
 
 

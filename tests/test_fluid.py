@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 
 from parabgk import (BlowUpError, BoundaryKind, ConfigurationError, FluidParams,
                      MomentField, PhaseGrid, build_spatial_grid,
-                     build_velocity_grid, euler_flux, primitive_to_conserved,
-                     propagate_fluid, rusanov_flux, stable_dt_fluid)
+                     build_velocity_grid, conserved_to_primitive, euler_flux,
+                     primitive_to_conserved, propagate_fluid, rusanov_flux,
+                     stable_dt_fluid)
 
 
 def _grid(n_x=50, x_max=2.0):
@@ -20,7 +21,7 @@ def _grid(n_x=50, x_max=2.0):
 
 def _packed(rho, ux, theta):
     U = MomentField(np.array([rho]), np.array([[ux, 0.0, 0.0]]), np.array([theta]))
-    return primitive_to_conserved(U).to_array()[0]
+    return primitive_to_conserved(U)[0]
 
 
 def test_euler_flux_examples():
@@ -92,14 +93,14 @@ def test_conservation_many_steps_periodic():
     U = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((50, 3)),
                     np.where(x < 1.0, 1.0, 0.8))
     V0 = primitive_to_conserved(U)
-    mass0 = math.fsum(V0.rho)
-    en0 = math.fsum(V0.energy)
+    mass0 = math.fsum(V0[:, 0])
+    en0 = math.fsum(V0[:, 4])
     out = propagate_fluid(U, 0.0, 1.0, grid, FluidParams(), BoundaryKind.PERIODIC,
                           dt_max=2e-3)
     V1 = primitive_to_conserved(out)
-    assert abs(math.fsum(V1.rho) - mass0) <= 1e-13 * mass0
-    assert abs(math.fsum(V1.mom[:, 0])) <= 1e-13 * mass0
-    assert abs(math.fsum(V1.energy) - en0) <= 1e-13 * en0
+    assert abs(math.fsum(V1[:, 0]) - mass0) <= 1e-13 * mass0
+    assert abs(math.fsum(V1[:, 1])) <= 1e-13 * mass0
+    assert abs(math.fsum(V1[:, 4]) - en0) <= 1e-13 * en0
 
 
 def test_force_source_accounting():
@@ -117,11 +118,11 @@ def test_force_source_accounting():
     out = propagate_fluid(U, 0.0, dt, grid, FluidParams(force=force),
                           BoundaryKind.PERIODIC)
     V1 = primitive_to_conserved(out)
-    dmom = math.fsum(V1.mom[:, 0]) - math.fsum(V0.mom[:, 0])
-    den = math.fsum(V1.energy) - math.fsum(V0.energy)
+    dmom = math.fsum(V1[:, 1]) - math.fsum(V0[:, 1])
+    den = math.fsum(V1[:, 4]) - math.fsum(V0[:, 4])
     assert dmom == pytest.approx(dt * math.fsum(rho * force), rel=1e-12)
-    assert den == pytest.approx(dt * math.fsum(V0.mom[:, 0] * force), rel=1e-10)
-    assert math.fsum(V1.rho) == pytest.approx(math.fsum(V0.rho), rel=1e-14)
+    assert den == pytest.approx(dt * math.fsum(V0[:, 1] * force), rel=1e-10)
+    assert math.fsum(V1[:, 0]) == pytest.approx(math.fsum(V0[:, 0]), rel=1e-14)
 
 
 def test_sod_density_profile_against_exact_solution():
@@ -157,3 +158,34 @@ def test_blow_up_reports_step():
         propagate_fluid(U, 0.0, 1.0, grid, FluidParams(force=np.full(50, -1000.0)),
                         BoundaryKind.PERIODIC)
     assert info.value.step >= 1
+
+
+def test_propagate_respects_adaptive_schedule():
+    # each step is min(stable_dt_fluid, dt_max, remaining) on the packed
+    # conserved state; a manual replay of that schedule must land on the
+    # identical state, with both the cap and the CFL bound taking turns
+    grid = _grid(n_x=40)
+    x = grid.space.centers
+    U = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((40, 3)),
+                    np.where(x < 1.0, 1.0, 0.8))
+    params = FluidParams()
+    dt_max = 0.04
+    span = 0.3
+    out = propagate_fluid(U, 0.0, span, grid, params, BoundaryKind.ABSORBING,
+                          dt_max=dt_max)
+    v = primitive_to_conserved(U)
+    elapsed = 0.0
+    binding = set()
+    while span - elapsed > 1e-12 * span:
+        stable = stable_dt_fluid(v, grid, params)
+        dt = min(stable, dt_max, span - elapsed)
+        binding.add("cfl" if dt == stable else "cap" if dt == dt_max else "rest")
+        ext = np.concatenate([v[:1], v, v[-1:]])
+        face = rusanov_flux(ext[:-1], ext[1:])
+        v = v - (dt / grid.space.dx) * (face[1:] - face[:-1])
+        elapsed += dt
+    assert binding == {"cfl", "cap", "rest"}
+    want = conserved_to_primitive(v)
+    assert np.array_equal(out.rho, want.rho)
+    assert np.array_equal(out.u, want.u)
+    assert np.array_equal(out.theta, want.theta)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from parabgk import (BoundaryKind, ConfigurationError, build_spatial_grid,
-                     build_time_grids, build_velocity_grid)
+from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
+                     build_spatial_grid, build_time_grids, build_velocity_grid)
+from parabgk.grid import march
 
 
 def test_spatial_grid_paper_resolution():
@@ -91,3 +92,31 @@ def test_time_grids_rejects_bad_input():
 def test_boundary_kind_values():
     assert BoundaryKind("absorbing") is BoundaryKind.ABSORBING
     assert BoundaryKind("periodic") is BoundaryKind.PERIODIC
+
+
+def test_march_schedule_and_guards():
+    # steps are min(stable, dt_max, remaining); the last one is partial
+    steps = []
+
+    def advance(t, dt):
+        steps.append(dt)
+        return t + dt
+
+    def no_fault(t):
+        return None
+
+    assert march(0.0, 0.0, 1.0, lambda t: 0.3, advance, no_fault) == 1.0
+    assert steps == [0.3, 0.3, 0.3, 1.0 - (0.3 + 0.3 + 0.3)]
+    steps.clear()
+    march(0.0, 0.0, 1.0, lambda t: 0.3, advance, no_fault, dt_max=0.25)
+    assert steps == [0.25] * 4
+    steps.clear()
+    state = object()
+    assert march(state, 0.5, 0.5, lambda t: 0.3, advance, no_fault) is state
+    assert steps == []
+    with pytest.raises(ConfigurationError):
+        march(0.0, 1.0, 0.5, lambda t: 0.3, advance, no_fault)
+    with pytest.raises(BlowUpError, match="went bad at step 3") as info:
+        march(0.0, 0.0, 1.0, lambda t: 0.1, advance,
+              lambda t: "went bad" if t > 0.25 else None)
+    assert info.value.step == 3

@@ -1,14 +1,11 @@
 """Maxwellian reconstruction against scalar oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from parabgk import (DegenerateStateError, MomentField, PhaseGrid,
-                     build_spatial_grid, build_velocity_grid, lift, maxwellian,
-                     project)
+                     build_spatial_grid, build_velocity_grid, lift, project)
 from oracles import maxwellian_value
 
 
@@ -21,21 +18,6 @@ def _uniform(n_x, rho, u, theta):
     return MomentField(np.full(n_x, float(rho)),
                        np.tile(np.asarray(u, dtype=float), (n_x, 1)),
                        np.full(n_x, float(theta)))
-
-
-def test_maxwellian_point_values():
-    assert_allclose(maxwellian(1.0, (0, 0, 0), 1.0, (0, 0, 0)),
-                    (2.0 * math.pi) ** -1.5, rtol=1e-15)
-    v = (0.3, -1.2, 0.5)
-    assert maxwellian(2.0, (0.1, 0.0, 0.4), 1.3, v) == pytest.approx(
-        2.0 * maxwellian(1.0, (0.1, 0.0, 0.4), 1.3, v), rel=1e-15)
-    assert_allclose(maxwellian(1.0, (1, 0, 0), 1.0, (1, 0, 0)),
-                    (2.0 * math.pi) ** -1.5, rtol=1e-15)
-
-
-def test_maxwellian_rejects_nonpositive_theta():
-    with pytest.raises(DegenerateStateError):
-        maxwellian(1.0, (0, 0, 0), 0.0, (0, 0, 0))
 
 
 def test_lift_matches_scalar_formula_nodewise():

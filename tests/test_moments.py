@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parabgk import (ConservedField, DegenerateStateError, Distribution,
+from parabgk import (DegenerateStateError, Distribution,
                      MomentField, PhaseGrid, build_spatial_grid,
                      build_velocity_grid, conserved_to_primitive, lift,
                      primitive_to_conserved, project)
@@ -68,32 +68,30 @@ def test_project_zero_distribution_is_degenerate():
 
 
 def test_primitive_to_conserved_examples():
-    V = primitive_to_conserved(_uniform(1, 1.0, (0.0, 0.0, 0.0), 1.0))
-    assert V.energy[0] == 1.5
-    V = primitive_to_conserved(_uniform(1, 1.0, (1.0, 0.0, 0.0), 2.0))
-    assert V.energy[0] == 3.5
-    assert list(V.mom[0]) == [1.0, 0.0, 0.0]
-    V = primitive_to_conserved(_uniform(1, 0.125, (0.0, 0.0, 0.0), 0.8))
-    assert V.energy[0] == 0.15000000000000002
+    # packed per cell as (rho, rho u_x, rho u_y, rho u_z, E)
+    v = primitive_to_conserved(_uniform(1, 1.0, (0.0, 0.0, 0.0), 1.0))
+    assert v.shape == (1, 5)
+    assert v[0, 4] == 1.5
+    v = primitive_to_conserved(_uniform(1, 1.0, (1.0, 0.0, 0.0), 2.0))
+    assert v[0, 4] == 3.5
+    assert list(v[0, 1:4]) == [1.0, 0.0, 0.0]
+    v = primitive_to_conserved(_uniform(1, 0.125, (0.0, 0.0, 0.0), 0.8))
+    assert v[0, 4] == 0.15000000000000002
 
 
 def test_conserved_to_primitive_examples():
-    U = conserved_to_primitive(ConservedField(
-        np.array([1.0]), np.zeros((1, 3)), np.array([1.5])))
+    U = conserved_to_primitive(np.array([[1.0, 0.0, 0.0, 0.0, 1.5]]))
     assert U.theta[0] == 1.0
-    U = conserved_to_primitive(ConservedField(
-        np.array([1.0]), np.array([[1.0, 0.0, 0.0]]), np.array([3.5])))
+    U = conserved_to_primitive(np.array([[1.0, 1.0, 0.0, 0.0, 3.5]]))
     assert U.theta[0] == 2.0
     assert list(U.u[0]) == [1.0, 0.0, 0.0]
 
 
 def test_conserved_to_primitive_rejects_degenerate():
     with pytest.raises(DegenerateStateError):
-        conserved_to_primitive(ConservedField(
-            np.array([1.0]), np.zeros((1, 3)), np.array([0.0])))
+        conserved_to_primitive(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]))
     with pytest.raises(DegenerateStateError):
-        conserved_to_primitive(ConservedField(
-            np.array([-1.0]), np.zeros((1, 3)), np.array([1.0])))
+        conserved_to_primitive(np.array([[-1.0, 0.0, 0.0, 0.0, 1.0]]))
 
 
 def test_round_trip_on_random_states():
@@ -103,16 +101,6 @@ def test_round_trip_on_random_states():
                     rng.uniform(0.05, 4.0, 20))
     W = conserved_to_primitive(primitive_to_conserved(U))
     assert U.sup_distance(W) <= 1e-13 * 4.0
-
-
-def test_conserved_field_array_round_trip():
-    rng = np.random.default_rng(11)
-    V = ConservedField(rng.uniform(0.1, 1.0, 5), rng.normal(size=(5, 3)),
-                       rng.uniform(1.0, 2.0, 5))
-    W = ConservedField.from_array(V.to_array())
-    assert np.array_equal(V.rho, W.rho)
-    assert np.array_equal(V.mom, W.mom)
-    assert np.array_equal(V.energy, W.energy)
 
 
 def test_moment_field_algebra():

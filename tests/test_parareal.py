@@ -1,6 +1,7 @@
 """Outer iteration: sweeps, jumps, corrections, cost model, partitioning."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from numpy.testing import assert_allclose
 
 from parabgk import (BoundaryKind, ConfigurationError, CorrectionOvershootError,
                      Discretization, FluidParams, KineticParams, MomentField,
-                     PhaseGrid, PararealConfig, build_spatial_grid,
+                     PhaseGrid, PararealConfig, SolverError, build_spatial_grid,
                      build_time_grids, build_velocity_grid, estimate_k_opt,
-                     fine_moment_chain, initial_coarse_sweep, parareal_cost,
-                     propagate_fluid, run_parareal, sequential_correction,
-                     work_distribution)
+                     fine_moment_chain, initial_coarse_sweep, lift,
+                     parareal_cost, project, propagate_fluid, propagate_kinetic,
+                     run_parareal, sequential_correction, work_distribution)
+from parabgk import cli, runner
 from parabgk.parareal import compute_jumps, make_executor
 
 
@@ -118,22 +120,86 @@ def test_frozen_prefix_reproduces_fine_chain():
         assert traj.snapshots[n].sup_distance(chain[n]) <= 1e-13
 
 
+def _full_sweep_parareal(U0, k_max, disc, kinetic, fluid):
+    """Textbook parareal: every iteration revisits all windows.
+
+    U^k_n = G(U^k_{n-1}) + F(U^{k-1}_{n-1}) - G(U^{k-1}_{n-1}), with F the
+    lifted kinetic window projected back and G the Euler window.
+    """
+    times = disc.time.coarse_times
+
+    def coarse(U, n):
+        return propagate_fluid(U, float(times[n - 1]), float(times[n]), disc.phase,
+                               fluid, disc.bc, dt_max=disc.time.dt_g)
+
+    def fine(U, n):
+        f = propagate_kinetic(lift(U, disc.phase), float(times[n - 1]),
+                              float(times[n]), disc.phase, kinetic, disc.bc,
+                              dt_max=disc.time.dt_f)
+        return project(f, disc.phase)
+
+    windows = range(1, disc.time.n_g + 1)
+    U = [U0]
+    for n in windows:
+        U.append(coarse(U[-1], n))
+    for _ in range(k_max):
+        jumps = [fine(U[n - 1], n) - coarse(U[n - 1], n) for n in windows]
+        new = [U0]
+        for n in windows:
+            new.append(coarse(new[-1], n) + jumps[n - 1])
+        U = new
+    return U
+
+
 def test_frozen_prefix_equivalent_to_full_sweep():
-    # the economical variant skips windows that can no longer change; both
-    # variants must agree to rounding at every iteration count
+    # run_parareal skips windows that can no longer change; the classic sweep
+    # over all windows must agree with it to rounding at every iteration count
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2)
     fluid = FluidParams()
     U0 = _sod_like(12)
     for k_max in (1, 2, 4):
-        a, _ = run_parareal(U0, PararealConfig(k_max=k_max, tol=1e-300,
-                                               use_frozen_prefix=True),
+        a, _ = run_parareal(U0, PararealConfig(k_max=k_max, tol=1e-300),
                             disc, kinetic, fluid)
-        b, _ = run_parareal(U0, PararealConfig(k_max=k_max, tol=1e-300,
-                                               use_frozen_prefix=False),
-                            disc, kinetic, fluid)
-        for x, y in zip(a.snapshots, b.snapshots):
+        b = _full_sweep_parareal(U0, k_max, disc, kinetic, fluid)
+        assert len(a.snapshots) == len(b)
+        for x, y in zip(a.snapshots, b):
             assert x.sup_distance(y) <= 1e-12
+
+
+_TEST_PID = os.getpid()
+
+
+def _tau_killing_workers(rho, theta):
+    # a pool worker that exits hard breaks the pool; this process never exits
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    return 1.0
+
+
+def test_dead_worker_surfaces_as_solver_error(tmp_path, monkeypatch, capsys):
+    disc = _tiny_disc()
+    kinetic = KineticParams(epsilon=1e-2, tau=_tau_killing_workers)
+    with pytest.raises(SolverError, match=r"iteration 1 at window [1-4]\b"):
+        run_parareal(_sod_like(12), PararealConfig(k_max=2, tol=1e-300, workers=2),
+                     disc, kinetic, FluidParams())
+
+    build_params = runner.build_params
+
+    def dying_params(cfg, disc):
+        kinetic, fluid = build_params(cfg, disc)
+        kinetic.tau = _tau_killing_workers
+        return kinetic, fluid
+
+    monkeypatch.setattr(runner, "build_params", dying_params)
+    config = tmp_path / "run.cfg"
+    config.write_text("case = sod\nx_min = 0.0\nx_max = 2.0\nn_x = 12\n"
+                      "v_max = 8.0\nn_vx = 8\nn_vy = 8\nn_vz = 8\n"
+                      "epsilon = 1e-2\nbc = absorbing\nt_final = 0.1\n"
+                      "n_g = 4\nn_f = 16\nk_max = 2\ntol = 1e-300\n")
+    assert cli.main(["run", "--config", str(config), "--workers", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "iteration 1 at window" in capsys.readouterr().err
 
 
 def test_immediate_stop_on_loose_tolerance():
