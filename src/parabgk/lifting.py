@@ -20,13 +20,16 @@ class Distribution:
     values: np.ndarray  # (n_x, n_vx, n_vy, n_vz)
 
 
-def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False) -> Distribution:
+def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
+         out: np.ndarray | None = None) -> Distribution:
     """Cell-local Maxwellians evaluated at the velocity centers.
 
     The Gaussian factorizes over the axes, so only three small 1D exponential
-    tables are computed per cell and the cube is filled with outer products.
-    With normalize_mass the result is rescaled per cell so that the discrete
-    mass matches rho exactly rather than up to quadrature error.
+    tables are computed per cell and the cube is filled with outer products,
+    into out when it is given. With normalize_mass the discrete mass matches
+    rho exactly rather than up to quadrature error: the mass of a separable
+    product is the product of the three 1D sums, so the amplitude is set from
+    those sums instead of from the continuous normalization.
     """
     if np.any(U.rho <= 0.0) or np.any(U.theta <= 0.0):
         raise DegenerateStateError("lift requires rho > 0 and theta > 0 in every cell")
@@ -36,10 +39,11 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False) -> Distr
     for axis in range(3):
         d = v.centers[axis][None, :] - U.u[:, axis, None]
         factors.append(np.exp(-(d * d) * inv2t[:, None]))
-    amp = U.rho / (2.0 * np.pi * U.theta) ** 1.5
-    gx = factors[0] * amp[:, None]
-    vals = gx[:, :, None, None] * factors[1][:, None, :, None] * factors[2][:, None, None, :]
     if normalize_mass:
-        mass = vals.sum(axis=(1, 2, 3)) * v.cell_volume
-        vals *= (U.rho / mass)[:, None, None, None]
-    return Distribution(vals)
+        sums = [g.sum(axis=1) for g in factors]
+        amp = U.rho / (sums[0] * sums[1] * sums[2] * v.cell_volume)
+    else:
+        amp = U.rho / (2.0 * np.pi * U.theta) ** 1.5
+    gx = factors[0] * amp[:, None]
+    gxy = gx[:, :, None, None] * factors[1][:, None, :, None]
+    return Distribution(np.multiply(gxy, factors[2][:, None, None, :], out=out))

@@ -72,11 +72,14 @@ def project(f: "Distribution", grid: PhaseGrid) -> MomentField:
 
     Two-pass form: the discrete mean u is computed first and the temperature
     accumulates |v - u|^2 around it, one separable term per velocity axis.
+    The three 1D marginals take two passes over the cube: the v_x marginal
+    directly, and the v_y and v_z marginals from the (v_y, v_z) plane sums.
     """
     v = grid.velocity
     vals = f.values
     dvol = v.cell_volume
-    margs = (vals.sum(axis=(2, 3)), vals.sum(axis=(1, 3)), vals.sum(axis=(1, 2)))
+    plane = vals.sum(axis=1)
+    margs = (vals.sum(axis=(2, 3)), plane.sum(axis=2), plane.sum(axis=1))
     rho = margs[0].sum(axis=1) * dvol
     if np.any(rho <= 0.0):
         bad = int(np.argmax(rho <= 0.0))

@@ -18,7 +18,6 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import Executor, FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -168,6 +167,11 @@ def _store_jump(slot: MomentField, delta: MomentField) -> None:
     slot.theta[:] = delta.theta
 
 
+def _window_failure(k: int, n: int, exc: Exception) -> SolverError:
+    return SolverError(f"iteration {k} at window {n} failed: "
+                       f"{type(exc).__name__}: {exc}")
+
+
 def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
                   kinetic: KineticParams, fluid: FluidParams,
                   executor: Executor | None = None,
@@ -176,15 +180,21 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
 
     Windows are dispatched as independent tasks with dynamic assignment when
     an executor is given; each result lands in its own slot, so the outcome
-    does not depend on scheduling. A worker that dies breaks the pool; that
-    surfaces as a SolverError naming the iteration and the window.
+    does not depend on scheduling. A window that fails with anything but a
+    SolverError, a dead worker's broken pool included, surfaces as a
+    SolverError naming the iteration and the window, chained from the cause.
     """
     indices = range(k, disc.time.n_g + 1)
     stage_max = [0.0, 0.0, 0.0, 0.0]
     if executor is None:
         for n in indices:
-            _, delta, stages = _window_jump(n, traj.snapshots[n - 1], disc,
-                                            kinetic, fluid)
+            try:
+                _, delta, stages = _window_jump(n, traj.snapshots[n - 1], disc,
+                                                kinetic, fluid)
+            except SolverError:
+                raise
+            except Exception as exc:
+                raise _window_failure(k, n, exc) from exc
             _store_jump(traj.jumps[n - 1], delta)
             stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
     else:
@@ -199,10 +209,10 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
             for fut in sorted(done, key=window_of.get):
                 try:
                     n, delta, stages = fut.result()
-                except BrokenProcessPool as exc:
-                    raise SolverError(
-                        f"worker pool broke in iteration {k} at window "
-                        f"{window_of[fut]}: {exc}") from exc
+                except SolverError:
+                    raise
+                except Exception as exc:
+                    raise _window_failure(k, window_of[fut], exc) from exc
                 _store_jump(traj.jumps[n - 1], delta)
                 stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
     if timing is not None:

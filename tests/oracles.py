@@ -7,6 +7,7 @@ vectorized kernels.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -57,6 +58,43 @@ def relax_weight(lams) -> float:
     out = 1.0
     for lam in lams:
         out /= 1.0 + lam
+    return out
+
+
+def transport_reference(f, dt: float, dx: float, cx, dv_x: float,
+                        periodic: bool, force=None) -> np.ndarray:
+    """One upwind transport step with the v_x field flux, one node at a time.
+
+    f is (n_x, n_vx, n_vy, n_vz) and force the per-cell field or None. The
+    flux through an x face takes its donor from the upwind side; past an
+    absorbing boundary the donor is empty. The field flux through an interior
+    v_x face is central with max-speed dissipation, and zero through the two
+    faces of the velocity cube.
+    """
+    n_x, n_vx, n_vy, n_vz = f.shape
+    e_max = max(abs(float(e)) for e in force) if force is not None else 0.0
+
+    def value(i, j, k, l):
+        if 0 <= i < n_x or periodic:
+            return float(f[i % n_x, j, k, l])
+        return 0.0
+
+    def x_flux(i, j, k, l):  # face between cells i - 1 and i
+        donor = i - 1 if cx[j] > 0.0 else i
+        return float(cx[j]) * value(donor, j, k, l)
+
+    def v_flux(i, j, k, l):  # face between v_x cells j - 1 and j
+        if force is None or j == 0 or j == n_vx:
+            return 0.0
+        lo, hi = float(f[i, j - 1, k, l]), float(f[i, j, k, l])
+        return 0.5 * float(force[i]) * (lo + hi) - 0.5 * e_max * (hi - lo)
+
+    out = np.empty(f.shape)
+    for i, j, k, l in itertools.product(range(n_x), range(n_vx), range(n_vy),
+                                        range(n_vz)):
+        out[i, j, k, l] = (float(f[i, j, k, l])
+                           - dt / dx * (x_flux(i + 1, j, k, l) - x_flux(i, j, k, l))
+                           - dt / dv_x * (v_flux(i, j + 1, k, l) - v_flux(i, j, k, l)))
     return out
 
 

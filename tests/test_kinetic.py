@@ -6,6 +6,7 @@ the vectorized kernels.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      project, propagate_kinetic, stable_dt_kinetic,
                      transport_update)
 from parabgk.kinetic import ConstantTau, constant_tau
-from oracles import relax_weight
+from oracles import relax_weight, transport_reference
 
 
 def _grid(n_x=8, v_max=8.0, n_v=8, x_max=2.0):
@@ -103,6 +104,107 @@ def test_field_term_conserves_mass():
     f = lift(_uniform(4, 1.0, (0.0, 0.0, 0.0), 1.0), grid)
     out = transport_update(f, 2e-3, grid, params, BoundaryKind.PERIODIC)
     assert out.values.sum() == pytest.approx(f.values.sum(), rel=1e-14)
+
+
+@pytest.mark.parametrize("n_vx", [1, 5, 8])
+@pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
+@pytest.mark.parametrize("with_field", [False, True])
+def test_transport_matches_scalar_oracle(n_vx, bc, with_field):
+    # odd n_vx keeps a v_x = 0 column; random data makes every donor cell,
+    # including those across the boundary, visible in the result
+    n_x = 6
+    grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x),
+                     build_velocity_grid(8.0, (n_vx, 3, 2)))
+    rng = np.random.default_rng(n_vx)
+    f = Distribution(rng.uniform(0.1, 1.0, size=(n_x, n_vx, 3, 2)))
+    force = rng.uniform(-1.0, 1.0, size=n_x) if with_field else None
+    params = KineticParams(epsilon=1.0, force=force)
+    dt = stable_dt_kinetic(grid, params)
+    got = transport_update(f, dt, grid, params, bc).values
+    want = transport_reference(f.values, dt, grid.space.dx,
+                               grid.velocity.centers[0], grid.velocity.dv[0],
+                               bc is BoundaryKind.PERIODIC, force)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_field_with_one_vx_cell_is_inert():
+    # one v_x cell has no interior face and the cube faces carry no flux
+    grid = PhaseGrid(build_spatial_grid(0.0, 2.0, 8),
+                     build_velocity_grid(8.0, (1, 4, 4)))
+    f = lift(_uniform(8, 1.0, (0.0, 0.2, 0.0), 1.0), grid)
+    field = KineticParams(epsilon=1e-2, force=np.full(8, 0.5))
+    plain = KineticParams(epsilon=1e-2)
+    got = transport_update(f, 1e-3, grid, field, BoundaryKind.PERIODIC)
+    want = transport_update(f, 1e-3, grid, plain, BoundaryKind.PERIODIC)
+    assert got.values.tobytes() == want.values.tobytes()
+    out = propagate_kinetic(f, 0.0, 0.05, grid, field, BoundaryKind.PERIODIC)
+    assert np.all(np.isfinite(out.values))
+
+
+def _field_instance(n_x=20, n_v=(32, 16, 16)):
+    grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x),
+                     build_velocity_grid(8.0, n_v))
+    x = grid.space.centers
+    U = MomentField(1.0 + 0.3 * np.sin(np.pi * x), np.zeros((n_x, 3)),
+                    np.full(n_x, 0.9))
+    params = KineticParams(epsilon=1e-2, force=0.5 * np.sin(np.pi * x))
+    return grid, params, lift(U, grid)
+
+
+def test_propagate_leaves_input_and_owns_result():
+    grid, params, f0 = _field_instance(n_x=8, n_v=(8, 4, 4))
+    before = f0.values.tobytes()
+    span = 4 * stable_dt_kinetic(grid, params)
+    first = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
+    second = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
+    assert f0.values.tobytes() == before
+    assert not np.shares_memory(first.values, f0.values)
+    assert not np.shares_memory(first.values, second.values)
+    assert first.values.tobytes() == second.values.tobytes()
+
+
+@pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
+def test_kernels_same_bytes_with_and_without_buffers(bc):
+    # buffers start as NaN so that a value read before it is written shows
+    grid, params, f = _field_instance(n_x=8, n_v=(9, 4, 4))
+    f.values *= np.random.default_rng(2).uniform(0.5, 1.5, size=f.values.shape)
+    shape = f.values.shape
+    dt = stable_dt_kinetic(grid, params)
+    fresh = transport_update(f, dt, grid, params, bc)
+    out, spare = np.full(shape, np.nan), np.full(shape, np.nan)
+    face = np.full((shape[0], shape[1] - 1) + shape[2:], np.nan)
+    reused = transport_update(f, dt, grid, params, bc, out=out, spare=spare,
+                              face=face)
+    assert reused.values is out
+    assert reused.values.tobytes() == fresh.values.tobytes()
+    with pytest.raises(ValueError):
+        transport_update(f, dt, grid, params, bc, out=f.values)
+
+    fresh = bgk_relax(f, dt, grid, params)
+    spare[:] = np.nan
+    reused = bgk_relax(f, dt, grid, params, out=np.full(shape, np.nan),
+                       spare=spare)
+    assert reused.values.tobytes() == fresh.values.tobytes()
+    probe = Distribution(f.values.copy())
+    in_place = bgk_relax(probe, dt, grid, params, out=probe.values)
+    assert in_place.values is probe.values
+    assert in_place.values.tobytes() == fresh.values.tobytes()
+
+
+def test_window_allocation_peak():
+    # two state arrays, a spare and the v_x face array; the remaining
+    # temporaries are per-cell or per-plane
+    grid, params, f0 = _field_instance()
+    span = 4 * stable_dt_kinetic(grid, params)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * f0.values.nbytes
 
 
 def test_relax_fixed_point():

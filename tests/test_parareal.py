@@ -177,21 +177,28 @@ def _tau_killing_workers(rho, theta):
     return 1.0
 
 
-def test_dead_worker_surfaces_as_solver_error(tmp_path, monkeypatch, capsys):
+def _tau_failing_in_workers(rho, theta):
+    if os.getpid() != _TEST_PID:
+        raise MemoryError("no room for the window")
+    return 1.0
+
+
+def _assert_window_failure_exits_2(tau, tmp_path, monkeypatch, capsys):
+    """A tau failing in the pool: SolverError naming the window, exit code 2."""
     disc = _tiny_disc()
-    kinetic = KineticParams(epsilon=1e-2, tau=_tau_killing_workers)
-    with pytest.raises(SolverError, match=r"iteration 1 at window [1-4]\b"):
+    kinetic = KineticParams(epsilon=1e-2, tau=tau)
+    with pytest.raises(SolverError, match=r"iteration 1 at window [1-4]\b") as info:
         run_parareal(_sod_like(12), PararealConfig(k_max=2, tol=1e-300, workers=2),
                      disc, kinetic, FluidParams())
 
     build_params = runner.build_params
 
-    def dying_params(cfg, disc):
+    def failing_params(cfg, disc):
         kinetic, fluid = build_params(cfg, disc)
-        kinetic.tau = _tau_killing_workers
+        kinetic.tau = tau
         return kinetic, fluid
 
-    monkeypatch.setattr(runner, "build_params", dying_params)
+    monkeypatch.setattr(runner, "build_params", failing_params)
     config = tmp_path / "run.cfg"
     config.write_text("case = sod\nx_min = 0.0\nx_max = 2.0\nn_x = 12\n"
                       "v_max = 8.0\nn_vx = 8\nn_vy = 8\nn_vz = 8\n"
@@ -200,6 +207,38 @@ def test_dead_worker_surfaces_as_solver_error(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", "--config", str(config), "--workers", "2",
                      "--out", str(tmp_path / "out")]) == 2
     assert "iteration 1 at window" in capsys.readouterr().err
+    return info.value
+
+
+def test_dead_worker_surfaces_as_solver_error(tmp_path, monkeypatch, capsys):
+    _assert_window_failure_exits_2(_tau_killing_workers, tmp_path, monkeypatch,
+                                   capsys)
+
+
+def test_window_exception_surfaces_as_solver_error(tmp_path, monkeypatch, capsys):
+    error = _assert_window_failure_exits_2(_tau_failing_in_workers, tmp_path,
+                                           monkeypatch, capsys)
+    assert isinstance(error.__cause__, MemoryError)
+    assert "MemoryError: no room for the window" in str(error)
+
+    # the serial path maps the same way; a SolverError passes through as is
+    disc = _tiny_disc()
+    traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
+
+    def tau(rho, theta):
+        raise MemoryError("no room for the window")
+
+    with pytest.raises(SolverError, match=r"iteration 2 at window 2\b") as info:
+        compute_jumps(traj, 2, disc, KineticParams(epsilon=1e-2, tau=tau),
+                      FluidParams())
+    assert isinstance(info.value.__cause__, MemoryError)
+
+    def solver_failure(rho, theta):
+        raise CorrectionOvershootError("own failure", slice_index=3)
+
+    with pytest.raises(CorrectionOvershootError, match="own failure"):
+        compute_jumps(traj, 1, disc,
+                      KineticParams(epsilon=1e-2, tau=solver_failure), FluidParams())
 
 
 def test_immediate_stop_on_loose_tolerance():
