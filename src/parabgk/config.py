@@ -7,8 +7,9 @@ for the initial data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .cases import PRESETS, force_field
 from .errors import ConfigurationError
@@ -48,18 +49,12 @@ class RunConfig:
     preset: str | None = None
 
 
-_CASTS = {
-    "preset": str, "case": str, "bc": str, "mode": str, "out_dir": str,
-    "x_min": float, "x_max": float, "v_max": float, "epsilon": float,
-    "t_final": float, "tol": float, "tau": float,
-    "cfl_kinetic": float, "cfl_fluid": float,
-    "n_x": int, "n_vx": int, "n_vy": int, "n_vz": int,
-    "n_g": int, "n_f": int, "k_max": int, "workers": int,
-}
+# Each key parses with its field's type: float, int, or else the raw string.
+_CASTS = {name: hint if hint in (float, int) else str
+          for name, hint in get_type_hints(RunConfig).items()}
 
 # Keys a presetless config must spell out; everything else has defaults.
-_REQUIRED = ("case", "x_min", "x_max", "n_x", "v_max", "n_vx", "n_vy", "n_vz",
-             "epsilon", "bc", "t_final", "n_g", "n_f", "k_max", "tol")
+_REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def _read_pairs(path: Path) -> dict[str, object]:

@@ -2,9 +2,9 @@
 
 The expensive kinetic solves of distinct time windows depend only on the
 previous iterate, so they run as independent tasks on a worker pool; the
-cheap coarse corrections stay sequential. Each task writes its own jump slot
-and no reduction depends on completion order, so results are bitwise
-identical for any worker count.
+cheap coarse corrections stay sequential. Results are collected in window
+order into each window's own jump slot, so they are bitwise identical for any
+worker count.
 
 After iteration k the first k snapshots coincide with the window-wise fine
 chain (`fine_moment_chain`) and never change again, so both loops of
@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from concurrent.futures import Executor, FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,14 +76,12 @@ class ParTrajectory:
     """State of the outer iteration over one time horizon.
 
     snapshots[n] approximates the moments at coarse time T^n for the current
-    iterate; jumps[n-1] stores the fine-minus-coarse defect of window n. Jump
-    buffers are allocated once and reused across iterations.
+    iterate; jumps[n-1] holds the latest fine-minus-coarse defect of window n
+    (zero until that window is first solved).
     """
 
     snapshots: list[MomentField]
     jumps: list[MomentField]
-    iteration: int = 0
-    frozen_upto: int = 0
 
 
 class WorkRange(NamedTuple):
@@ -130,7 +129,7 @@ def _window_jump(n: int, U: MomentField, disc: Discretization,
     coarse = propagate_fluid(U, t_a, t_b, disc.phase, fluid, disc.bc,
                              dt_max=disc.time.dt_g)
     t_fluid = time.perf_counter() - tic
-    return n, fine - coarse, (t_lift, t_kin, t_proj, t_fluid)
+    return fine - coarse, (t_lift, t_kin, t_proj, t_fluid)
 
 
 # Per-process context for pool workers, installed by the pool initializer so
@@ -143,10 +142,9 @@ def _init_worker(disc, kinetic, fluid):
     _WORKER_CTX = (disc, kinetic, fluid)
 
 
-def _window_jump_remote(args):
-    n, rho, u, theta = args
+def _window_jump_remote(n: int, U: MomentField):
     disc, kinetic, fluid = _WORKER_CTX
-    return _window_jump(n, MomentField(rho, u, theta), disc, kinetic, fluid)
+    return _window_jump(n, U, disc, kinetic, fluid)
 
 
 def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
@@ -161,60 +159,36 @@ def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
                                initargs=(disc, kinetic, fluid))
 
 
-def _store_jump(slot: MomentField, delta: MomentField) -> None:
-    slot.rho[:] = delta.rho
-    slot.u[:] = delta.u
-    slot.theta[:] = delta.theta
-
-
-def _window_failure(k: int, n: int, exc: Exception) -> SolverError:
-    return SolverError(f"iteration {k} at window {n} failed: "
-                       f"{type(exc).__name__}: {exc}")
-
-
 def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
                   kinetic: KineticParams, fluid: FluidParams,
                   executor: Executor | None = None,
                   timing: dict | None = None) -> None:
-    """Fill the jump slots of windows k..n_g from the previous iterate.
+    """Set the jump slots of windows k..n_g from the previous iterate.
 
-    Windows are dispatched as independent tasks with dynamic assignment when
-    an executor is given; each result lands in its own slot, so the outcome
-    does not depend on scheduling. A window that fails with anything but a
-    SolverError, a dead worker's broken pool included, surfaces as a
-    SolverError naming the iteration and the window, chained from the cause.
+    Windows run in turn here, or as independent tasks on the executor when
+    one is given; results are taken in window order either way, so the
+    outcome does not depend on scheduling. The first failing window, whatever
+    it raised (a SolverError or a dead worker's broken pool included),
+    surfaces as a SolverError naming the iteration and the window, chained
+    from the cause, and the windows still queued on the pool are cancelled.
     """
-    indices = range(k, disc.time.n_g + 1)
+    windows = range(k, disc.time.n_g + 1)
+    starts = traj.snapshots[k - 1:-1]
     stage_max = [0.0, 0.0, 0.0, 0.0]
-    if executor is None:
-        for n in indices:
-            try:
-                _, delta, stages = _window_jump(n, traj.snapshots[n - 1], disc,
-                                                kinetic, fluid)
-            except SolverError:
-                raise
-            except Exception as exc:
-                raise _window_failure(k, n, exc) from exc
-            _store_jump(traj.jumps[n - 1], delta)
+    n = k  # the window whose result is awaited
+    try:
+        if executor is None:
+            results = map(partial(_window_jump, disc=disc, kinetic=kinetic,
+                                  fluid=fluid), windows, starts)
+        else:
+            results = executor.map(_window_jump_remote, windows, starts)
+        for delta, stages in results:
+            traj.jumps[n - 1] = delta
             stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
-    else:
-        window_of = {executor.submit(_window_jump_remote,
-                                     (n, traj.snapshots[n - 1].rho,
-                                      traj.snapshots[n - 1].u,
-                                      traj.snapshots[n - 1].theta)): n
-                     for n in indices}
-        pending = set(window_of)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in sorted(done, key=window_of.get):
-                try:
-                    n, delta, stages = fut.result()
-                except SolverError:
-                    raise
-                except Exception as exc:
-                    raise _window_failure(k, window_of[fut], exc) from exc
-                _store_jump(traj.jumps[n - 1], delta)
-                stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
+            n += 1
+    except Exception as exc:
+        raise SolverError(f"iteration {k} at window {n} failed: "
+                          f"{type(exc).__name__}: {exc}") from exc
     if timing is not None:
         for key, value in zip(("t_lift", "t_kin", "t_proj", "t_fluid"), stage_max):
             timing[key] = max(timing.get(key, 0.0), value)
@@ -230,7 +204,7 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
     """
     times = disc.time.coarse_times
     old = traj.snapshots
-    new = [s.copy() for s in old]
+    new = list(old)
     error = 0.0
     for n in range(k, disc.time.n_g + 1):
         coarse = propagate_fluid(new[n - 1], float(times[n - 1]), float(times[n]),
@@ -246,14 +220,11 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
         error = max(error, corrected.sup_distance(old[n]))
         new[n] = corrected
     traj.snapshots = new
-    traj.iteration = k
-    traj.frozen_upto = min(k, disc.time.n_g)
     return error
 
 
 def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
                  kinetic: KineticParams, fluid: FluidParams,
-                 sink: Optional[Callable[[ConvergenceRecord], None]] = None,
                  timing: dict | None = None):
     """Full outer iteration; returns the trajectory and convergence records."""
     traj = initial_coarse_sweep(U0, disc, fluid)
@@ -267,10 +238,7 @@ def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
             compute_jumps(traj, k, disc, kinetic, fluid, executor=executor,
                           timing=timing)
             error = sequential_correction(traj, k, disc, fluid)
-            record = ConvergenceRecord(k, error, time.perf_counter() - tic)
-            records.append(record)
-            if sink is not None:
-                sink(record)
+            records.append(ConvergenceRecord(k, error, time.perf_counter() - tic))
             if error < config.tol:
                 break
     finally:
@@ -315,11 +283,17 @@ def work_distribution(work: int, n_p: int, rank: int) -> WorkRange:
     return WorkRange(start, end, max(0, end - start + 1))
 
 
+def _window_cost(t_kin: float, t_fluid: float, t_lift: float, t_proj: float,
+                 n_p: int) -> float:
+    """Modeled wall time of one window per iteration: its share of the
+    parallel stage on n_p workers plus its serial coarse correction."""
+    return (t_lift + t_proj + t_kin + t_fluid) / n_p + t_fluid
+
+
 def parareal_cost(k: int, t_kin: float, t_fluid: float, t_lift: float,
                   t_proj: float, n_g: int, n_p: int) -> float:
     """Modeled wall time of k corrected iterations on n_p workers."""
-    per_window = (t_lift + t_proj + t_kin + t_fluid) / n_p + t_fluid
-    return t_fluid + n_g * k * per_window
+    return t_fluid + n_g * k * _window_cost(t_kin, t_fluid, t_lift, t_proj, n_p)
 
 
 def estimate_k_opt(t_kin: float, t_fluid: float, t_lift: float, t_proj: float,
@@ -329,6 +303,6 @@ def estimate_k_opt(t_kin: float, t_fluid: float, t_lift: float, t_proj: float,
     Ceiling of the break-even point of parareal_cost against the serial fine
     cost n_g * t_kin, clamped to at least one iteration.
     """
-    per_window = (t_lift + t_proj + t_kin + t_fluid) / n_p + t_fluid
-    ratio = (n_g * t_kin - t_fluid) / (n_g * per_window)
+    ratio = ((n_g * t_kin - t_fluid)
+             / (n_g * _window_cost(t_kin, t_fluid, t_lift, t_proj, n_p)))
     return max(1, math.ceil(ratio))

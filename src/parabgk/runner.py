@@ -17,8 +17,8 @@ from .fluid import FluidParams
 from .io import TimingReport, write_convergence, write_snapshots, write_timing
 from .kinetic import KineticParams, propagate_kinetic
 from .moments import MomentField, project
-from .parareal import (ConvergenceRecord, PararealConfig, estimate_k_opt,
-                       initial_coarse_sweep, run_parareal)
+from .parareal import (PararealConfig, estimate_k_opt, initial_coarse_sweep,
+                       run_parareal)
 
 __all__ = ["prepare", "run_fluid_mode", "run_fine_mode", "run_parareal_mode",
            "run_mode", "run_comparison"]
@@ -32,7 +32,7 @@ def prepare(cfg: RunConfig):
     return disc, kinetic, fluid, U0
 
 
-def run_fluid_mode(cfg: RunConfig, disc: Discretization, fluid: FluidParams,
+def run_fluid_mode(disc: Discretization, fluid: FluidParams,
                    U0: MomentField) -> list[MomentField]:
     return initial_coarse_sweep(U0, disc, fluid).snapshots
 
@@ -60,7 +60,7 @@ def run_mode(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     disc, kinetic, fluid, U0 = prepare(cfg)
     if cfg.mode == "fluid":
-        snapshots = run_fluid_mode(cfg, disc, fluid, U0)
+        snapshots = run_fluid_mode(disc, fluid, U0)
     elif cfg.mode == "fine":
         snapshots = run_fine_mode(cfg, disc, kinetic)
     else:
@@ -78,7 +78,7 @@ def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> TimingR
     space = disc.phase.space
 
     tic = time.perf_counter()
-    fluid_snapshots = run_fluid_mode(cfg, disc, fluid, U0)
+    fluid_snapshots = run_fluid_mode(disc, fluid, U0)
     fluid_seconds = time.perf_counter() - tic
     write_snapshots(fluid_snapshots, space, out / "fluid")
 
@@ -97,19 +97,12 @@ def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> TimingR
 
     report = TimingReport(
         iterations=[rec.seconds for rec in records],
-        t_lift=stage_timing.get("t_lift", 0.0),
-        t_kin=stage_timing.get("t_kin", 0.0),
-        t_proj=stage_timing.get("t_proj", 0.0),
-        t_fluid=stage_timing.get("t_fluid", 0.0),
+        **stage_timing,
         fine_seconds=fine_seconds,
         fluid_seconds=fluid_seconds,
         parareal_seconds=parareal_seconds,
         speedup=fine_seconds / parareal_seconds,
-        k_opt=estimate_k_opt(stage_timing.get("t_kin", 0.0),
-                             stage_timing.get("t_fluid", 0.0),
-                             stage_timing.get("t_lift", 0.0),
-                             stage_timing.get("t_proj", 0.0),
-                             disc.time.n_g, cfg.workers),
+        k_opt=estimate_k_opt(**stage_timing, n_g=disc.time.n_g, n_p=cfg.workers),
     )
     write_timing(report, out)
     return report

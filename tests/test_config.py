@@ -1,10 +1,13 @@
 """Config file parsing, validation, and object construction."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from parabgk import (BoundaryKind, ConfigurationError, build_discretization,
-                     build_params, external_force, parse_config)
+from parabgk import (BoundaryKind, ConfigurationError, RunConfig,
+                     build_discretization, build_params, external_force,
+                     parse_config)
 from parabgk.kinetic import ConstantTau, constant_tau
 
 FULL = """\
@@ -43,6 +46,18 @@ def test_parse_explicit_config(tmp_path):
     assert cfg.tau == 1.0 and cfg.workers == 1 and cfg.mode == "parareal"
     assert cfg.cfl_kinetic == 0.5 and cfg.cfl_fluid == 0.9
     assert cfg.out_dir == "out"
+
+
+def test_every_field_round_trips(tmp_path):
+    # every RunConfig field set away from its default, the preset included
+    expected = RunConfig(case="blast", x_min=-1.0, x_max=3.0, n_x=30, v_max=6.5,
+                         n_vx=12, n_vy=10, n_vz=8, epsilon=3e-3, bc="periodic",
+                         t_final=0.15, n_g=6, n_f=24, k_max=3, tol=1e-6, tau=2.5,
+                         cfl_kinetic=0.4, cfl_fluid=0.8, workers=3, mode="fine",
+                         out_dir="results/blast", preset="sod")
+    text = "".join(f"{f.name} = {getattr(expected, f.name)}\n"
+                   for f in fields(RunConfig))
+    assert parse_config(_write(tmp_path, text)) == expected
 
 
 def test_preset_expansion_and_override(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from parabgk import (BoundaryKind, ConfigurationError, CorrectionOvershootError,
-                     Discretization, FluidParams, KineticParams, MomentField,
-                     PhaseGrid, PararealConfig, SolverError, build_spatial_grid,
-                     build_time_grids, build_velocity_grid, estimate_k_opt,
+from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
+                     CorrectionOvershootError, Discretization, FluidParams,
+                     KineticParams, MomentField, PhaseGrid, PararealConfig,
+                     SolverError, build_spatial_grid, build_time_grids,
+                     build_velocity_grid, estimate_k_opt,
                      fine_moment_chain, initial_coarse_sweep, lift,
                      parareal_cost, project, propagate_fluid, propagate_kinetic,
                      run_parareal, sequential_correction, work_distribution)
-from parabgk import cli, runner
+from parabgk import cli, config, runner
 from parabgk.parareal import compute_jumps, make_executor
 
 
@@ -115,7 +117,6 @@ def test_frozen_prefix_reproduces_fine_chain():
     chain = fine_moment_chain(U0, disc, kinetic)
     cfg = PararealConfig(k_max=3, tol=1e-300)
     traj, _ = run_parareal(U0, cfg, disc, kinetic, fluid)
-    assert traj.frozen_upto == 3
     for n in range(0, 4):  # snapshots 0..k are fine-exact after k iterations
         assert traj.snapshots[n].sup_distance(chain[n]) <= 1e-13
 
@@ -183,15 +184,16 @@ def _tau_failing_in_workers(rho, theta):
     return 1.0
 
 
-def _assert_window_failure_exits_2(tau, tmp_path, monkeypatch, capsys):
-    """A tau failing in the pool: SolverError naming the window, exit code 2."""
+def _assert_window_failure_exits_2(tau, tmp_path, monkeypatch, capsys, workers=2):
+    """A tau failing in a window: SolverError naming the window, exit code 2."""
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2, tau=tau)
     with pytest.raises(SolverError, match=r"iteration 1 at window [1-4]\b") as info:
-        run_parareal(_sod_like(12), PararealConfig(k_max=2, tol=1e-300, workers=2),
+        run_parareal(_sod_like(12),
+                     PararealConfig(k_max=2, tol=1e-300, workers=workers),
                      disc, kinetic, FluidParams())
 
-    build_params = runner.build_params
+    build_params = config.build_params
 
     def failing_params(cfg, disc):
         kinetic, fluid = build_params(cfg, disc)
@@ -199,12 +201,12 @@ def _assert_window_failure_exits_2(tau, tmp_path, monkeypatch, capsys):
         return kinetic, fluid
 
     monkeypatch.setattr(runner, "build_params", failing_params)
-    config = tmp_path / "run.cfg"
-    config.write_text("case = sod\nx_min = 0.0\nx_max = 2.0\nn_x = 12\n"
-                      "v_max = 8.0\nn_vx = 8\nn_vy = 8\nn_vz = 8\n"
-                      "epsilon = 1e-2\nbc = absorbing\nt_final = 0.1\n"
-                      "n_g = 4\nn_f = 16\nk_max = 2\ntol = 1e-300\n")
-    assert cli.main(["run", "--config", str(config), "--workers", "2",
+    path = tmp_path / "run.cfg"
+    path.write_text("case = sod\nx_min = 0.0\nx_max = 2.0\nn_x = 12\n"
+                    "v_max = 8.0\nn_vx = 8\nn_vy = 8\nn_vz = 8\n"
+                    "epsilon = 1e-2\nbc = absorbing\nt_final = 0.1\n"
+                    "n_g = 4\nn_f = 16\nk_max = 2\ntol = 1e-300\n")
+    assert cli.main(["run", "--config", str(path), "--workers", str(workers),
                      "--out", str(tmp_path / "out")]) == 2
     assert "iteration 1 at window" in capsys.readouterr().err
     return info.value
@@ -221,7 +223,7 @@ def test_window_exception_surfaces_as_solver_error(tmp_path, monkeypatch, capsys
     assert isinstance(error.__cause__, MemoryError)
     assert "MemoryError: no room for the window" in str(error)
 
-    # the serial path maps the same way; a SolverError passes through as is
+    # the serial path maps the same way, a SolverError from the window included
     disc = _tiny_disc()
     traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
 
@@ -236,29 +238,72 @@ def test_window_exception_surfaces_as_solver_error(tmp_path, monkeypatch, capsys
     def solver_failure(rho, theta):
         raise CorrectionOvershootError("own failure", slice_index=3)
 
-    with pytest.raises(CorrectionOvershootError, match="own failure"):
+    with pytest.raises(SolverError, match=r"^iteration 1 at window 1 failed: "
+                       r"CorrectionOvershootError: own failure$") as info:
         compute_jumps(traj, 1, disc,
                       KineticParams(epsilon=1e-2, tau=solver_failure), FluidParams())
+    assert isinstance(info.value.__cause__, CorrectionOvershootError)
+    assert info.value.__cause__.slice_index == 3
+
+
+def _tau_nan(rho, theta):
+    return math.nan
+
+
+def test_window_blow_up_names_iteration_and_window(tmp_path, monkeypatch, capsys):
+    for workers in (1, 2):
+        error = _assert_window_failure_exits_2(_tau_nan, tmp_path, monkeypatch,
+                                               capsys, workers=workers)
+        assert str(error) == ("iteration 1 at window 1 failed: BlowUpError: "
+                              "kinetic propagation lost finiteness at step 1")
+        assert isinstance(error.__cause__, BlowUpError)
+        assert error.__cause__.step == 1
+
+
+class _FailFirstCallPerProcess:
+    """A tau that logs every call, fails a process's first one, sleeps after.
+
+    Each forked worker holds its own copy of `failed_in`, so every worker's
+    first window fails and all later windows run at a few ms per step.
+    """
+
+    def __init__(self, log):
+        self.log = log
+        self.failed_in = set()
+
+    def __call__(self, rho, theta):
+        with open(self.log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        if os.getpid() not in self.failed_in:
+            self.failed_in.add(os.getpid())
+            raise MemoryError("first call in this process")
+        time.sleep(0.005)
+        return 1.0
+
+
+def test_failing_window_cancels_queued_windows(tmp_path):
+    # 16 windows of 4 steps each; one tau call per step
+    disc = _tiny_disc(n_g=16, n_f=64)
+    tau = _FailFirstCallPerProcess(tmp_path / "calls.log")
+    kinetic = KineticParams(epsilon=1e-2, tau=tau)
+    with pytest.raises(SolverError, match=r"^iteration 1 at window 1 failed: "
+                       r"MemoryError"):
+        run_parareal(_sod_like(12), PararealConfig(k_max=1, tol=1e-300, workers=2),
+                     disc, kinetic, FluidParams())
+    calls = tau.log.read_text().split()
+    assert os.getpid() not in map(int, calls)  # every window ran in a worker
+    # running every window takes 16 * 4 calls; only the few windows already
+    # handed to the pool's call queue when window 1 failed may still run
+    assert len(calls) <= 16 * 4 // 2
 
 
 def test_immediate_stop_on_loose_tolerance():
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2)
-    traj, records = run_parareal(_sod_like(12),
-                                 PararealConfig(k_max=5, tol=math.inf),
-                                 disc, kinetic, FluidParams())
+    _, records = run_parareal(_sod_like(12),
+                              PararealConfig(k_max=5, tol=math.inf),
+                              disc, kinetic, FluidParams())
     assert len(records) == 1
-    assert traj.iteration == 1
-
-
-def test_sink_receives_records_in_order():
-    disc = _tiny_disc()
-    kinetic = KineticParams(epsilon=1e-2)
-    seen = []
-    _, records = run_parareal(_sod_like(12), PararealConfig(k_max=3, tol=1e-300),
-                              disc, kinetic, FluidParams(), sink=seen.append)
-    assert [r.k for r in seen] == [1, 2, 3]
-    assert seen == records
 
 
 def test_worker_pool_run_is_deterministic():

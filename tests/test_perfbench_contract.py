@@ -1,0 +1,60 @@
+"""The benchmark's hold on the solver: the names and call shapes it uses.
+
+perfbench/ is the measuring harness and is not edited with the solver; its
+traced pass (--trace 1) patches solver globals and calls compute_jumps
+directly, so a rename on the solver side must fail here rather than in a
+benchmark run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from parabgk import (BoundaryKind, Discretization, FluidParams, KineticParams,
+                     MomentField, PhaseGrid, build_spatial_grid, build_time_grids,
+                     build_velocity_grid, initial_coarse_sweep)
+from parabgk.parareal import compute_jumps
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def harness():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        bench = importlib.import_module("bench")  # fails on any missing import
+        yield bench, importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_traced_globals_exist_and_are_callable(harness):
+    _, tracer = harness
+    for module, attr, _ in tracer.TARGETS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_compute_jumps_as_the_traced_pass_calls_it(harness):
+    _, tracer = harness
+    phase = PhaseGrid(build_spatial_grid(0.0, 2.0, 8), build_velocity_grid(8.0, 6))
+    disc = Discretization(phase, build_time_grids(0.05, 2, 4), BoundaryKind.ABSORBING)
+    x = phase.space.centers
+    U0 = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((8, 3)),
+                     np.where(x < 1.0, 1.0, 0.8))
+    fluid = FluidParams()
+    traj = initial_coarse_sweep(U0, disc, fluid)
+    timing: dict[str, float] = {}
+    recorder = tracer.Tracer()
+    with recorder.patched():
+        compute_jumps(traj, 1, disc, KineticParams(epsilon=1e-2), fluid,
+                      executor=None, timing=timing)
+    assert sorted(timing) == ["t_fluid", "t_kin", "t_lift", "t_proj"]
+    assert len(traj.jumps) == disc.time.n_g
+    assert all(isinstance(jump, MomentField) for jump in traj.jumps)
+    # the window task reaches its layers through the patched module globals
+    names = {span[0] for span in recorder.spans}
+    assert {"lifting.lift", "kinetic.window", "moments.project",
+            "fluid.window", "kinetic.transport", "kinetic.relax"} <= names
