@@ -12,9 +12,9 @@ from .grid import (BoundaryKind, Discretization, PhaseGrid, SpatialGrid,
                    build_time_grids, build_velocity_grid)
 from .moments import (MomentField, conserved_to_primitive,
                       primitive_to_conserved, project)
-from .lifting import Distribution, lift
-from .kinetic import (ConstantTau, KineticParams, bgk_relax, constant_tau,
-                      propagate_kinetic, stable_dt_kinetic, transport_update)
+from .lifting import lift
+from .kinetic import (ConstantTau, KineticParams, bgk_relax, propagate_kinetic,
+                      stable_dt_kinetic, transport_update)
 from .fluid import (FluidParams, euler_flux, propagate_fluid, rusanov_flux,
                     stable_dt_fluid)
 from .parareal import (ConvergenceRecord, ParTrajectory, PararealConfig,
@@ -23,8 +23,7 @@ from .parareal import (ConvergenceRecord, ParTrajectory, PararealConfig,
                        run_parareal, sequential_correction, work_distribution)
 from .cases import (PRESETS, CasePreset, beams_initial, blast_initial,
                     blast_moments, external_force, force_field,
-                    initial_distribution, initial_moments, sod_initial,
-                    sod_moments)
+                    initial_distribution, sod_initial, sod_moments)
 from .config import RunConfig, build_discretization, build_params, parse_config
 from .io import (TimingReport, read_convergence, read_snapshot,
                  write_convergence, write_snapshots, write_timing)

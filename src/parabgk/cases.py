@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import BoundaryKind, PhaseGrid, SpatialGrid
-from .lifting import Distribution, lift
-from .moments import MomentField, project
+from .lifting import lift
+from .moments import MomentField
 
 __all__ = [
     "CasePreset",
@@ -21,7 +21,6 @@ __all__ = [
     "beams_initial",
     "external_force",
     "initial_distribution",
-    "initial_moments",
     "force_field",
 ]
 
@@ -83,17 +82,17 @@ def blast_moments(space: SpatialGrid) -> MomentField:
                       [(1.0, 1.0, 2.0), (1.0, 0.0, 0.25), (1.0, -1.0, 2.0)])
 
 
-def sod_initial(grid: PhaseGrid) -> Distribution:
+def sod_initial(grid: PhaseGrid) -> np.ndarray:
     """Local Maxwellian of the shock tube moments."""
     return lift(sod_moments(grid.space), grid)
 
 
-def blast_initial(grid: PhaseGrid) -> Distribution:
+def blast_initial(grid: PhaseGrid) -> np.ndarray:
     """Local Maxwellian of the blast moments."""
     return lift(blast_moments(grid.space), grid)
 
 
-def beams_initial(grid: PhaseGrid) -> Distribution:
+def beams_initial(grid: PhaseGrid) -> np.ndarray:
     """Sum of two unit-density Maxwellian beams at u_x = +1 and -1.
 
     The mixture is not a Maxwellian: its moments are rho = 2, u = 0 and
@@ -105,7 +104,7 @@ def beams_initial(grid: PhaseGrid) -> Distribution:
     u_fwd[:, 0] = 1.0
     fwd = lift(MomentField(ones, u_fwd, ones.copy()), grid)
     bwd = lift(MomentField(ones, -u_fwd, ones.copy()), grid)
-    return Distribution(fwd.values + bwd.values)
+    return fwd + bwd
 
 
 def external_force(x: np.ndarray) -> np.ndarray:
@@ -117,15 +116,10 @@ def external_force(x: np.ndarray) -> np.ndarray:
 _INITIAL = {"sod": sod_initial, "blast": blast_initial, "beams": beams_initial}
 
 
-def initial_distribution(case: str, grid: PhaseGrid) -> Distribution:
+def initial_distribution(case: str, grid: PhaseGrid) -> np.ndarray:
     if case not in _INITIAL:
         raise ConfigurationError(f"unknown case '{case}'")
     return _INITIAL[case](grid)
-
-
-def initial_moments(case: str, grid: PhaseGrid) -> MomentField:
-    """Projected moments of the case's kinetic initial state."""
-    return project(initial_distribution(case, grid), grid)
 
 
 def force_field(case: str, space: SpatialGrid) -> np.ndarray | None:

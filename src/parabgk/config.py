@@ -16,7 +16,7 @@ from .errors import ConfigurationError
 from .fluid import FluidParams
 from .grid import (BoundaryKind, Discretization, PhaseGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
-from .kinetic import ConstantTau, KineticParams, constant_tau
+from .kinetic import ConstantTau, KineticParams
 
 __all__ = ["RunConfig", "parse_config", "build_discretization", "build_params"]
 
@@ -141,8 +141,7 @@ def build_discretization(cfg: RunConfig) -> Discretization:
 
 def build_params(cfg: RunConfig, disc: Discretization) -> tuple[KineticParams, FluidParams]:
     force = force_field(cfg.case, disc.phase.space)
-    tau = constant_tau if cfg.tau == 1.0 else ConstantTau(cfg.tau)
-    kinetic = KineticParams(epsilon=cfg.epsilon, tau=tau, force=force,
-                            cfl=cfg.cfl_kinetic)
+    kinetic = KineticParams(epsilon=cfg.epsilon, tau=ConstantTau(cfg.tau),
+                            force=force, cfl=cfg.cfl_kinetic)
     fluid = FluidParams(force=force, cfl=cfg.cfl_fluid)
     return kinetic, fluid

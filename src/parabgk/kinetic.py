@@ -5,16 +5,19 @@ explicitly. Transport is a conservative unsplit update: upwind fluxes in x
 (the only inhomogeneous direction) and, when an external field is present,
 central fluxes with max-speed dissipation along v_x. The x-upwind is split by
 the sign of v_x, so each half differences the one neighbour it takes from and
-no ghosted copy of f is built. The relaxation toward the local Maxwellian is
-linear in f because the Maxwellian depends on f only through moments the
-collision operator conserves, so the implicit solve reduces to a closed-form
-blend of f and M at the post-transport moments, done in place.
+no ghosted copy of f is built. The v_x flux through a face is the sum of two
+donor terms, one from each neighbouring cell, and each term is applied to
+both cells it joins. The relaxation toward the local Maxwellian is linear in
+f because the Maxwellian depends on f only through moments the collision
+operator conserves, so the implicit solve reduces to a closed-form blend of f
+and M at the post-transport moments, done in place.
 
-A window allocates its arrays once and reuses them for every step: two state
-arrays the steps alternate between, a spare array for fluxes and the
-Maxwellian, and with a field the v_x face array. transport_update and
-bgk_relax take these as optional out/scratch arguments; without them they
-allocate their own and leave their input untouched.
+A distribution is a plain array f[i, jx, jy, jz] of shape
+(n_x, n_vx, n_vy, n_vz). A window allocates its arrays once and reuses them
+for every step: two state arrays the steps alternate between and a spare
+array for fluxes and the Maxwellian. transport_update and bgk_relax take these
+as optional out/scratch arguments; without them they allocate their own and
+leave their input untouched.
 
 Sign convention: f_t + v f_x + E f_vx = (tau / eps) (M - f), so a positive
 field accelerates particles toward positive v_x.
@@ -28,11 +31,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import BoundaryKind, PhaseGrid, march
-from .lifting import Distribution, lift
+from .lifting import lift
 from .moments import project
 
 __all__ = [
-    "constant_tau",
     "ConstantTau",
     "KineticParams",
     "stable_dt_kinetic",
@@ -40,11 +42,6 @@ __all__ = [
     "bgk_relax",
     "propagate_kinetic",
 ]
-
-
-def constant_tau(rho, theta):
-    """Unit collision frequency, the default closure."""
-    return 1.0
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class KineticParams:
     """
 
     epsilon: float
-    tau: Callable = constant_tau
+    tau: Callable = ConstantTau(1.0)
     force: Optional[np.ndarray] = None
     cfl: float = 0.5
 
@@ -112,36 +109,28 @@ def _upwind_half(f: np.ndarray, out: np.ndarray, flux: np.ndarray,
     np.subtract(f, out, out=out)
 
 
-def _has_field_flux(params: KineticParams, n_vx: int) -> bool:
-    # With one v_x cell there is no interior face, and the cube faces carry
-    # no flux, so the field term vanishes.
-    return n_vx > 1 and _max_field(params) > 0.0
-
-
-def transport_update(f: Distribution, dt: float, grid: PhaseGrid,
+def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
                      params: KineticParams, bc: BoundaryKind,
                      out: np.ndarray | None = None,
-                     spare: np.ndarray | None = None,
-                     face: np.ndarray | None = None) -> Distribution:
+                     spare: np.ndarray | None = None) -> np.ndarray:
     """One explicit transport step (no collisions).
 
     Upwind in x, split by the sign of v_x so that each half differences one
     neighbour; for absorbing boundaries no flux enters and outflow leaves
     freely. A v_x = 0 column does not move. The field term advects along v_x
-    with zero flux through the cube faces.
+    with zero flux through the cube faces; its interior fluxes are formed one
+    donor side at a time in spare.
 
-    out receives the result and must not overlap f; spare (shaped like f) and
-    face (one v_x cell fewer than f) are scratch. Each one left as None is
-    allocated, and f is never written.
+    out receives the result and must not overlap f; spare (shaped like f) is
+    scratch. Either left as None is allocated, and f is never written.
     """
-    vals = f.values
-    n_x, n_vx = vals.shape[:2]
+    n_vx = f.shape[1]
     if out is None:
-        out = np.empty_like(vals)
-    elif np.may_share_memory(out, vals):
+        out = np.empty_like(f)
+    elif np.may_share_memory(out, f):
         raise ValueError("transport_update cannot write over its input")
     if spare is None:
-        spare = np.empty_like(vals)
+        spare = np.empty_like(f)
     cx = grid.velocity.centers[0]
     dtdx = dt / grid.space.dx
     periodic = bc is BoundaryKind.PERIODIC
@@ -151,82 +140,70 @@ def transport_update(f: Distribution, dt: float, grid: PhaseGrid,
     neg = slice(0, int(np.count_nonzero(cx < 0.0)))
     pos = slice(n_vx - int(np.count_nonzero(cx > 0.0)), n_vx)
     for half, rightward in ((neg, False), (pos, True)):
-        _upwind_half(vals[:, half], out[:, half], spare[:, half],
+        _upwind_half(f[:, half], out[:, half], spare[:, half],
                      cx[half][None, :, None, None], dtdx, periodic, rightward)
-    out[:, neg.stop:pos.start] = vals[:, neg.stop:pos.start]
+    out[:, neg.stop:pos.start] = f[:, neg.stop:pos.start]
 
-    if _has_field_flux(params, n_vx):
-        if face is None:
-            face = np.empty((n_x, n_vx - 1) + vals.shape[2:])
-        work = spare[:, :-1]
-        lo = vals[:, :-1]
-        hi = vals[:, 1:]
-        # face = 0.5 E (lo + hi) - 0.5 E_max (hi - lo), central flux with
-        # max-speed dissipation through the interior v_x faces
-        np.add(lo, hi, out=face)
-        face *= 0.5 * params.force[:, None, None, None]
-        np.subtract(hi, lo, out=work)
-        work *= 0.5 * _max_field(params)
-        face -= work
-        dtdv = dt / grid.velocity.dv[0]
-        np.multiply(face[:, 0], dtdv, out=work[:, 0])
-        out[:, 0] -= work[:, 0]
-        inner = work[:, :-1]
-        np.subtract(face[:, 1:], face[:, :-1], out=inner)
-        inner *= dtdv
-        out[:, 1:-1] -= inner
-        np.negative(face[:, -1], out=work[:, 0])
-        work[:, 0] *= dtdv
-        out[:, -1] -= work[:, 0]
-    return Distribution(out)
+    e_max = _max_field(params)
+    # With one v_x cell there is no interior face, and the cube faces carry
+    # no flux, so the field term vanishes.
+    if n_vx > 1 and e_max > 0.0:
+        # The central flux with max-speed dissipation through the face between
+        # v_x cells j and j+1 is a f_j + b f_{j+1}, with a = (E + E_max) / 2
+        # and b = (E - E_max) / 2; each half leaves cell j and enters j+1.
+        half_dtdv = 0.5 * dt / grid.velocity.dv[0]
+        field = params.force[:, None, None, None]
+        flux = spare[:, :-1]
+        for donor, weight in ((f[:, :-1], field + e_max),
+                              (f[:, 1:], field - e_max)):
+            np.multiply(donor, weight * half_dtdv, out=flux)
+            out[:, :-1] -= flux
+            out[:, 1:] += flux
+    return out
 
 
-def bgk_relax(f: Distribution, dt: float, grid: PhaseGrid,
+def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
               params: KineticParams, out: np.ndarray | None = None,
-              spare: np.ndarray | None = None) -> Distribution:
+              spare: np.ndarray | None = None) -> np.ndarray:
     """Implicit relaxation toward the Maxwellian of the current moments.
 
-    The result (f + lam M) / (1 + lam) goes to out, which may be f.values
-    itself; the Maxwellian M is built in spare. Either left as None is
-    allocated.
+    The result (f + lam M) / (1 + lam) goes to out, which may be f itself;
+    the Maxwellian M is built in spare. Either left as None is allocated.
     """
     U = project(f, grid)
     lam = dt * np.asarray(params.tau(U.rho, U.theta), dtype=float) / params.epsilon
     lam = np.broadcast_to(lam, U.rho.shape)[:, None, None, None]
-    M = lift(U, grid, normalize_mass=True, out=spare).values
+    M = lift(U, grid, normalize_mass=True, out=spare)
     M *= lam
     if out is None:
         out = np.empty_like(M)
-    np.add(f.values, M, out=out)
+    np.add(f, M, out=out)
     out /= 1.0 + lam
-    return Distribution(out)
+    return out
 
 
-def propagate_kinetic(f0: Distribution, t0: float, t1: float, grid: PhaseGrid,
+def propagate_kinetic(f0: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
                       params: KineticParams, bc: BoundaryKind,
-                      dt_max: float | None = None) -> Distribution:
+                      dt_max: float | None = None) -> np.ndarray:
     """Advance f0 from t0 to t1 with steps min(stability cap, dt_max, remaining).
 
     The buffers are allocated once per call: two state arrays that the steps
-    alternate between, a spare array and, with a field, the v_x face array.
-    f0 is only read, and the result is one of this call's own arrays.
+    alternate between and a spare array. f0 is only read. The result is one
+    of this call's own arrays, except for an empty interval, which returns f0
+    itself.
     """
     cap = stable_dt_kinetic(grid, params)
-    shape = f0.values.shape
+    shape = f0.shape
     states = (np.empty(shape), np.empty(shape))
     spare = np.empty(shape)
-    face = None
-    if _has_field_flux(params, shape[1]):
-        face = np.empty((shape[0], shape[1] - 1) + shape[2:])
 
     def advance(f, dt):
-        out = states[1] if f.values is states[0] else states[0]
-        f = transport_update(f, dt, grid, params, bc, out=out, spare=spare,
-                             face=face)
+        out = states[1] if f is states[0] else states[0]
+        f = transport_update(f, dt, grid, params, bc, out=out, spare=spare)
         return bgk_relax(f, dt, grid, params, out=out, spare=spare)
 
     def fault(f):
-        if not np.all(np.isfinite(f.values)):
+        if not np.all(np.isfinite(f)):
             return "kinetic propagation lost finiteness"
         return None
 

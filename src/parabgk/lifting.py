@@ -2,27 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateStateError
 from .grid import PhaseGrid
 from .moments import MomentField
 
-__all__ = ["Distribution", "lift"]
-
-
-@dataclass
-class Distribution:
-    """Discrete distribution f[i, jx, jy, jz] on a phase grid."""
-
-    values: np.ndarray  # (n_x, n_vx, n_vy, n_vz)
+__all__ = ["lift"]
 
 
 def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
-         out: np.ndarray | None = None) -> Distribution:
-    """Cell-local Maxwellians evaluated at the velocity centers.
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Cell-local Maxwellians f[i, jx, jy, jz] evaluated at the velocity centers.
 
     The Gaussian factorizes over the axes, so only three small 1D exponential
     tables are computed per cell and the cube is filled with outer products,
@@ -46,4 +37,4 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
         amp = U.rho / (2.0 * np.pi * U.theta) ** 1.5
     gx = factors[0] * amp[:, None]
     gxy = gx[:, :, None, None] * factors[1][:, None, :, None]
-    return Distribution(np.multiply(gxy, factors[2][:, None, None, :], out=out))
+    return np.multiply(gxy, factors[2][:, None, None, :], out=out)

@@ -67,8 +67,8 @@ def _folded_first_moment(marg: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return (head - tail) @ centers[:half]
 
 
-def project(f: "Distribution", grid: PhaseGrid) -> MomentField:
-    """First-order quadrature moments of a distribution.
+def project(f: np.ndarray, grid: PhaseGrid) -> MomentField:
+    """First-order quadrature moments of a distribution f[i, jx, jy, jz].
 
     Two-pass form: the discrete mean u is computed first and the temperature
     accumulates |v - u|^2 around it, one separable term per velocity axis.
@@ -76,10 +76,9 @@ def project(f: "Distribution", grid: PhaseGrid) -> MomentField:
     directly, and the v_y and v_z marginals from the (v_y, v_z) plane sums.
     """
     v = grid.velocity
-    vals = f.values
     dvol = v.cell_volume
-    plane = vals.sum(axis=1)
-    margs = (vals.sum(axis=(2, 3)), plane.sum(axis=2), plane.sum(axis=1))
+    plane = f.sum(axis=1)
+    margs = (f.sum(axis=(2, 3)), plane.sum(axis=2), plane.sum(axis=1))
     rho = margs[0].sum(axis=1) * dvol
     if np.any(rho <= 0.0):
         bad = int(np.argmax(rho <= 0.0))

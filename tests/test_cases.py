@@ -6,8 +6,7 @@ import pytest
 from parabgk import (BoundaryKind, ConfigurationError, PRESETS, PhaseGrid,
                      beams_initial, blast_moments, build_spatial_grid,
                      build_velocity_grid, external_force, force_field,
-                     initial_distribution, initial_moments, project,
-                     sod_moments)
+                     initial_distribution, project, sod_moments)
 
 
 def test_preset_table():
@@ -64,14 +63,6 @@ def test_beams_mixture_moments():
     # moment cancels exactly
     assert np.all(U.u == 0.0)
     assert np.abs(U.theta - 4.0 / 3.0).max() <= 1e-10
-
-
-def test_initial_moments_match_projection():
-    grid = PhaseGrid(build_spatial_grid(0.0, 2.0, 6),
-                     build_velocity_grid(8.0, 16))
-    for case in ("sod", "blast", "beams"):
-        direct = project(initial_distribution(case, grid), grid)
-        assert initial_moments(case, grid).sup_distance(direct) == 0.0
 
 
 def test_force_field_dispatch():

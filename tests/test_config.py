@@ -8,7 +8,7 @@ import pytest
 from parabgk import (BoundaryKind, ConfigurationError, RunConfig,
                      build_discretization, build_params, external_force,
                      parse_config)
-from parabgk.kinetic import ConstantTau, constant_tau
+from parabgk.kinetic import ConstantTau
 
 FULL = """\
 # explicit setup, no preset
@@ -132,7 +132,7 @@ def test_build_params_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, FULL))
     disc = build_discretization(cfg)
     kinetic, fluid = build_params(cfg, disc)
-    assert kinetic.tau is constant_tau  # picklable default rate
+    assert kinetic.tau == ConstantTau(1.0)  # picklable default rate
     assert kinetic.force is None and fluid.force is None
     assert kinetic.epsilon == 1e-2
     assert kinetic.cfl == 0.5 and fluid.cfl == 0.9

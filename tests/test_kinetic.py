@@ -13,11 +13,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
-                     Distribution, KineticParams, MomentField, PhaseGrid,
+                     ConstantTau, KineticParams, MomentField, PhaseGrid,
                      bgk_relax, build_spatial_grid, build_velocity_grid, lift,
                      project, propagate_kinetic, stable_dt_kinetic,
                      transport_update)
-from parabgk.kinetic import ConstantTau, constant_tau
 from oracles import relax_weight, transport_reference
 
 
@@ -53,7 +52,7 @@ def test_transport_preserves_constants_periodic():
     f = lift(_uniform(8, 1.0, (0.3, 0.0, 0.0), 1.0), grid)
     out = transport_update(f, 1e-3, grid, KineticParams(epsilon=1.0),
                            BoundaryKind.PERIODIC)
-    assert np.array_equal(out.values, f.values)
+    assert np.array_equal(out, f)
 
 
 def test_transport_upwind_moves_one_cell():
@@ -64,11 +63,11 @@ def test_transport_upwind_moves_one_cell():
     vals[3, j, 4, 4] = 1.0
     # dt chosen so v dt / dx = 1: the whole parcel lands one cell right
     dt = grid.space.dx / cx[j]
-    out = transport_update(Distribution(vals), dt, grid,
-                           KineticParams(epsilon=1.0), BoundaryKind.PERIODIC)
-    assert out.values[4, j, 4, 4] == pytest.approx(1.0, rel=1e-14)
-    assert out.values[3, j, 4, 4] == 0.0
-    assert out.values.sum() == pytest.approx(1.0, rel=1e-14)
+    out = transport_update(vals, dt, grid, KineticParams(epsilon=1.0),
+                           BoundaryKind.PERIODIC)
+    assert out[4, j, 4, 4] == pytest.approx(1.0, rel=1e-14)
+    assert out[3, j, 4, 4] == 0.0
+    assert out.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_transport_absorbing_lets_mass_leave():
@@ -78,9 +77,9 @@ def test_transport_absorbing_lets_mass_leave():
     vals = np.zeros((8, 8, 8, 8))
     vals[7, j, 4, 4] = 1.0  # rightmost cell, rightward velocity
     dt = grid.space.dx / cx[j]
-    out = transport_update(Distribution(vals), dt, grid,
-                           KineticParams(epsilon=1.0), BoundaryKind.ABSORBING)
-    assert out.values.sum() == 0.0
+    out = transport_update(vals, dt, grid, KineticParams(epsilon=1.0),
+                           BoundaryKind.ABSORBING)
+    assert out.sum() == 0.0
 
 
 def test_field_term_momentum_source():
@@ -103,7 +102,7 @@ def test_field_term_conserves_mass():
     params = KineticParams(epsilon=1.0, force=np.full(4, 0.9))
     f = lift(_uniform(4, 1.0, (0.0, 0.0, 0.0), 1.0), grid)
     out = transport_update(f, 2e-3, grid, params, BoundaryKind.PERIODIC)
-    assert out.values.sum() == pytest.approx(f.values.sum(), rel=1e-14)
+    assert out.sum() == pytest.approx(f.sum(), rel=1e-14)
 
 
 @pytest.mark.parametrize("n_vx", [1, 5, 8])
@@ -116,12 +115,12 @@ def test_transport_matches_scalar_oracle(n_vx, bc, with_field):
     grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x),
                      build_velocity_grid(8.0, (n_vx, 3, 2)))
     rng = np.random.default_rng(n_vx)
-    f = Distribution(rng.uniform(0.1, 1.0, size=(n_x, n_vx, 3, 2)))
+    f = rng.uniform(0.1, 1.0, size=(n_x, n_vx, 3, 2))
     force = rng.uniform(-1.0, 1.0, size=n_x) if with_field else None
     params = KineticParams(epsilon=1.0, force=force)
     dt = stable_dt_kinetic(grid, params)
-    got = transport_update(f, dt, grid, params, bc).values
-    want = transport_reference(f.values, dt, grid.space.dx,
+    got = transport_update(f, dt, grid, params, bc)
+    want = transport_reference(f, dt, grid.space.dx,
                                grid.velocity.centers[0], grid.velocity.dv[0],
                                bc is BoundaryKind.PERIODIC, force)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -136,9 +135,9 @@ def test_field_with_one_vx_cell_is_inert():
     plain = KineticParams(epsilon=1e-2)
     got = transport_update(f, 1e-3, grid, field, BoundaryKind.PERIODIC)
     want = transport_update(f, 1e-3, grid, plain, BoundaryKind.PERIODIC)
-    assert got.values.tobytes() == want.values.tobytes()
+    assert got.tobytes() == want.tobytes()
     out = propagate_kinetic(f, 0.0, 0.05, grid, field, BoundaryKind.PERIODIC)
-    assert np.all(np.isfinite(out.values))
+    assert np.all(np.isfinite(out))
 
 
 def _field_instance(n_x=20, n_v=(32, 16, 16)):
@@ -153,47 +152,45 @@ def _field_instance(n_x=20, n_v=(32, 16, 16)):
 
 def test_propagate_leaves_input_and_owns_result():
     grid, params, f0 = _field_instance(n_x=8, n_v=(8, 4, 4))
-    before = f0.values.tobytes()
+    before = f0.tobytes()
     span = 4 * stable_dt_kinetic(grid, params)
     first = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
     second = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
-    assert f0.values.tobytes() == before
-    assert not np.shares_memory(first.values, f0.values)
-    assert not np.shares_memory(first.values, second.values)
-    assert first.values.tobytes() == second.values.tobytes()
+    assert f0.tobytes() == before
+    assert not np.shares_memory(first, f0)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes()
 
 
 @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
 def test_kernels_same_bytes_with_and_without_buffers(bc):
     # buffers start as NaN so that a value read before it is written shows
     grid, params, f = _field_instance(n_x=8, n_v=(9, 4, 4))
-    f.values *= np.random.default_rng(2).uniform(0.5, 1.5, size=f.values.shape)
-    shape = f.values.shape
+    f *= np.random.default_rng(2).uniform(0.5, 1.5, size=f.shape)
+    shape = f.shape
     dt = stable_dt_kinetic(grid, params)
     fresh = transport_update(f, dt, grid, params, bc)
     out, spare = np.full(shape, np.nan), np.full(shape, np.nan)
-    face = np.full((shape[0], shape[1] - 1) + shape[2:], np.nan)
-    reused = transport_update(f, dt, grid, params, bc, out=out, spare=spare,
-                              face=face)
-    assert reused.values is out
-    assert reused.values.tobytes() == fresh.values.tobytes()
+    reused = transport_update(f, dt, grid, params, bc, out=out, spare=spare)
+    assert reused is out
+    assert reused.tobytes() == fresh.tobytes()
     with pytest.raises(ValueError):
-        transport_update(f, dt, grid, params, bc, out=f.values)
+        transport_update(f, dt, grid, params, bc, out=f)
 
     fresh = bgk_relax(f, dt, grid, params)
     spare[:] = np.nan
     reused = bgk_relax(f, dt, grid, params, out=np.full(shape, np.nan),
                        spare=spare)
-    assert reused.values.tobytes() == fresh.values.tobytes()
-    probe = Distribution(f.values.copy())
-    in_place = bgk_relax(probe, dt, grid, params, out=probe.values)
-    assert in_place.values is probe.values
-    assert in_place.values.tobytes() == fresh.values.tobytes()
+    assert reused.tobytes() == fresh.tobytes()
+    probe = f.copy()
+    in_place = bgk_relax(probe, dt, grid, params, out=probe)
+    assert in_place is probe
+    assert in_place.tobytes() == fresh.tobytes()
 
 
 def test_window_allocation_peak():
-    # two state arrays, a spare and the v_x face array; the remaining
-    # temporaries are per-cell or per-plane
+    # two state arrays and a spare; the remaining temporaries are per-cell
+    # or per-plane
     grid, params, f0 = _field_instance()
     span = 4 * stable_dt_kinetic(grid, params)
     tracemalloc.start()
@@ -204,7 +201,7 @@ def test_window_allocation_peak():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * f0.values.nbytes
+    assert peak <= 3.5 * f0.nbytes
 
 
 def test_relax_fixed_point():
@@ -212,7 +209,7 @@ def test_relax_fixed_point():
     U = _uniform(2, 1.0, (0.0, 0.0, 0.0), 1.0)
     f = lift(U, grid, normalize_mass=True)
     out = bgk_relax(f, 1e-2, grid, KineticParams(epsilon=1e-2))
-    assert np.max(np.abs(out.values - f.values)) <= 1e-14
+    assert np.max(np.abs(out - f)) <= 1e-14
 
 
 def test_relax_is_convex_blend():
@@ -220,62 +217,58 @@ def test_relax_is_convex_blend():
     # Maxwellian of f's own moments, nodewise
     grid = _grid(n_x=2, n_v=16)
     rng = np.random.default_rng(5)
-    base = lift(_uniform(2, 1.0, (0.0, 0.0, 0.0), 1.0), grid).values
-    f = Distribution(base * rng.uniform(0.5, 1.5, size=base.shape))
+    base = lift(_uniform(2, 1.0, (0.0, 0.0, 0.0), 1.0), grid)
+    f = base * rng.uniform(0.5, 1.5, size=base.shape)
     dt, eps = 0.25, 0.25
-    out = bgk_relax(Distribution(f.values.copy()), dt, grid,
-                    KineticParams(epsilon=eps))
+    out = bgk_relax(f.copy(), dt, grid, KineticParams(epsilon=eps))
     m = lift(project(f, grid), grid, normalize_mass=True)
-    assert_allclose(out.values, 0.5 * (f.values + m.values), rtol=1e-14)
+    assert_allclose(out, 0.5 * (f + m), rtol=1e-14)
     # a node holding zero mass moves to exactly half the Maxwellian value
-    probe = Distribution(f.values.copy())
-    probe.values[0, 3, 4, 5] = 0.0
+    probe = f.copy()
+    probe[0, 3, 4, 5] = 0.0
     m2 = lift(project(probe, grid), grid, normalize_mass=True)
     out2 = bgk_relax(probe, dt, grid, KineticParams(epsilon=eps))
-    assert out2.values[0, 3, 4, 5] == pytest.approx(0.5 * m2.values[0, 3, 4, 5],
-                                                    rel=1e-14)
+    assert out2[0, 3, 4, 5] == pytest.approx(0.5 * m2[0, 3, 4, 5], rel=1e-14)
 
 
 def test_relax_strong_collision_limit():
     grid = _grid(n_x=2, n_v=16)
-    base = lift(_uniform(2, 1.0, (0.0, 0.0, 0.0), 1.0), grid).values
-    f = Distribution(base * 1.3)
+    base = lift(_uniform(2, 1.0, (0.0, 0.0, 0.0), 1.0), grid)
+    f = base * 1.3
     lam = 1e-2 / 1e-6  # dt / epsilon
-    out = bgk_relax(Distribution(f.values.copy()), 1e-2, grid,
-                    KineticParams(epsilon=1e-6))
+    out = bgk_relax(f.copy(), 1e-2, grid, KineticParams(epsilon=1e-6))
     m = lift(project(f, grid), grid, normalize_mass=True)
-    gap0 = np.max(np.abs(f.values - m.values))
-    assert np.max(np.abs(out.values - m.values)) <= gap0 / lam * 1.001
+    gap0 = np.max(np.abs(f - m))
+    assert np.max(np.abs(out - m)) <= gap0 / lam * 1.001
 
 
 def test_relax_conserves_discrete_mass():
     grid = _grid(n_x=3, n_v=16)
     rng = np.random.default_rng(9)
-    base = lift(_uniform(3, 1.0, (0.1, -0.2, 0.3), 0.8), grid).values
-    f = Distribution(base * rng.uniform(0.8, 1.2, size=base.shape))
-    before = f.values.sum(axis=(1, 2, 3))
+    base = lift(_uniform(3, 1.0, (0.1, -0.2, 0.3), 0.8), grid)
+    f = base * rng.uniform(0.8, 1.2, size=base.shape)
+    before = f.sum(axis=(1, 2, 3))
     out = bgk_relax(f, 5e-3, grid, KineticParams(epsilon=1e-2))
-    assert_allclose(out.values.sum(axis=(1, 2, 3)), before, rtol=1e-14)
+    assert_allclose(out.sum(axis=(1, 2, 3)), before, rtol=1e-14)
 
 
 def test_homogeneous_relaxation_matches_scalar_recurrence():
     # no gradients and no field: transport is the identity, so m steps reduce
     # nodewise to f_m = a f_0 + (1 - a) M with a from the closed form
     grid = _grid(n_x=2, n_v=32)
-    mix = lift(_uniform(2, 0.6, (0.5, 0.0, 0.0), 0.6), grid).values \
-        + lift(_uniform(2, 0.4, (-0.75, 0.0, 0.0), 0.5), grid).values
-    f0 = Distribution(mix)
+    f0 = lift(_uniform(2, 0.6, (0.5, 0.0, 0.0), 0.6), grid) \
+        + lift(_uniform(2, 0.4, (-0.75, 0.0, 0.0), 0.5), grid)
     eps, dt, steps = 1e-1, 2e-3, 12
     params = KineticParams(epsilon=eps)
-    f = Distribution(f0.values.copy())
+    f = f0.copy()
     for _ in range(steps):
         f = transport_update(f, dt, grid, params, BoundaryKind.PERIODIC)
         f = bgk_relax(f, dt, grid, params)
     a = relax_weight([dt / eps] * steps)
     U0 = project(f0, grid)
     m_eq = lift(U0, grid, normalize_mass=True)
-    want = a * f0.values + (1.0 - a) * m_eq.values
-    assert np.max(np.abs(f.values - want)) <= 1e-13 * f0.values.max()
+    want = a * f0 + (1.0 - a) * m_eq
+    assert np.max(np.abs(f - want)) <= 1e-13 * f0.max()
 
 
 def test_propagate_empty_interval_returns_input():
@@ -303,14 +296,14 @@ def test_propagate_respects_dt_cap():
     cap = stable_dt_kinetic(grid, params)
     span = 3.5 * cap
     out = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
-    f = Distribution(f0.values.copy())
+    f = f0.copy()
     elapsed = 0.0
     while span - elapsed > 1e-12 * span:
         dt = min(cap, span - elapsed)
         f = transport_update(f, dt, grid, params, BoundaryKind.PERIODIC)
         f = bgk_relax(f, dt, grid, params)
         elapsed += dt
-    assert np.array_equal(out.values, f.values)
+    assert np.array_equal(out, f)
 
 
 def test_absorbing_outflow_accounting():
@@ -329,18 +322,18 @@ def test_absorbing_outflow_accounting():
     vm = np.minimum(cx, 0.0)
     cap = stable_dt_kinetic(grid, params)
     span = 10.5 * cap
-    mass0 = math.fsum(f.values.ravel()) * dvol * dx
+    mass0 = math.fsum(f.ravel()) * dvol * dx
     outflow = []
     elapsed = 0.0
     while span - elapsed > 1e-12 * span:
         dt = min(cap, span - elapsed)
-        right = np.einsum("j,jkl->", vp, f.values[-1])
-        left = np.einsum("j,jkl->", -vm, f.values[0])
+        right = np.einsum("j,jkl->", vp, f[-1])
+        left = np.einsum("j,jkl->", -vm, f[0])
         outflow.append(dt * (right + left) * dvol)
         f = transport_update(f, dt, grid, params, BoundaryKind.ABSORBING)
         f = bgk_relax(f, dt, grid, params)
         elapsed += dt
-    mass1 = math.fsum(f.values.ravel()) * dvol * dx
+    mass1 = math.fsum(f.ravel()) * dvol * dx
     lost = mass0 - mass1
     assert lost > 0.0
     assert abs(lost - math.fsum(outflow)) <= 1e-12 * mass0
@@ -349,7 +342,7 @@ def test_absorbing_outflow_accounting():
 def test_propagate_reports_blow_up_step():
     grid = _grid(n_x=4, n_v=8)
     f = lift(_uniform(4, 1.0, (0, 0, 0), 1.0), grid)
-    f.values[0, 0, 0, 0] = np.nan
+    f[0, 0, 0, 0] = np.nan
     with pytest.raises(BlowUpError) as info:
         propagate_kinetic(f, 0.0, 0.1, grid, KineticParams(epsilon=1e-2),
                           BoundaryKind.PERIODIC)
@@ -357,6 +350,5 @@ def test_propagate_reports_blow_up_step():
 
 
 def test_tau_callables():
-    assert constant_tau(1.0, 2.0) == 1.0
     tau = ConstantTau(2.5)
     assert tau(np.ones(3), np.ones(3)) == 2.5

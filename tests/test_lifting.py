@@ -31,7 +31,7 @@ def test_lift_matches_scalar_formula_nodewise():
                 want = maxwellian_value(rho, u, theta, (c[0][jx], c[1][jy], c[2][jz]))
                 # the separable fast path exponentiates per axis, so far-out
                 # nodes accumulate a few ulps relative to the single-exp form
-                assert_allclose(f.values[0, jx, jy, jz], want, rtol=1e-12)
+                assert_allclose(f[0, jx, jy, jz], want, rtol=1e-12)
 
 
 def test_round_trip_recovers_moments():
@@ -55,9 +55,9 @@ def test_normalized_lift_has_exact_mass():
     # normalization flag must remove it to rounding
     grid = _grid()
     U = _uniform(2, 1.0, (0.0, 0.0, 0.0), 0.25)
-    raw_mass = lift(U, grid).values.sum(axis=(1, 2, 3)) * grid.velocity.cell_volume
+    raw_mass = lift(U, grid).sum(axis=(1, 2, 3)) * grid.velocity.cell_volume
     assert np.all(np.abs(raw_mass - 1.0) < 1e-3)
-    norm_mass = (lift(U, grid, normalize_mass=True).values.sum(axis=(1, 2, 3))
+    norm_mass = (lift(U, grid, normalize_mass=True).sum(axis=(1, 2, 3))
                  * grid.velocity.cell_volume)
     assert_allclose(norm_mass, 1.0, rtol=1e-14)
 

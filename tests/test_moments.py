@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parabgk import (DegenerateStateError, Distribution,
-                     MomentField, PhaseGrid, build_spatial_grid,
-                     build_velocity_grid, conserved_to_primitive, lift,
-                     primitive_to_conserved, project)
+from parabgk import (DegenerateStateError, MomentField, PhaseGrid,
+                     build_spatial_grid, build_velocity_grid,
+                     conserved_to_primitive, lift, primitive_to_conserved,
+                     project)
 from oracles import gauss_moments
 
 
@@ -45,7 +45,7 @@ def test_project_even_data_gives_exact_zero_velocity():
     rng = np.random.default_rng(7)
     half = rng.uniform(0.1, 1.0, size=(2, 8, 16, 16))
     vals = np.concatenate([half, half[:, ::-1]], axis=1)  # even in v_x
-    U = project(Distribution(vals), grid)
+    U = project(vals, grid)
     assert np.all(U.u[:, 0] == 0.0)
 
 
@@ -54,7 +54,7 @@ def test_project_point_mass_is_exact():
     grid = _grid(n_x=2, n_v=8)
     vals = np.zeros((2, 8, 8, 8))
     vals[:, 5, 2, 7] = 1.0 / grid.velocity.cell_volume
-    U = project(Distribution(vals), grid)
+    U = project(vals, grid)
     c = grid.velocity.centers
     assert np.all(U.rho == 1.0)
     assert list(U.u[0]) == [c[0][5], c[1][2], c[2][7]]
@@ -64,7 +64,7 @@ def test_project_point_mass_is_exact():
 def test_project_zero_distribution_is_degenerate():
     grid = _grid(n_x=2, n_v=8)
     with pytest.raises(DegenerateStateError):
-        project(Distribution(np.zeros((2, 8, 8, 8))), grid)
+        project(np.zeros((2, 8, 8, 8)), grid)
 
 
 def test_primitive_to_conserved_examples():

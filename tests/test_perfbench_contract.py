@@ -15,7 +15,7 @@ import pytest
 
 from parabgk import (BoundaryKind, Discretization, FluidParams, KineticParams,
                      MomentField, PhaseGrid, build_spatial_grid, build_time_grids,
-                     build_velocity_grid, initial_coarse_sweep)
+                     build_velocity_grid, external_force, initial_coarse_sweep)
 from parabgk.parareal import compute_jumps
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,3 +58,16 @@ def test_compute_jumps_as_the_traced_pass_calls_it(harness):
     names = {span[0] for span in recorder.spans}
     assert {"lifting.lift", "kinetic.window", "moments.project",
             "fluid.window", "kinetic.transport", "kinetic.relax"} <= names
+
+
+def test_alloc_peaks_as_the_traced_pass_calls_them(harness):
+    # lift, transport_update and bgk_relax without buffers, with a field
+    bench, _ = harness
+    phase = PhaseGrid(build_spatial_grid(0.0, 2.0, 6),
+                      build_velocity_grid(8.0, (8, 4, 4)))
+    disc = Discretization(phase, build_time_grids(0.05, 2, 4), BoundaryKind.PERIODIC)
+    U0 = MomentField(np.ones(6), np.zeros((6, 3)), np.full(6, 0.9))
+    kinetic = KineticParams(epsilon=1e-2, force=external_force(phase.space.centers))
+    peaks = bench.alloc_peaks_mb(U0, disc, kinetic)
+    assert len(peaks) == 2
+    assert all(np.isfinite(peak) and peak > 0.0 for peak in peaks)
