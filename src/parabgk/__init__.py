@@ -18,13 +18,13 @@ from .kinetic import (ConstantTau, KineticParams, bgk_relax, propagate_kinetic,
 from .fluid import (FluidParams, euler_flux, propagate_fluid, rusanov_flux,
                     stable_dt_fluid)
 from .parareal import (ConvergenceRecord, ParTrajectory, PararealConfig,
-                       WorkRange, compute_jumps, estimate_k_opt,
-                       fine_moment_chain, initial_coarse_sweep, parareal_cost,
-                       run_parareal, sequential_correction, work_distribution)
-from .cases import (PRESETS, CasePreset, beams_initial, blast_initial,
-                    blast_moments, external_force, force_field,
-                    initial_distribution, sod_initial, sod_moments)
-from .config import RunConfig, build_discretization, build_params, parse_config
+                       compute_jumps, estimate_k_opt, fine_moment_chain,
+                       initial_coarse_sweep, parareal_cost, run_parareal,
+                       sequential_correction)
+from .cases import (beams_initial, blast_initial, blast_moments, external_force,
+                    force_field, initial_distribution, sod_initial, sod_moments)
+from .config import (PRESETS, RunConfig, build_discretization, build_params,
+                     parse_config)
 from .io import (TimingReport, read_convergence, read_snapshot,
                  write_convergence, write_snapshots, write_timing)
 from .runner import run_comparison, run_mode

@@ -1,19 +1,16 @@
-"""Built-in test problems and their published discretizations."""
+"""Built-in test problems: initial data and confining field of each case."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import BoundaryKind, PhaseGrid, SpatialGrid
+from .grid import PhaseGrid, SpatialGrid
 from .lifting import lift
 from .moments import MomentField
 
 __all__ = [
-    "CasePreset",
-    "PRESETS",
+    "CASES",
     "sod_moments",
     "blast_moments",
     "sod_initial",
@@ -23,36 +20,6 @@ __all__ = [
     "initial_distribution",
     "force_field",
 ]
-
-
-@dataclass(frozen=True)
-class CasePreset:
-    """Reference setup of one test problem at publication scale."""
-
-    name: str
-    x_min: float
-    x_max: float
-    n_x: int
-    v_max: float
-    n_v: tuple[int, int, int]
-    epsilon: float
-    bc: BoundaryKind
-    t_final: float
-    n_g: int
-    n_f: int
-    k_max: int
-    tol: float
-    has_force: bool
-
-
-PRESETS = {
-    "sod": CasePreset("sod", 0.0, 2.0, 200, 8.0, (32, 32, 32), 1e-2,
-                      BoundaryKind.ABSORBING, 0.5, 200, 800, 80, 1e-8, False),
-    "blast": CasePreset("blast", 0.0, 2.0, 200, 8.0, (32, 32, 32), 1e-2,
-                        BoundaryKind.ABSORBING, 0.5, 200, 800, 10, 1e-8, False),
-    "beams": CasePreset("beams", 0.0, 2.0, 100, 8.0, (256, 16, 16), 1e-5,
-                        BoundaryKind.PERIODIC, 0.5, 200, 800, 80, 1e-8, True),
-}
 
 
 def _piecewise(space: SpatialGrid, edges, states) -> MomentField:
@@ -113,19 +80,26 @@ def external_force(x: np.ndarray) -> np.ndarray:
     return -5.0 * x ** 4 * (x - 2.0) ** 4 * (x - 1.0)
 
 
-_INITIAL = {"sod": sod_initial, "blast": blast_initial, "beams": beams_initial}
+# Each case's initial distribution and field; a None field means force-free.
+CASES = {
+    "sod": (sod_initial, None),
+    "blast": (blast_initial, None),
+    "beams": (beams_initial, external_force),
+}
+
+
+def _case(name: str):
+    if name not in CASES:
+        raise ConfigurationError(f"unknown case '{name}'")
+    return CASES[name]
 
 
 def initial_distribution(case: str, grid: PhaseGrid) -> np.ndarray:
-    if case not in _INITIAL:
-        raise ConfigurationError(f"unknown case '{case}'")
-    return _INITIAL[case](grid)
+    initial, _ = _case(case)
+    return initial(grid)
 
 
 def force_field(case: str, space: SpatialGrid) -> np.ndarray | None:
     """Per-cell field of the case, or None when the case is force-free."""
-    if case not in _INITIAL:
-        raise ConfigurationError(f"unknown case '{case}'")
-    if PRESETS[case].has_force:
-        return external_force(space.centers)
-    return None
+    _, field = _case(case)
+    return None if field is None else field(space.centers)

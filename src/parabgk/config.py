@@ -7,18 +7,19 @@ for the initial data.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .cases import PRESETS, force_field
+from .cases import CASES, force_field
 from .errors import ConfigurationError
 from .fluid import FluidParams
 from .grid import (BoundaryKind, Discretization, PhaseGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
 from .kinetic import ConstantTau, KineticParams
 
-__all__ = ["RunConfig", "parse_config", "build_discretization", "build_params"]
+__all__ = ["RunConfig", "PRESETS", "parse_config", "build_discretization",
+           "build_params"]
 
 MODES = ("parareal", "fine", "fluid")
 
@@ -49,6 +50,16 @@ class RunConfig:
     preset: str | None = None
 
 
+# Each case at publication scale; a config's `preset = name` starts from these.
+PRESETS = {
+    "sod": RunConfig("sod", 0.0, 2.0, 200, 8.0, 32, 32, 32, 1e-2, "absorbing",
+                     0.5, 200, 800, 80, 1e-8),
+    "blast": RunConfig("blast", 0.0, 2.0, 200, 8.0, 32, 32, 32, 1e-2, "absorbing",
+                       0.5, 200, 800, 10, 1e-8),
+    "beams": RunConfig("beams", 0.0, 2.0, 100, 8.0, 256, 16, 16, 1e-5, "periodic",
+                       0.5, 200, 800, 80, 1e-8),
+}
+
 # Each key parses with its field's type: float, int, or else the raw string.
 _CASTS = {name: hint if hint in (float, int) else str
           for name, hint in get_type_hints(RunConfig).items()}
@@ -77,21 +88,8 @@ def _read_pairs(path: Path) -> dict[str, object]:
     return pairs
 
 
-def _preset_values(name: str) -> dict[str, object]:
-    if name not in PRESETS:
-        raise ConfigurationError(
-            f"unknown preset '{name}', expected one of {sorted(PRESETS)}")
-    p = PRESETS[name]
-    return {
-        "case": p.name, "x_min": p.x_min, "x_max": p.x_max, "n_x": p.n_x,
-        "v_max": p.v_max, "n_vx": p.n_v[0], "n_vy": p.n_v[1], "n_vz": p.n_v[2],
-        "epsilon": p.epsilon, "bc": p.bc.value, "t_final": p.t_final,
-        "n_g": p.n_g, "n_f": p.n_f, "k_max": p.k_max, "tol": p.tol,
-    }
-
-
 def _validate(cfg: RunConfig) -> RunConfig:
-    if cfg.case not in PRESETS:
+    if cfg.case not in CASES:
         raise ConfigurationError(f"unknown case '{cfg.case}'")
     if cfg.bc not in (kind.value for kind in BoundaryKind):
         raise ConfigurationError(f"unknown bc '{cfg.bc}'")
@@ -120,16 +118,15 @@ def parse_config(path: str | Path) -> RunConfig:
     pairs = _read_pairs(path)
     preset = pairs.pop("preset", None)
     if preset is not None:
-        values = _preset_values(str(preset))
-        values.update(pairs)
-        values["preset"] = str(preset)
-    else:
-        missing = [key for key in _REQUIRED if key not in pairs]
-        if missing:
+        if preset not in PRESETS:
             raise ConfigurationError(
-                f"{path}: no preset given and required keys missing: {missing}")
-        values = dict(pairs)
-    return _validate(RunConfig(**values))
+                f"unknown preset '{preset}', expected one of {sorted(PRESETS)}")
+        return _validate(replace(PRESETS[preset], preset=preset, **pairs))
+    missing = [key for key in _REQUIRED if key not in pairs]
+    if missing:
+        raise ConfigurationError(
+            f"{path}: no preset given and required keys missing: {missing}")
+    return _validate(RunConfig(**pairs))
 
 
 def build_discretization(cfg: RunConfig) -> Discretization:

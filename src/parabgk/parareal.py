@@ -20,7 +20,6 @@ import time
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +34,11 @@ __all__ = [
     "PararealConfig",
     "ConvergenceRecord",
     "ParTrajectory",
-    "WorkRange",
     "initial_coarse_sweep",
     "compute_jumps",
     "sequential_correction",
     "run_parareal",
     "fine_moment_chain",
-    "work_distribution",
     "parareal_cost",
     "estimate_k_opt",
 ]
@@ -84,28 +81,25 @@ class ParTrajectory:
     jumps: list[MomentField]
 
 
-class WorkRange(NamedTuple):
-    """Inclusive window range [start, end] owned by one worker rank, and its size."""
-
-    start: int
-    end: int
-    size: int
-
-
 def _zero_like(U: MomentField) -> MomentField:
     return MomentField(np.zeros_like(U.rho), np.zeros_like(U.u),
                        np.zeros_like(U.theta))
 
 
+def _coarse_window(n: int, U: MomentField, disc: Discretization,
+                   fluid: FluidParams) -> MomentField:
+    """Euler solve of window n from U."""
+    times = disc.time.coarse_times
+    return propagate_fluid(U, float(times[n - 1]), float(times[n]), disc.phase,
+                           fluid, disc.bc, dt_max=disc.time.dt_g)
+
+
 def initial_coarse_sweep(U0: MomentField, disc: Discretization,
                          fluid: FluidParams) -> ParTrajectory:
     """Iteration 0: one serial coarse pass over all windows."""
-    times = disc.time.coarse_times
     snapshots = [U0.copy()]
     for n in range(1, disc.time.n_g + 1):
-        snapshots.append(propagate_fluid(snapshots[-1], float(times[n - 1]),
-                                         float(times[n]), disc.phase, fluid,
-                                         disc.bc, dt_max=disc.time.dt_g))
+        snapshots.append(_coarse_window(n, snapshots[-1], disc, fluid))
     jumps = [_zero_like(U0) for _ in range(disc.time.n_g)]
     return ParTrajectory(snapshots, jumps)
 
@@ -126,8 +120,7 @@ def _window_jump(n: int, U: MomentField, disc: Discretization,
     fine = project(f, disc.phase)
     t_proj = time.perf_counter() - tic
     tic = time.perf_counter()
-    coarse = propagate_fluid(U, t_a, t_b, disc.phase, fluid, disc.bc,
-                             dt_max=disc.time.dt_g)
+    coarse = _coarse_window(n, U, disc, fluid)
     t_fluid = time.perf_counter() - tic
     return fine - coarse, (t_lift, t_kin, t_proj, t_fluid)
 
@@ -202,15 +195,11 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
     A correction that leaves the physical regime aborts the run: the jump
     data cannot be trusted past that point.
     """
-    times = disc.time.coarse_times
     old = traj.snapshots
     new = list(old)
     error = 0.0
     for n in range(k, disc.time.n_g + 1):
-        coarse = propagate_fluid(new[n - 1], float(times[n - 1]), float(times[n]),
-                                 disc.phase, fluid, disc.bc,
-                                 dt_max=disc.time.dt_g)
-        corrected = coarse + traj.jumps[n - 1]
+        corrected = _coarse_window(n, new[n - 1], disc, fluid) + traj.jumps[n - 1]
         finite = (np.all(np.isfinite(corrected.rho))
                   and np.all(np.isfinite(corrected.u))
                   and np.all(np.isfinite(corrected.theta)))
@@ -262,25 +251,6 @@ def fine_moment_chain(U0: MomentField, disc: Discretization,
                               kinetic, disc.bc, dt_max=disc.time.dt_f)
         out.append(project(f, disc.phase))
     return out
-
-
-def work_distribution(work: int, n_p: int, rank: int) -> WorkRange:
-    """Deal `work` one-based windows to `n_p` ranks as evenly as possible.
-
-    Integer recipe: chunk = work // n_p with the remainder spread over the
-    lowest ranks. Ranges are inclusive; a rank with start > end owns nothing.
-    """
-    if n_p < 1:
-        raise ConfigurationError(f"need n_p >= 1, got {n_p}")
-    if not 0 <= rank < n_p:
-        raise ConfigurationError(f"need 0 <= rank < n_p, got rank {rank}")
-    if work < 0:
-        raise ConfigurationError(f"need work >= 0, got {work}")
-    chunk = work // n_p
-    remainder = work % n_p
-    start = rank * chunk + min(remainder, rank) + 1
-    end = (rank + 1) * chunk + min(remainder, rank + 1)
-    return WorkRange(start, end, max(0, end - start + 1))
 
 
 def _window_cost(t_kin: float, t_fluid: float, t_lift: float, t_proj: float,

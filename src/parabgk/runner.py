@@ -8,20 +8,21 @@ kinetic equation straight through, `parareal` runs the corrected iteration.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .cases import initial_distribution
 from .config import RunConfig, build_discretization, build_params
-from .grid import Discretization
 from .fluid import FluidParams
+from .grid import Discretization, SpatialGrid
 from .io import TimingReport, write_convergence, write_snapshots, write_timing
 from .kinetic import KineticParams, propagate_kinetic
 from .moments import MomentField, project
-from .parareal import (PararealConfig, estimate_k_opt, initial_coarse_sweep,
-                       run_parareal)
+from .parareal import (ConvergenceRecord, PararealConfig, estimate_k_opt,
+                       initial_coarse_sweep, run_parareal)
 
-__all__ = ["prepare", "run_fluid_mode", "run_fine_mode", "run_parareal_mode",
-           "run_mode", "run_comparison"]
+__all__ = ["prepare", "run_fine_mode", "solve", "write_artifacts", "run_mode",
+           "run_comparison"]
 
 
 def prepare(cfg: RunConfig):
@@ -30,11 +31,6 @@ def prepare(cfg: RunConfig):
     kinetic, fluid = build_params(cfg, disc)
     U0 = project(initial_distribution(cfg.case, disc.phase), disc.phase)
     return disc, kinetic, fluid, U0
-
-
-def run_fluid_mode(disc: Discretization, fluid: FluidParams,
-                   U0: MomentField) -> list[MomentField]:
-    return initial_coarse_sweep(U0, disc, fluid).snapshots
 
 
 def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) -> list[MomentField]:
@@ -49,25 +45,36 @@ def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) 
     return snapshots
 
 
-def run_parareal_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams,
-                      fluid: FluidParams, U0: MomentField, timing: dict | None = None):
+def solve(cfg: RunConfig, disc: Discretization, kinetic: KineticParams,
+          fluid: FluidParams, U0: MomentField, timing: dict | None = None
+          ) -> tuple[list[MomentField], list[ConvergenceRecord] | None]:
+    """Snapshots of cfg.mode and, for parareal, its convergence records.
+
+    `timing` collects parareal's per-stage maxima; the other modes ignore it.
+    """
+    if cfg.mode == "fluid":
+        return initial_coarse_sweep(U0, disc, fluid).snapshots, None
+    if cfg.mode == "fine":
+        return run_fine_mode(cfg, disc, kinetic), None
     par_cfg = PararealConfig(k_max=cfg.k_max, tol=cfg.tol, workers=cfg.workers)
-    return run_parareal(U0, par_cfg, disc, kinetic, fluid, timing=timing)
+    traj, records = run_parareal(U0, par_cfg, disc, kinetic, fluid, timing=timing)
+    return traj.snapshots, records
+
+
+def write_artifacts(snapshots: list[MomentField], records: list[ConvergenceRecord] | None,
+                    space: SpatialGrid, out: Path) -> None:
+    """One mode's snapshot files and, when it has records, its convergence log."""
+    write_snapshots(snapshots, space, out)
+    if records is not None:
+        write_convergence(records, out)
 
 
 def run_mode(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     """Run cfg.mode and write its artifacts; returns the output directory."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     disc, kinetic, fluid, U0 = prepare(cfg)
-    if cfg.mode == "fluid":
-        snapshots = run_fluid_mode(disc, fluid, U0)
-    elif cfg.mode == "fine":
-        snapshots = run_fine_mode(cfg, disc, kinetic)
-    else:
-        traj, records = run_parareal_mode(cfg, disc, kinetic, fluid, U0)
-        snapshots = traj.snapshots
-        write_convergence(records, out)
-    write_snapshots(snapshots, disc.phase.space, out)
+    snapshots, records = solve(cfg, disc, kinetic, fluid, U0)
+    write_artifacts(snapshots, records, disc.phase.space, out)
     return out
 
 
@@ -75,33 +82,23 @@ def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> TimingR
     """Run all three modes, write artifacts per mode, report costs and speedup."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     disc, kinetic, fluid, U0 = prepare(cfg)
-    space = disc.phase.space
-
-    tic = time.perf_counter()
-    fluid_snapshots = run_fluid_mode(disc, fluid, U0)
-    fluid_seconds = time.perf_counter() - tic
-    write_snapshots(fluid_snapshots, space, out / "fluid")
-
-    tic = time.perf_counter()
-    fine_snapshots = run_fine_mode(cfg, disc, kinetic)
-    fine_seconds = time.perf_counter() - tic
-    write_snapshots(fine_snapshots, space, out / "fine")
-
+    seconds: dict[str, float] = {}
     stage_timing: dict[str, float] = {}
-    tic = time.perf_counter()
-    traj, records = run_parareal_mode(cfg, disc, kinetic, fluid, U0,
-                                      timing=stage_timing)
-    parareal_seconds = time.perf_counter() - tic
-    write_snapshots(traj.snapshots, space, out / "parareal")
-    write_convergence(records, out / "parareal")
+    for mode in ("fluid", "fine", "parareal"):
+        tic = time.perf_counter()
+        snapshots, records = solve(replace(cfg, mode=mode), disc, kinetic, fluid, U0,
+                                   timing=stage_timing)
+        seconds[mode] = time.perf_counter() - tic
+        write_artifacts(snapshots, records, disc.phase.space, out / mode)
 
+    # records are parareal's, the last mode solved
     report = TimingReport(
         iterations=[rec.seconds for rec in records],
         **stage_timing,
-        fine_seconds=fine_seconds,
-        fluid_seconds=fluid_seconds,
-        parareal_seconds=parareal_seconds,
-        speedup=fine_seconds / parareal_seconds,
+        fine_seconds=seconds["fine"],
+        fluid_seconds=seconds["fluid"],
+        parareal_seconds=seconds["parareal"],
+        speedup=seconds["fine"] / seconds["parareal"],
         k_opt=estimate_k_opt(**stage_timing, n_g=disc.time.n_g, n_p=cfg.workers),
     )
     write_timing(report, out)

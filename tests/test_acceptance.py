@@ -7,6 +7,7 @@ identifies the broken claim directly from the pytest -v line.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from parabgk import (BoundaryKind, Discretization, FluidParams, KineticParams,
                      build_velocity_grid, beams_initial, estimate_k_opt,
                      external_force, fine_moment_chain, initial_coarse_sweep,
                      lift, project, propagate_fluid, propagate_kinetic,
-                     read_convergence, run_mode, run_parareal, sod_moments,
-                     work_distribution)
+                     read_convergence, run_comparison, run_mode, run_parareal,
+                     sod_moments)
 from parabgk.parareal import compute_jumps, make_executor
 
 
@@ -199,18 +200,6 @@ def test_criterion_08_kinetic_approaches_fluid_as_epsilon_shrinks():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_criterion_09_work_distribution_exhaustive():
-    for work in range(0, 65):
-        for n_p in range(1, 17):
-            owned = []
-            for rank in range(n_p):
-                r = work_distribution(work, n_p, rank)
-                owned.extend(range(r.start, r.end + 1))
-            assert sorted(owned) == list(range(1, work + 1)), (work, n_p)
-    assert [work_distribution(10, 3, r)[:2] for r in range(3)] == \
-        [(1, 4), (5, 7), (8, 10)]
-
-
 def test_criterion_10_k_opt_example():
     assert estimate_k_opt(10.0, 0.1, 0.05, 0.05, 100, 32) == 24
 
@@ -259,6 +248,27 @@ def test_criterion_11_outputs_identical_across_worker_counts():
         snaps, records = outputs[workers]
         assert snaps == base_snaps  # byte-identical files
         assert records == base_records
+
+
+def _artifacts(out):
+    """Snapshot bytes by file name and the (k, error) pairs, if any, of one run."""
+    snaps = {p.name: p.read_bytes() for p in sorted(out.glob("snap_*.csv"))}
+    log = out / "convergence.csv"
+    records = [(r.k, r.error) for r in read_convergence(log)] if log.exists() else None
+    return snaps, records
+
+
+def test_compare_writes_what_each_mode_writes(tmp_path):
+    # the criterion-11 instance: compare's per-mode artifacts are run_mode's
+    cfg = RunConfig(case="sod", x_min=0.0, x_max=2.0, n_x=20, v_max=5.0, n_vx=8,
+                    n_vy=8, n_vz=8, epsilon=1e-2, bc="absorbing", t_final=0.1,
+                    n_g=8, n_f=32, k_max=8, tol=1e-8, workers=2)
+    run_comparison(cfg, tmp_path / "compare")
+    for mode in ("fluid", "fine", "parareal"):
+        alone = _artifacts(run_mode(replace(cfg, mode=mode), tmp_path / mode))
+        assert len(alone[0]) == 9
+        assert (alone[1] is not None) == (mode == "parareal")
+        assert _artifacts(tmp_path / "compare" / mode) == alone
 
 
 def test_criterion_12_confined_beams_concentrate_and_converge():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from parabgk import (BoundaryKind, ConfigurationError, PRESETS, PhaseGrid,
+from parabgk import (ConfigurationError, PRESETS, PhaseGrid,
                      beams_initial, blast_moments, build_spatial_grid,
                      build_velocity_grid, external_force, force_field,
                      initial_distribution, project, sod_moments)
@@ -11,15 +11,18 @@ from parabgk import (BoundaryKind, ConfigurationError, PRESETS, PhaseGrid,
 
 def test_preset_table():
     sod = PRESETS["sod"]
-    assert (sod.n_x, sod.v_max, sod.n_v) == (200, 8.0, (32, 32, 32))
-    assert sod.epsilon == 1e-2 and sod.bc is BoundaryKind.ABSORBING
+    assert (sod.n_x, sod.v_max) == (200, 8.0)
+    assert (sod.n_vx, sod.n_vy, sod.n_vz) == (32, 32, 32)
+    assert sod.epsilon == 1e-2 and sod.bc == "absorbing"
     assert (sod.t_final, sod.n_g, sod.n_f) == (0.5, 200, 800)
-    assert (sod.k_max, sod.tol, sod.has_force) == (80, 1e-8, False)
+    assert (sod.k_max, sod.tol) == (80, 1e-8)
     blast = PRESETS["blast"]
-    assert blast.k_max == 10 and not blast.has_force
+    assert blast.k_max == 10
     beams = PRESETS["beams"]
-    assert beams.epsilon == 1e-5 and beams.bc is BoundaryKind.PERIODIC
-    assert beams.n_v == (256, 16, 16) and beams.has_force
+    assert beams.epsilon == 1e-5 and beams.bc == "periodic"
+    assert (beams.n_vx, beams.n_vy, beams.n_vz) == (256, 16, 16)
+    assert all(preset.case == name and preset.preset is None
+               for name, preset in PRESETS.items())
 
 
 def test_sod_moments_classify_cells_by_center():
@@ -77,7 +80,7 @@ def test_force_field_dispatch():
 def test_unknown_case_rejected():
     grid = PhaseGrid(build_spatial_grid(0.0, 2.0, 4),
                      build_velocity_grid(8.0, 8))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^unknown case 'vortex'$"):
         initial_distribution("vortex", grid)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^unknown case 'vortex'$"):
         force_field("vortex", grid.space)

@@ -1,11 +1,11 @@
 """Config file parsing, validation, and object construction."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from parabgk import (BoundaryKind, ConfigurationError, RunConfig,
+from parabgk import (PRESETS, BoundaryKind, ConfigurationError, RunConfig,
                      build_discretization, build_params, external_force,
                      parse_config)
 from parabgk.kinetic import ConstantTau
@@ -70,6 +70,16 @@ def test_preset_expansion_and_override(tmp_path):
     beams = parse_config(_write(tmp_path, "preset = beams\n", "b.cfg"))
     assert beams.bc == "periodic" and beams.epsilon == 1e-5
     assert (beams.n_vx, beams.n_vy, beams.n_vz) == (256, 16, 16)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_parses_and_builds(tmp_path, name):
+    cfg = parse_config(_write(tmp_path, f"preset = {name}\n"))
+    assert cfg == replace(PRESETS[name], preset=name)
+    disc = build_discretization(cfg)
+    assert disc.phase.space.n_x == cfg.n_x and disc.time.n_g == cfg.n_g
+    kinetic, fluid = build_params(cfg, disc)
+    assert kinetic.epsilon == cfg.epsilon
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):

@@ -1,4 +1,4 @@
-"""Outer iteration: sweeps, jumps, corrections, cost model, partitioning."""
+"""Outer iteration: sweeps, jumps, corrections, cost model."""
 
 import math
 import os
@@ -17,7 +17,7 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      build_velocity_grid, estimate_k_opt,
                      fine_moment_chain, initial_coarse_sweep, lift,
                      parareal_cost, project, propagate_fluid, propagate_kinetic,
-                     run_parareal, sequential_correction, work_distribution)
+                     run_parareal, sequential_correction)
 from parabgk import cli, config, runner
 from parabgk.parareal import compute_jumps, make_executor
 
@@ -344,40 +344,6 @@ def test_config_validation():
         PararealConfig(k_max=1, tol=0.0)
     with pytest.raises(ConfigurationError):
         PararealConfig(k_max=1, tol=1e-8, workers=0)
-
-
-def test_work_distribution_documented_examples():
-    assert work_distribution(10, 3, 0)[:2] == (1, 4)
-    assert work_distribution(10, 3, 1)[:2] == (5, 7)
-    assert work_distribution(10, 3, 2)[:2] == (8, 10)
-    for rank in range(4):
-        r = work_distribution(4, 4, rank)
-        assert (r.start, r.end, r.size) == (rank + 1, rank + 1, 1)
-    empty = work_distribution(5, 8, 5)
-    assert empty.start == 6 and empty.end == 5 and empty.size == 0
-
-
-def test_work_distribution_rejects_bad_input():
-    with pytest.raises(ConfigurationError):
-        work_distribution(10, 0, 0)
-    with pytest.raises(ConfigurationError):
-        work_distribution(10, 3, 3)
-    with pytest.raises(ConfigurationError):
-        work_distribution(-1, 3, 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(work=st.integers(min_value=0, max_value=64),
-       n_p=st.integers(min_value=1, max_value=16))
-def test_work_distribution_partitions_exactly(work, n_p):
-    owned = []
-    for rank in range(n_p):
-        r = work_distribution(work, n_p, rank)
-        assert r.size == max(0, r.end - r.start + 1)
-        owned.extend(range(r.start, r.end + 1))
-    assert sorted(owned) == list(range(1, work + 1))
-    sizes = [work_distribution(work, n_p, rank).size for rank in range(n_p)]
-    assert max(sizes) - min(sizes) <= 1  # even split up to the remainder
 
 
 def test_estimate_k_opt_documented_example():
