@@ -4,20 +4,23 @@ One step treats the stiff collision term implicitly and everything else
 explicitly. Transport is a conservative unsplit update: upwind fluxes in x
 (the only inhomogeneous direction) and, when an external field is present,
 central fluxes with max-speed dissipation along v_x. The x-upwind is split by
-the sign of v_x, so each half differences the one neighbour it takes from and
-no ghosted copy of f is built. The v_x flux through a face is the sum of two
-donor terms, one from each neighbouring cell, and each term is applied to
-both cells it joins. The relaxation toward the local Maxwellian is linear in
-f because the Maxwellian depends on f only through moments the collision
-operator conserves, so the implicit solve reduces to a closed-form blend of f
-and M at the post-transport moments, done in place.
+the sign of v_x and takes the convex form f + c (f_upwind - f) with
+c = dt/dx |v_x|, which needs no scratch. The v_x flux through a face is the
+sum of two donor terms, one from each neighbouring cell, and each term is
+applied to both cells it joins. The relaxation toward the local Maxwellian is
+linear in f because the Maxwellian depends on f only through moments the
+collision operator conserves, so the implicit solve reduces to the blend
+f / (1 + lam) + M lam / (1 + lam), the second weight folded into M.
 
 A distribution is a plain array f[i, jx, jy, jz] of shape
-(n_x, n_vx, n_vy, n_vz). A window allocates its arrays once and reuses them
-for every step: two state arrays the steps alternate between and a spare
-array for fluxes and the Maxwellian. transport_update and bgk_relax take these
-as optional out/scratch arguments; without them they allocate their own and
-leave their input untouched.
+(n_x, n_vx, n_vy, n_vz). A window allocates its arrays once: two state arrays
+the steps alternate between and a spare of one block of x rows, as many as
+fit in _BLOCK_BYTES (all of f when it is that small). Only the v_x field flux
+and the Maxwellian use the spare, and both are local in x; the x-upwind reads
+its neighbour row from the input, so the step runs block by block with no
+halo. transport_update and bgk_relax take the buffers as optional out/spare
+arguments and block by the spare's row count; without them they allocate
+their own and leave their input untouched.
 
 Sign convention: f_t + v f_x + E f_vx = (tau / eps) (M - f), so a positive
 field accelerates particles toward positive v_x.
@@ -32,7 +35,7 @@ import numpy as np
 
 from .grid import BoundaryKind, PhaseGrid, march
 from .lifting import lift
-from .moments import project
+from .moments import MomentField, project
 
 __all__ = [
     "ConstantTau",
@@ -42,6 +45,8 @@ __all__ = [
     "bgk_relax",
     "propagate_kinetic",
 ]
+
+_BLOCK_BYTES = 1 << 21  # about one core's L2, so a block is reused while cached
 
 
 @dataclass(frozen=True)
@@ -83,30 +88,34 @@ def stable_dt_kinetic(grid: PhaseGrid, params: KineticParams) -> float:
     return params.cfl / rate
 
 
-def _upwind_half(f: np.ndarray, out: np.ndarray, flux: np.ndarray,
-                 speed: np.ndarray, dtdx: float, periodic: bool,
-                 rightward: bool) -> None:
-    """out = f - dtdx * (flux out - flux in) on one sign half of the v_x axis.
+def _spare(f: np.ndarray) -> np.ndarray:
+    """One block of x rows of f."""
+    rows = max(1, min(f.shape[0], _BLOCK_BYTES // f[0].nbytes))
+    return np.empty((rows,) + f.shape[1:])
 
-    flux[i] = speed * f[i] is what cell i donates through its downwind face:
-    the right face for rightward speeds, the left face otherwise. Beyond an
-    absorbing boundary the donor cell is empty, so no flux enters.
+
+def _blocks(n_x: int, rows: int):
+    return (slice(i, min(i + rows, n_x)) for i in range(0, n_x, rows))
+
+
+def _upwind_half(f: np.ndarray, out: np.ndarray, courant: np.ndarray,
+                 periodic: bool, rightward: bool, rows: slice) -> None:
+    """out = f + courant * (f_upwind - f) on rows of one sign half of v_x.
+
+    The upwind cell is the left neighbour for rightward speeds; leftward
+    speeds mirror x. Beyond an absorbing boundary the upwind cell is empty.
     """
-    np.multiply(f, speed, out=flux)
-    if rightward:
-        np.subtract(flux[1:], flux[:-1], out=out[1:])
-        if periodic:
-            np.subtract(flux[0], flux[-1], out=out[0])
-        else:
-            out[0] = flux[0]
+    if not rightward:
+        f, out = f[::-1], out[::-1]
+        rows = slice(f.shape[0] - rows.stop, f.shape[0] - rows.start)
+    a, b = rows.start, rows.stop
+    np.subtract(f[a:b - 1], f[a + 1:b], out=out[a + 1:b])
+    if a > 0 or periodic:
+        np.subtract(f[a - 1], f[a], out=out[a])
     else:
-        np.subtract(flux[1:], flux[:-1], out=out[:-1])
-        if periodic:
-            np.subtract(flux[0], flux[-1], out=out[-1])
-        else:
-            np.negative(flux[-1], out=out[-1])
-    out *= dtdx
-    np.subtract(f, out, out=out)
+        np.negative(f[a], out=out[a])
+    out[a:b] *= courant
+    out[a:b] += f[a:b]
 
 
 def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
@@ -115,50 +124,47 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
                      spare: np.ndarray | None = None) -> np.ndarray:
     """One explicit transport step (no collisions).
 
-    Upwind in x, split by the sign of v_x so that each half differences one
-    neighbour; for absorbing boundaries no flux enters and outflow leaves
-    freely. A v_x = 0 column does not move. The field term advects along v_x
-    with zero flux through the cube faces; its interior fluxes are formed one
-    donor side at a time in spare.
+    Upwind in x in the convex form f + c (f_upwind - f), split by the sign of
+    v_x; for absorbing boundaries no flux enters and outflow leaves freely. A
+    v_x = 0 column has c = 0 and does not move. The field term advects along
+    v_x with zero flux through the cube faces; its interior fluxes are formed
+    one donor side at a time in spare, the only scratch the step uses. Both
+    run block by block over the spare's rows of x cells.
 
-    out receives the result and must not overlap f; spare (shaped like f) is
-    scratch. Either left as None is allocated, and f is never written.
+    out receives the result and must not overlap f; spare holds one block of
+    x rows. Either left as None is allocated, and f is never written.
     """
-    n_vx = f.shape[1]
+    n_x, n_vx = f.shape[:2]
     if out is None:
         out = np.empty_like(f)
     elif np.may_share_memory(out, f):
         raise ValueError("transport_update cannot write over its input")
     if spare is None:
-        spare = np.empty_like(f)
+        spare = _spare(f)
     cx = grid.velocity.centers[0]
-    dtdx = dt / grid.space.dx
+    courant = dt / grid.space.dx * np.abs(cx)[None, :, None, None]
     periodic = bc is BoundaryKind.PERIODIC
-
     # Centers ascend and are odd-symmetric: negative speeds first, then at
     # most one zero column, then positive speeds.
-    neg = slice(0, int(np.count_nonzero(cx < 0.0)))
-    pos = slice(n_vx - int(np.count_nonzero(cx > 0.0)), n_vx)
-    for half, rightward in ((neg, False), (pos, True)):
-        _upwind_half(f[:, half], out[:, half], spare[:, half],
-                     cx[half][None, :, None, None], dtdx, periodic, rightward)
-    out[:, neg.stop:pos.start] = f[:, neg.stop:pos.start]
-
-    e_max = _max_field(params)
-    # With one v_x cell there is no interior face, and the cube faces carry
-    # no flux, so the field term vanishes.
-    if n_vx > 1 and e_max > 0.0:
-        # The central flux with max-speed dissipation through the face between
-        # v_x cells j and j+1 is a f_j + b f_{j+1}, with a = (E + E_max) / 2
-        # and b = (E - E_max) / 2; each half leaves cell j and enters j+1.
-        half_dtdv = 0.5 * dt / grid.velocity.dv[0]
-        field = params.force[:, None, None, None]
-        flux = spare[:, :-1]
-        for donor, weight in ((f[:, :-1], field + e_max),
-                              (f[:, 1:], field - e_max)):
-            np.multiply(donor, weight * half_dtdv, out=flux)
-            out[:, :-1] -= flux
-            out[:, 1:] += flux
+    neg = int(np.count_nonzero(cx < 0.0))
+    # The central flux with max-speed dissipation through the face between
+    # v_x cells j and j+1 is a f_j + b f_{j+1}, with a = (E + E_max) / 2 and
+    # b = (E - E_max) / 2; each half leaves cell j and enters j+1. With one
+    # v_x cell there is no interior face, and the cube faces carry no flux.
+    e_max = _max_field(params) if n_vx > 1 else 0.0
+    half_dtdv = 0.5 * dt / grid.velocity.dv[0]
+    for rows in _blocks(n_x, spare.shape[0]):
+        for half, rightward in ((slice(0, neg), False), (slice(neg, n_vx), True)):
+            _upwind_half(f[:, half], out[:, half], courant[:, half], periodic,
+                         rightward, rows)
+        if e_max > 0.0:
+            field = params.force[rows, None, None, None]
+            flux = spare[:rows.stop - rows.start, :-1]
+            for donor, weight in ((f[rows, :-1], field + e_max),
+                                  (f[rows, 1:], field - e_max)):
+                np.multiply(donor, weight * half_dtdv, out=flux)
+                out[rows, :-1] -= flux
+                out[rows, 1:] += flux
     return out
 
 
@@ -167,18 +173,25 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
               spare: np.ndarray | None = None) -> np.ndarray:
     """Implicit relaxation toward the Maxwellian of the current moments.
 
-    The result (f + lam M) / (1 + lam) goes to out, which may be f itself;
-    the Maxwellian M is built in spare. Either left as None is allocated.
+    The result (f + lam M) / (1 + lam) goes to out, which may be f itself, as
+    f / (1 + lam) plus the Maxwellian with lam / (1 + lam) folded into its
+    amplitude; lam = 0 leaves f unchanged. The moments are projected once;
+    lift builds the Maxwellian in spare, one block of x rows at a time, on
+    that block's moments. Either buffer left as None is allocated.
     """
     U = project(f, grid)
-    lam = dt * np.asarray(params.tau(U.rho, U.theta), dtype=float) / params.epsilon
-    lam = np.broadcast_to(lam, U.rho.shape)[:, None, None, None]
-    M = lift(U, grid, normalize_mass=True, out=spare)
-    M *= lam
+    lam = dt * np.broadcast_to(params.tau(U.rho, U.theta), U.rho.shape) / params.epsilon
+    keep = 1.0 / (1.0 + lam)
     if out is None:
-        out = np.empty_like(M)
-    np.add(f, M, out=out)
-    out /= 1.0 + lam
+        out = np.empty_like(f)
+    if spare is None:
+        spare = _spare(f)
+    for rows in _blocks(f.shape[0], spare.shape[0]):
+        M = lift(MomentField(U.rho[rows], U.u[rows], U.theta[rows]), grid,
+                 normalize_mass=True, out=spare[:rows.stop - rows.start],
+                 weight=lam[rows] / (1.0 + lam[rows]))
+        np.multiply(f[rows], keep[rows, None, None, None], out=out[rows])
+        out[rows] += M
     return out
 
 
@@ -188,14 +201,15 @@ def propagate_kinetic(f0: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
     """Advance f0 from t0 to t1 with steps min(stability cap, dt_max, remaining).
 
     The buffers are allocated once per call: two state arrays that the steps
-    alternate between and a spare array. f0 is only read. The result is one
-    of this call's own arrays, except for an empty interval, which returns f0
-    itself.
+    alternate between and a spare of one block of x rows, so a window holds
+    its initial state, two state arrays and one block. f0 is only read. The
+    result is one of this call's own arrays, except for an empty interval,
+    which returns f0 itself.
     """
     cap = stable_dt_kinetic(grid, params)
     shape = f0.shape
     states = (np.empty(shape), np.empty(shape))
-    spare = np.empty(shape)
+    spare = _spare(f0)
 
     def advance(f, dt):
         out = states[1] if f is states[0] else states[0]

@@ -12,15 +12,16 @@ __all__ = ["lift"]
 
 
 def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
-         out: np.ndarray | None = None) -> np.ndarray:
+         out: np.ndarray | None = None,
+         weight: float | np.ndarray = 1.0) -> np.ndarray:
     """Cell-local Maxwellians f[i, jx, jy, jz] evaluated at the velocity centers.
 
     The Gaussian factorizes over the axes, so only three small 1D exponential
-    tables are computed per cell and the cube is filled with outer products,
-    into out when it is given. With normalize_mass the discrete mass matches
-    rho exactly rather than up to quadrature error: the mass of a separable
-    product is the product of the three 1D sums, so the amplitude is set from
-    those sums instead of from the continuous normalization.
+    tables are computed per cell, and the cube is filled as g_x times the
+    (v_y, v_z) plane g_y g_z, into out when it is given. The amplitude is
+    scaled by the per-cell weight, which may be zero. With normalize_mass the
+    discrete mass matches rho exactly rather than up to quadrature error: the
+    mass of a separable product is the product of the three 1D sums.
     """
     if np.any(U.rho <= 0.0) or np.any(U.theta <= 0.0):
         raise DegenerateStateError("lift requires rho > 0 and theta > 0 in every cell")
@@ -35,6 +36,6 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
         amp = U.rho / (sums[0] * sums[1] * sums[2] * v.cell_volume)
     else:
         amp = U.rho / (2.0 * np.pi * U.theta) ** 1.5
-    gx = factors[0] * amp[:, None]
-    gxy = gx[:, :, None, None] * factors[1][:, None, :, None]
-    return np.multiply(gxy, factors[2][:, None, None, :], out=out)
+    gx = factors[0] * (amp * weight)[:, None]
+    gyz = factors[1][:, :, None] * factors[2][:, None, :]
+    return np.multiply(gx[:, :, None, None], gyz[:, None], out=out)

@@ -1,5 +1,7 @@
 """Maxwellian reconstruction against scalar oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,6 +34,37 @@ def test_lift_matches_scalar_formula_nodewise():
                 # the separable fast path exponentiates per axis, so far-out
                 # nodes accumulate a few ulps relative to the single-exp form
                 assert_allclose(f[0, jx, jy, jz], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("normalize_mass", [False, True])
+def test_lift_fills_every_node_on_anisotropic_grid(normalize_mass):
+    # distinct counts per axis catch a plane filled in the wrong order; each
+    # cell has its own moments, and a row slice of the moments must give the
+    # same bytes as the same rows of the whole lift
+    n_x = 5
+    grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x),
+                     build_velocity_grid(4.0, (9, 4, 6)))
+    rng = np.random.default_rng(11)
+    U = MomentField(rng.uniform(0.5, 1.5, n_x), rng.uniform(-0.6, 0.6, (n_x, 3)),
+                    rng.uniform(0.6, 1.4, n_x))
+    weight = np.array([1.0, 0.25, 0.0, 2.0, 0.5])
+    f = lift(U, grid, normalize_mass=normalize_mass)
+    scaled = lift(U, grid, normalize_mass=normalize_mass, weight=weight)
+    c = grid.velocity.centers
+    dvol = grid.velocity.cell_volume
+    for i in range(n_x):
+        nodes = [(jx, jy, jz) for jx in range(9) for jy in range(4) for jz in range(6)]
+        want = [maxwellian_value(U.rho[i], U.u[i], U.theta[i],
+                                 (c[0][jx], c[1][jy], c[2][jz])) for jx, jy, jz in nodes]
+        if normalize_mass:
+            mass = math.fsum(want) * dvol
+            want = [w * U.rho[i] / mass for w in want]
+        for node, w in zip(nodes, want):
+            assert f[(i,) + node] == pytest.approx(w, rel=1e-12)
+            assert scaled[(i,) + node] == pytest.approx(weight[i] * w, rel=1e-12)
+    rows = slice(1, 4)
+    part = MomentField(U.rho[rows], U.u[rows], U.theta[rows])
+    assert lift(part, grid, normalize_mass=normalize_mass).tobytes() == f[rows].tobytes()
 
 
 def test_round_trip_recovers_moments():
