@@ -69,9 +69,9 @@ def beams_initial(grid: PhaseGrid) -> np.ndarray:
     ones = np.ones(n_x)
     u_fwd = np.zeros((n_x, 3))
     u_fwd[:, 0] = 1.0
-    fwd = lift(MomentField(ones, u_fwd, ones.copy()), grid)
-    bwd = lift(MomentField(ones, -u_fwd, ones.copy()), grid)
-    return fwd + bwd
+    f = lift(MomentField(ones, u_fwd, ones.copy()), grid)
+    f += lift(MomentField(ones, -u_fwd, ones.copy()), grid)
+    return f
 
 
 def external_force(x: np.ndarray) -> np.ndarray:

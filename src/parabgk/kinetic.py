@@ -13,14 +13,17 @@ collision operator conserves, so the implicit solve reduces to the blend
 f / (1 + lam) + M lam / (1 + lam), the second weight folded into M.
 
 A distribution is a plain array f[i, jx, jy, jz] of shape
-(n_x, n_vx, n_vy, n_vz). A window allocates its arrays once: two state arrays
-the steps alternate between and a spare of one block of x rows, as many as
-fit in _BLOCK_BYTES (all of f when it is that small). Only the v_x field flux
-and the Maxwellian use the spare, and both are local in x; the x-upwind reads
-its neighbour row from the input, so the step runs block by block with no
-halo. transport_update and bgk_relax take the buffers as optional out/spare
-arguments and block by the spare's row count; without them they allocate
-their own and leave their input untouched.
+(n_x, n_vx, n_vy, n_vz). A window runs on two state arrays the steps
+alternate between and a spare of one block of x rows, as many as fit in
+_BLOCK_BYTES (all of f when it is that small); window_buffers makes that
+triple. Only the v_x field flux and the Maxwellian use the spare, and both
+are local in x; the x-upwind reads its neighbour row from the input, so the
+step runs block by block with no halo. transport_update and bgk_relax take
+the buffers as optional out/spare arguments and block by the spare's row
+count, and propagate_kinetic takes the whole triple, so a caller that runs
+many windows allocates it once and every window reuses the same, already
+touched, pages. Without buffers each call allocates its own and leaves its
+input untouched.
 
 Sign convention: f_t + v f_x + E f_vx = (tau / eps) (M - f), so a positive
 field accelerates particles toward positive v_x.
@@ -28,6 +31,7 @@ field accelerates particles toward positive v_x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,6 +48,7 @@ __all__ = [
     "transport_update",
     "bgk_relax",
     "propagate_kinetic",
+    "window_buffers",
 ]
 
 _BLOCK_BYTES = 1 << 21  # about one core's L2, so a block is reused while cached
@@ -88,10 +93,23 @@ def stable_dt_kinetic(grid: PhaseGrid, params: KineticParams) -> float:
     return params.cfl / rate
 
 
-def _spare(f: np.ndarray) -> np.ndarray:
-    """One block of x rows of f."""
-    rows = max(1, min(f.shape[0], _BLOCK_BYTES // f[0].nbytes))
-    return np.empty((rows,) + f.shape[1:])
+def _spare(shape: tuple[int, ...]) -> np.ndarray:
+    """One block of x rows of an array of this shape."""
+    row = shape[1:]
+    rows = max(1, min(shape[0], _BLOCK_BYTES // (8 * math.prod(row))))
+    return np.empty((rows,) + row)
+
+
+def window_buffers(grid: PhaseGrid, first: np.ndarray | None = None):
+    """Two state arrays and one block of x rows, for propagate_kinetic.
+
+    The arrays are uninitialised; first, when given, serves as the first
+    state instead of a new array.
+    """
+    shape = (grid.space.n_x,) + grid.velocity.n_v
+    if first is None:
+        first = np.empty(shape)
+    return first, np.empty(shape), _spare(shape)
 
 
 def _blocks(n_x: int, rows: int):
@@ -140,7 +158,7 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     elif np.may_share_memory(out, f):
         raise ValueError("transport_update cannot write over its input")
     if spare is None:
-        spare = _spare(f)
+        spare = _spare(f.shape)
     cx = grid.velocity.centers[0]
     courant = dt / grid.space.dx * np.abs(cx)[None, :, None, None]
     periodic = bc is BoundaryKind.PERIODIC
@@ -185,7 +203,7 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     if out is None:
         out = np.empty_like(f)
     if spare is None:
-        spare = _spare(f)
+        spare = _spare(f.shape)
     for rows in _blocks(f.shape[0], spare.shape[0]):
         M = lift(MomentField(U.rho[rows], U.u[rows], U.theta[rows]), grid,
                  normalize_mass=True, out=spare[:rows.stop - rows.start],
@@ -197,19 +215,20 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
 
 def propagate_kinetic(f0: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
                       params: KineticParams, bc: BoundaryKind,
-                      dt_max: float | None = None) -> np.ndarray:
+                      dt_max: float | None = None,
+                      buffers: tuple | None = None) -> np.ndarray:
     """Advance f0 from t0 to t1 with steps min(stability cap, dt_max, remaining).
 
-    The buffers are allocated once per call: two state arrays that the steps
-    alternate between and a spare of one block of x rows, so a window holds
-    its initial state, two state arrays and one block. f0 is only read. The
-    result is one of this call's own arrays, except for an empty interval,
-    which returns f0 itself.
+    The steps alternate between two state arrays and share a spare of one
+    block of x rows. buffers, when given, is that triple as window_buffers
+    makes it, and f0 may be one of its two states: it is then overwritten,
+    so a window holds two states and one block. Without buffers the call
+    allocates its own, f0 is only read, and a window holds its initial
+    state besides. The result is one of the two states, except for an empty
+    interval, which returns f0 itself.
     """
     cap = stable_dt_kinetic(grid, params)
-    shape = f0.shape
-    states = (np.empty(shape), np.empty(shape))
-    spare = _spare(f0)
+    *states, spare = window_buffers(grid) if buffers is None else buffers
 
     def advance(f, dt):
         out = states[1] if f is states[0] else states[0]

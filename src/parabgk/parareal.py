@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, CorrectionOvershootError, SolverError
 from .fluid import FluidParams, propagate_fluid
 from .grid import Discretization
-from .kinetic import KineticParams, propagate_kinetic
+from .kinetic import KineticParams, propagate_kinetic, window_buffers
 from .lifting import lift
 from .moments import MomentField, project
 
@@ -104,40 +104,47 @@ def initial_coarse_sweep(U0: MomentField, disc: Discretization,
     return ParTrajectory(snapshots, jumps)
 
 
-def _window_jump(n: int, U: MomentField, disc: Discretization,
-                 kinetic: KineticParams, fluid: FluidParams):
-    """Fine-minus-coarse defect of window n started from U, with stage timings."""
+def _kinetic_window(n: int, U: MomentField, disc: Discretization,
+                    kinetic: KineticParams, buffers: tuple):
+    """Lift U into a state of buffers, solve window n on them and project,
+    with the (lift, kinetic, project) stage timings."""
     times = disc.time.coarse_times
-    t_a, t_b = float(times[n - 1]), float(times[n])
     tic = time.perf_counter()
-    f = lift(U, disc.phase, normalize_mass=False)
+    f = lift(U, disc.phase, normalize_mass=False, out=buffers[0])
     t_lift = time.perf_counter() - tic
     tic = time.perf_counter()
-    f = propagate_kinetic(f, t_a, t_b, disc.phase, kinetic, disc.bc,
-                          dt_max=disc.time.dt_f)
+    f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
+                          kinetic, disc.bc, dt_max=disc.time.dt_f, buffers=buffers)
     t_kin = time.perf_counter() - tic
     tic = time.perf_counter()
     fine = project(f, disc.phase)
     t_proj = time.perf_counter() - tic
+    return fine, (t_lift, t_kin, t_proj)
+
+
+def _window_jump(n: int, U: MomentField, disc: Discretization,
+                 kinetic: KineticParams, fluid: FluidParams, buffers: tuple):
+    """Fine-minus-coarse defect of window n started from U, with stage timings."""
+    fine, stages = _kinetic_window(n, U, disc, kinetic, buffers)
     tic = time.perf_counter()
     coarse = _coarse_window(n, U, disc, fluid)
     t_fluid = time.perf_counter() - tic
-    return fine - coarse, (t_lift, t_kin, t_proj, t_fluid)
+    return fine - coarse, (*stages, t_fluid)
 
 
 # Per-process context for pool workers, installed by the pool initializer so
-# each submitted task only ships the small moment payload.
+# each submitted task only ships the small moment payload; the worker's window
+# buffers come with it and serve every window the worker runs.
 _WORKER_CTX = None
 
 
 def _init_worker(disc, kinetic, fluid):
     global _WORKER_CTX
-    _WORKER_CTX = (disc, kinetic, fluid)
+    _WORKER_CTX = (disc, kinetic, fluid, window_buffers(disc.phase))
 
 
 def _window_jump_remote(n: int, U: MomentField):
-    disc, kinetic, fluid = _WORKER_CTX
-    return _window_jump(n, U, disc, kinetic, fluid)
+    return _window_jump(n, U, *_WORKER_CTX)
 
 
 def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
@@ -158,12 +165,13 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
                   timing: dict | None = None) -> None:
     """Set the jump slots of windows k..n_g from the previous iterate.
 
-    Windows run in turn here, or as independent tasks on the executor when
-    one is given; results are taken in window order either way, so the
-    outcome does not depend on scheduling. The first failing window, whatever
-    it raised (a SolverError or a dead worker's broken pool included),
-    surfaces as a SolverError naming the iteration and the window, chained
-    from the cause, and the windows still queued on the pool are cancelled.
+    Windows run in turn here, on one set of window buffers, or as independent
+    tasks on the executor when one is given; results are taken in window
+    order either way, so the outcome does not depend on scheduling. The
+    first failing window, whatever it raised (a SolverError or a dead
+    worker's broken pool included), surfaces as a SolverError naming the
+    iteration and the window, chained from the cause, and the windows still
+    queued on the pool are cancelled.
     """
     windows = range(k, disc.time.n_g + 1)
     starts = traj.snapshots[k - 1:-1]
@@ -172,7 +180,8 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
     try:
         if executor is None:
             results = map(partial(_window_jump, disc=disc, kinetic=kinetic,
-                                  fluid=fluid), windows, starts)
+                                  fluid=fluid, buffers=window_buffers(disc.phase)),
+                          windows, starts)
         else:
             results = executor.map(_window_jump_remote, windows, starts)
         for delta, stages in results:
@@ -238,18 +247,16 @@ def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
 
 def fine_moment_chain(U0: MomentField, disc: Discretization,
                       kinetic: KineticParams) -> list[MomentField]:
-    """Window-wise fine reference: lift, solve, project for each window in turn.
+    """Window-wise fine reference: lift, solve, project for each window in turn,
+    all on one set of window buffers.
 
     This is the trajectory the outer iteration reproduces exactly once k
     reaches the window count.
     """
-    times = disc.time.coarse_times
+    buffers = window_buffers(disc.phase)
     out = [U0.copy()]
     for n in range(1, disc.time.n_g + 1):
-        f = lift(out[-1], disc.phase, normalize_mass=False)
-        f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
-                              kinetic, disc.bc, dt_max=disc.time.dt_f)
-        out.append(project(f, disc.phase))
+        out.append(_kinetic_window(n, out[-1], disc, kinetic, buffers)[0])
     return out
 
 

@@ -16,7 +16,7 @@ from .config import RunConfig, build_discretization, build_params
 from .fluid import FluidParams
 from .grid import Discretization, SpatialGrid
 from .io import TimingReport, write_convergence, write_snapshots, write_timing
-from .kinetic import KineticParams, propagate_kinetic
+from .kinetic import KineticParams, propagate_kinetic, window_buffers
 from .moments import MomentField, project
 from .parareal import (ConvergenceRecord, PararealConfig, estimate_k_opt,
                        initial_coarse_sweep, run_parareal)
@@ -34,13 +34,18 @@ def prepare(cfg: RunConfig):
 
 
 def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) -> list[MomentField]:
-    """Serial kinetic reference: one distribution marched across all windows."""
+    """Serial kinetic reference: one distribution marched across all windows.
+
+    The initial distribution is the first of the window buffers, which every
+    window reuses.
+    """
     f = initial_distribution(cfg.case, disc.phase)
+    buffers = window_buffers(disc.phase, first=f)
     times = disc.time.coarse_times
     snapshots = [project(f, disc.phase)]
     for n in range(1, disc.time.n_g + 1):
         f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
-                              kinetic, disc.bc, dt_max=disc.time.dt_f)
+                              kinetic, disc.bc, dt_max=disc.time.dt_f, buffers=buffers)
         snapshots.append(project(f, disc.phase))
     return snapshots
 

@@ -1,12 +1,14 @@
 """Built-in problems: preset tables, initial data, confining field."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from parabgk import (ConfigurationError, PRESETS, PhaseGrid,
+from parabgk import (ConfigurationError, MomentField, PRESETS, PhaseGrid,
                      beams_initial, blast_moments, build_spatial_grid,
                      build_velocity_grid, external_force, force_field,
-                     initial_distribution, project, sod_moments)
+                     initial_distribution, lift, project, sod_moments)
 
 
 def test_preset_table():
@@ -55,6 +57,28 @@ def test_external_force_antisymmetric_about_midpoint():
     # pushes toward the midpoint from both sides
     assert np.all(external_force(1.0 - s) > 0.0)
     assert np.all(external_force(1.0 + s) < 0.0)
+
+
+def test_beams_built_in_place():
+    # the second beam is added into the first: two arrays at the peak, not
+    # three, and the same bytes as the plain sum
+    grid = PhaseGrid(build_spatial_grid(0.0, 2.0, 8),
+                     build_velocity_grid(8.0, (32, 16, 16)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f = beams_initial(grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * f.nbytes
+    ones = np.ones(8)
+    u = np.zeros((8, 3))
+    u[:, 0] = 1.0
+    fwd = lift(MomentField(ones, u, ones), grid)
+    bwd = lift(MomentField(ones, -u, ones), grid)
+    assert f.tobytes() == (fwd + bwd).tobytes()
 
 
 def test_beams_mixture_moments():

@@ -16,7 +16,7 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      ConstantTau, KineticParams, MomentField, PhaseGrid,
                      bgk_relax, build_spatial_grid, build_velocity_grid, lift,
                      project, propagate_kinetic, stable_dt_kinetic,
-                     transport_update)
+                     transport_update, window_buffers)
 from oracles import relax_weight, transport_reference
 
 
@@ -208,6 +208,34 @@ def test_window_allocation_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * f0.nbytes
+
+
+@pytest.mark.parametrize("f0_is_state", [False, True])
+def test_propagate_on_given_buffers(f0_is_state):
+    # NaN buffers show a value read before it is written; with f0 one of the
+    # states the call consumes it, and either way it allocates no array
+    grid, params, f = _field_instance(n_x=100, n_v=(64, 16, 16))
+    span = 4 * stable_dt_kinetic(grid, params)
+    want = propagate_kinetic(f, 0.0, span, grid, params, BoundaryKind.PERIODIC)
+    buffers = window_buffers(grid)
+    for array in buffers:
+        array.fill(np.nan)
+    f0 = f
+    if f0_is_state:
+        f0 = buffers[1]
+        f0[:] = f
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC,
+                                buffers=buffers)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got is buffers[0] or got is buffers[1]
+    assert got.tobytes() == want.tobytes()
+    assert peak < 0.5 * f.nbytes
 
 
 def test_relax_fixed_point():

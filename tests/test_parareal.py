@@ -2,7 +2,10 @@
 
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import parabgk
 from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      CorrectionOvershootError, Discretization, FluidParams,
                      KineticParams, MomentField, PhaseGrid, PararealConfig,
@@ -119,6 +123,42 @@ def test_frozen_prefix_reproduces_fine_chain():
     traj, _ = run_parareal(U0, cfg, disc, kinetic, fluid)
     for n in range(0, 4):  # snapshots 0..k are fine-exact after k iterations
         assert traj.snapshots[n].sup_distance(chain[n]) <= 1e-13
+
+
+# Counted in a fresh interpreter: glibc returns freed memory to the OS by
+# thresholds that adapt to the process's earlier allocations, so the count in
+# a process that has already run other tests says little about a real run.
+_CHAIN_FAULTS = """
+import resource
+import numpy as np
+from parabgk import (BoundaryKind, Discretization, KineticParams, MomentField,
+                     PhaseGrid, build_spatial_grid, build_time_grids,
+                     build_velocity_grid, fine_moment_chain)
+n_g = 20
+phase = PhaseGrid(build_spatial_grid(0.0, 2.0, 50), build_velocity_grid(8.0, 16))
+disc = Discretization(phase, build_time_grids(0.005 * n_g, n_g, 2 * n_g),
+                      BoundaryKind.ABSORBING)
+x = phase.space.centers
+U0 = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((50, 3)),
+                 np.where(x < 1.0, 1.0, 0.8))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fine_moment_chain(U0, disc, KineticParams(epsilon=1e-2))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / n_g)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page fault counts as Linux reports them")
+def test_fine_chain_reuses_its_pages():
+    # every window runs on the same buffers, so after their first touch a
+    # window faults in few new pages; fresh arrays per window fault in
+    # about 1250 at 50 x 16^3 (1.6 MB arrays)
+    src = str(Path(parabgk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _CHAIN_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert float(done.stdout) < 200
 
 
 def _full_sweep_parareal(U0, k_max, disc, kinetic, fluid):

@@ -8,6 +8,7 @@ benchmark run.
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,20 @@ def test_compute_jumps_as_the_traced_pass_calls_it(harness):
     assert sorted(timing) == ["t_fluid", "t_kin", "t_lift", "t_proj"]
     assert len(traj.jumps) == disc.time.n_g
     assert all(isinstance(jump, MomentField) for jump in traj.jumps)
-    # the window task reaches its layers through the patched module globals
+    # the window task reaches its layers through the patched module globals:
+    # one lift, kinetic window and projection per solved window, the span
+    # counts the traced pass checks against windows_solved
     names = {span[0] for span in recorder.spans}
     assert {"lifting.lift", "kinetic.window", "moments.project",
             "fluid.window", "kinetic.transport", "kinetic.relax"} <= names
+    for k in (1, 2):
+        recorder = tracer.Tracer()
+        with recorder.patched():
+            compute_jumps(traj, k, disc, KineticParams(epsilon=1e-2), fluid)
+        top = Counter(name for name, _, _, parent in recorder.spans if parent is None)
+        solved = disc.time.n_g - k + 1
+        assert [top[name] for name in ("kinetic.window", "lifting.lift",
+                                       "moments.project")] == [solved] * 3
 
 
 def test_alloc_peaks_as_the_traced_pass_calls_them(harness):
