@@ -13,7 +13,7 @@ from .grid import (BoundaryKind, Discretization, PhaseGrid, SpatialGrid,
 from .moments import (MomentField, conserved_to_primitive,
                       primitive_to_conserved, project)
 from .lifting import lift
-from .kinetic import (ConstantTau, KineticParams, bgk_relax, propagate_kinetic,
+from .kinetic import (KineticParams, bgk_relax, propagate_kinetic,
                       stable_dt_kinetic, transport_update, window_buffers)
 from .fluid import (FluidParams, euler_flux, propagate_fluid, rusanov_flux,
                     stable_dt_fluid)

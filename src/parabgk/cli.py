@@ -54,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
             report = run_comparison(cfg)
             print(f"speedup {report.speedup:.3f} over the serial fine run; "
                   f"suggested iteration bound {report.k_opt}")
-    except SolverError as exc:
+    except (SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -16,7 +16,7 @@ from .errors import ConfigurationError
 from .fluid import FluidParams
 from .grid import (BoundaryKind, Discretization, PhaseGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
-from .kinetic import ConstantTau, KineticParams
+from .kinetic import KineticParams
 
 __all__ = ["RunConfig", "PRESETS", "parse_config", "build_discretization",
            "build_params"]
@@ -41,7 +41,6 @@ class RunConfig:
     n_f: int
     k_max: int
     tol: float
-    tau: float = 1.0
     cfl_kinetic: float = 0.5
     cfl_fluid: float = 0.9
     workers: int = 1
@@ -97,8 +96,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigurationError(f"unknown mode '{cfg.mode}', expected one of {MODES}")
     if not cfg.epsilon > 0:
         raise ConfigurationError(f"need epsilon > 0, got {cfg.epsilon}")
-    if not cfg.tau > 0:
-        raise ConfigurationError(f"need tau > 0, got {cfg.tau}")
     if not cfg.tol > 0:
         raise ConfigurationError(f"need tol > 0, got {cfg.tol}")
     for label, value in (("cfl_kinetic", cfg.cfl_kinetic), ("cfl_fluid", cfg.cfl_fluid)):
@@ -138,7 +135,6 @@ def build_discretization(cfg: RunConfig) -> Discretization:
 
 def build_params(cfg: RunConfig, disc: Discretization) -> tuple[KineticParams, FluidParams]:
     force = force_field(cfg.case, disc.phase.space)
-    kinetic = KineticParams(epsilon=cfg.epsilon, tau=ConstantTau(cfg.tau),
-                            force=force, cfl=cfg.cfl_kinetic)
+    kinetic = KineticParams(epsilon=cfg.epsilon, force=force, cfl=cfg.cfl_kinetic)
     fluid = FluidParams(force=force, cfl=cfg.cfl_fluid)
     return kinetic, fluid

@@ -10,6 +10,7 @@ the one stepping loop both propagators run inside a window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -95,8 +96,8 @@ class Discretization:
 
 def build_spatial_grid(x_min: float, x_max: float, n_x: int) -> SpatialGrid:
     """Uniform grid of n_x cells on [x_min, x_max]."""
-    if not x_max > x_min:
-        raise ConfigurationError(f"need x_max > x_min, got [{x_min}, {x_max}]")
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_max > x_min):
+        raise ConfigurationError(f"need finite x_max > x_min, got [{x_min}, {x_max}]")
     if n_x < 2:
         raise ConfigurationError(f"need n_x >= 2, got {n_x}")
     dx = (x_max - x_min) / n_x
@@ -112,8 +113,8 @@ def _axis_centers(v_max: float, n: int) -> np.ndarray:
 
 def build_velocity_grid(v_max: float, n_v: int | tuple[int, int, int]) -> VelocityGrid:
     """Velocity cube with scalar or per-axis point counts."""
-    if not v_max > 0:
-        raise ConfigurationError(f"need v_max > 0, got {v_max}")
+    if not (math.isfinite(v_max) and v_max > 0):
+        raise ConfigurationError(f"need finite v_max > 0, got {v_max}")
     counts = (n_v, n_v, n_v) if np.isscalar(n_v) else tuple(int(n) for n in n_v)
     if len(counts) != 3 or any(n < 1 for n in counts):
         raise ConfigurationError(f"need three per-axis counts >= 1, got {n_v}")
@@ -125,8 +126,8 @@ def build_velocity_grid(v_max: float, n_v: int | tuple[int, int, int]) -> Veloci
 
 def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
     """Nested coarse/fine time levels over [0, t_final]."""
-    if not t_final > 0:
-        raise ConfigurationError(f"need t_final > 0, got {t_final}")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ConfigurationError(f"need finite t_final > 0, got {t_final}")
     if n_g < 1 or n_f < n_g:
         raise ConfigurationError(f"need n_f >= n_g >= 1, got n_g={n_g}, n_f={n_f}")
     coarse_times = np.linspace(0.0, t_final, n_g + 1)

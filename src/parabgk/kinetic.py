@@ -25,15 +25,15 @@ many windows allocates it once and every window reuses the same, already
 touched, pages. Without buffers each call allocates its own and leaves its
 input untouched.
 
-Sign convention: f_t + v f_x + E f_vx = (tau / eps) (M - f), so a positive
-field accelerates particles toward positive v_x.
+Sign convention: f_t + v f_x + E f_vx = (M - f) / eps, so a positive field
+accelerates particles toward positive v_x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .lifting import lift
 from .moments import MomentField, project
 
 __all__ = [
-    "ConstantTau",
     "KineticParams",
     "stable_dt_kinetic",
     "transport_update",
@@ -54,26 +53,16 @@ __all__ = [
 _BLOCK_BYTES = 1 << 21  # about one core's L2, so a block is reused while cached
 
 
-@dataclass(frozen=True)
-class ConstantTau:
-    """Constant collision frequency that stays picklable for worker pools."""
-
-    value: float
-
-    def __call__(self, rho, theta):
-        return self.value
-
-
 @dataclass
 class KineticParams:
     """Knobs of the kinetic solver.
 
-    tau must accept (rho, theta) arrays and broadcast; force is the per-cell
-    field E_i along x (None means no field).
+    Collisions relax f toward M at rate 1/epsilon (epsilon = inf is the
+    collisionless limit); force is the per-cell field E_i along x (None
+    means no field).
     """
 
     epsilon: float
-    tau: Callable = ConstantTau(1.0)
     force: Optional[np.ndarray] = None
     cfl: float = 0.5
 
@@ -193,13 +182,14 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
 
     The result (f + lam M) / (1 + lam) goes to out, which may be f itself, as
     f / (1 + lam) plus the Maxwellian with lam / (1 + lam) folded into its
-    amplitude; lam = 0 leaves f unchanged. The moments are projected once;
-    lift builds the Maxwellian in spare, one block of x rows at a time, on
-    that block's moments. Either buffer left as None is allocated.
+    amplitude, where lam = dt / epsilon; lam = 0 leaves f unchanged. The
+    moments are projected once; lift builds the Maxwellian in spare, one
+    block of x rows at a time, on that block's moments. Either buffer left as
+    None is allocated.
     """
     U = project(f, grid)
-    lam = dt * np.broadcast_to(params.tau(U.rho, U.theta), U.rho.shape) / params.epsilon
-    keep = 1.0 / (1.0 + lam)
+    lam = dt / params.epsilon
+    keep, weight = 1.0 / (1.0 + lam), lam / (1.0 + lam)
     if out is None:
         out = np.empty_like(f)
     if spare is None:
@@ -207,8 +197,8 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     for rows in _blocks(f.shape[0], spare.shape[0]):
         M = lift(MomentField(U.rho[rows], U.u[rows], U.theta[rows]), grid,
                  normalize_mass=True, out=spare[:rows.stop - rows.start],
-                 weight=lam[rows] / (1.0 + lam[rows]))
-        np.multiply(f[rows], keep[rows, None, None, None], out=out[rows])
+                 weight=weight)
+        np.multiply(f[rows], keep, out=out[rows])
         out[rows] += M
     return out
 

@@ -1,6 +1,7 @@
 """Config file parsing, validation, and object construction."""
 
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from parabgk import (PRESETS, BoundaryKind, ConfigurationError, RunConfig,
                      build_discretization, build_params, external_force,
                      parse_config)
-from parabgk.kinetic import ConstantTau
 
 FULL = """\
 # explicit setup, no preset
@@ -43,7 +43,7 @@ def test_parse_explicit_config(tmp_path):
     assert cfg.epsilon == 1e-2 and cfg.bc == "absorbing"
     assert (cfg.n_g, cfg.n_f, cfg.k_max, cfg.tol) == (10, 40, 5, 1e-8)
     # defaults
-    assert cfg.tau == 1.0 and cfg.workers == 1 and cfg.mode == "parareal"
+    assert cfg.workers == 1 and cfg.mode == "parareal"
     assert cfg.cfl_kinetic == 0.5 and cfg.cfl_fluid == 0.9
     assert cfg.out_dir == "out"
 
@@ -52,7 +52,7 @@ def test_every_field_round_trips(tmp_path):
     # every RunConfig field set away from its default, the preset included
     expected = RunConfig(case="blast", x_min=-1.0, x_max=3.0, n_x=30, v_max=6.5,
                          n_vx=12, n_vy=10, n_vz=8, epsilon=3e-3, bc="periodic",
-                         t_final=0.15, n_g=6, n_f=24, k_max=3, tol=1e-6, tau=2.5,
+                         t_final=0.15, n_g=6, n_f=24, k_max=3, tol=1e-6,
                          cfl_kinetic=0.4, cfl_fluid=0.8, workers=3, mode="fine",
                          out_dir="results/blast", preset="sod")
     text = "".join(f"{f.name} = {getattr(expected, f.name)}\n"
@@ -101,6 +101,16 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path = _write(tmp_path, "preset = sod\nuse_frozen_prefix = maybe\n", "b.cfg")
     with pytest.raises(ConfigurationError, match=r":2: unknown key 'use_frozen_prefix'"):
         parse_config(path)
+    # collisions relax at rate 1/epsilon; there is no second rate knob
+    path = _write(tmp_path, "preset = sod\ntau = 2.5\n", "t.cfg")
+    with pytest.raises(ConfigurationError, match=r":2: unknown key 'tau'"):
+        parse_config(path)
+
+
+def test_every_key_is_documented_in_readme():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    missing = [f.name for f in fields(RunConfig) if f"{f.name} =" not in readme]
+    assert missing == []
 
 
 def test_unknown_preset_and_missing_keys(tmp_path):
@@ -116,7 +126,6 @@ def test_semantic_validation(tmp_path):
         ("bc = reflecting\n", "unknown bc"),
         ("mode = exact\n", "unknown mode"),
         ("epsilon = 0.0\n", "epsilon > 0"),
-        ("tau = -1.0\n", "tau > 0"),
         ("tol = 0.0\n", "tol > 0"),
         ("cfl_kinetic = 1.5\n", "cfl_kinetic"),
         ("cfl_fluid = 0.0\n", "cfl_fluid"),
@@ -142,19 +151,17 @@ def test_build_params_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, FULL))
     disc = build_discretization(cfg)
     kinetic, fluid = build_params(cfg, disc)
-    assert kinetic.tau == ConstantTau(1.0)  # picklable default rate
     assert kinetic.force is None and fluid.force is None
     assert kinetic.epsilon == 1e-2
     assert kinetic.cfl == 0.5 and fluid.cfl == 0.9
 
 
-def test_build_params_beams_force_and_tau(tmp_path):
-    text = "preset = beams\ntau = 2.5\ncfl_kinetic = 0.4\ncfl_fluid = 0.8\nn_x = 20\n"
+def test_build_params_beams_force(tmp_path):
+    text = "preset = beams\ncfl_kinetic = 0.4\ncfl_fluid = 0.8\nn_x = 20\n"
     cfg = parse_config(_write(tmp_path, text))
     disc = build_discretization(cfg)
     kinetic, fluid = build_params(cfg, disc)
-    assert isinstance(kinetic.tau, ConstantTau)
-    assert kinetic.tau(np.array([0.7]), np.array([1.2])) == 2.5
+    assert kinetic.epsilon == 1e-5
     expected = external_force(disc.phase.space.centers)
     assert np.array_equal(kinetic.force, expected)
     assert np.array_equal(fluid.force, expected)

@@ -1,5 +1,7 @@
 """Mesh builders: placement, symmetry, validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,17 @@ def test_time_grids_rejects_bad_input():
         build_time_grids(1.0, 0, 20)
     with pytest.raises(ConfigurationError):
         build_time_grids(1.0, 10, 5)
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (build_spatial_grid, (0.0, math.inf, 10), "x_max"),
+    (build_velocity_grid, (math.inf, 8), "v_max"),
+    (build_time_grids, (math.inf, 10, 20), "t_final"),
+], ids=["x_max", "v_max", "t_final"])
+def test_builders_reject_infinite_bounds(build, args, name):
+    # an infinite bound would otherwise run on NaN cell widths or window times
+    with pytest.raises(ConfigurationError, match=f"need finite {name}"):
+        build(*args)
 
 
 def test_boundary_kind_values():

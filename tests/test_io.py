@@ -113,6 +113,33 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert err.startswith("error:") and "unknown key" in err
 
 
+def test_cli_reports_missing_config(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["run", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+
+
+def test_cli_reports_output_path_that_is_a_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MICRO)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["run", "--config", str(cfg), "--mode", "fluid",
+                 "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err
+
+
+def test_cli_rejects_infinite_bound(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("preset = sod\nt_final = inf\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_final" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compare_reports_speedup(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MICRO)

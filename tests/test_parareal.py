@@ -23,6 +23,7 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      parareal_cost, project, propagate_fluid, propagate_kinetic,
                      run_parareal, sequential_correction)
 from parabgk import cli, config, runner
+from parabgk import kinetic as kinetic_module
 from parabgk.parareal import compute_jumps, make_executor
 
 
@@ -209,35 +210,40 @@ def test_frozen_prefix_equivalent_to_full_sweep():
 
 
 _TEST_PID = os.getpid()
+_relax = kinetic_module.bgk_relax
 
 
-def _tau_killing_workers(rho, theta):
+def _relax_killing_workers(*args, **kwargs):
     # a pool worker that exits hard breaks the pool; this process never exits
     if os.getpid() != _TEST_PID:
         os._exit(1)
-    return 1.0
+    return _relax(*args, **kwargs)
 
 
-def _tau_failing_in_workers(rho, theta):
+def _relax_failing_in_workers(*args, **kwargs):
     if os.getpid() != _TEST_PID:
         raise MemoryError("no room for the window")
-    return 1.0
+    return _relax(*args, **kwargs)
 
 
-def _assert_window_failure_exits_2(tau, tmp_path, monkeypatch, capsys, workers=2):
-    """A tau failing in a window: SolverError naming the window, exit code 2."""
+def _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys, workers=2,
+                                   epsilon=1e-2):
+    """A failing window: SolverError naming the window, exit code 2.
+
+    Faults come in through epsilon or through kinetic.bgk_relax, patched by
+    the caller before the pool forks.
+    """
     disc = _tiny_disc()
-    kinetic = KineticParams(epsilon=1e-2, tau=tau)
     with pytest.raises(SolverError, match=r"iteration 1 at window [1-4]\b") as info:
         run_parareal(_sod_like(12),
                      PararealConfig(k_max=2, tol=1e-300, workers=workers),
-                     disc, kinetic, FluidParams())
+                     disc, KineticParams(epsilon=epsilon), FluidParams())
 
     build_params = config.build_params
 
     def failing_params(cfg, disc):
         kinetic, fluid = build_params(cfg, disc)
-        kinetic.tau = tau
+        kinetic.epsilon = epsilon
         return kinetic, fluid
 
     monkeypatch.setattr(runner, "build_params", failing_params)
@@ -253,13 +259,13 @@ def _assert_window_failure_exits_2(tau, tmp_path, monkeypatch, capsys, workers=2
 
 
 def test_dead_worker_surfaces_as_solver_error(tmp_path, monkeypatch, capsys):
-    _assert_window_failure_exits_2(_tau_killing_workers, tmp_path, monkeypatch,
-                                   capsys)
+    monkeypatch.setattr(kinetic_module, "bgk_relax", _relax_killing_workers)
+    _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys)
 
 
 def test_window_exception_surfaces_as_solver_error(tmp_path, monkeypatch, capsys):
-    error = _assert_window_failure_exits_2(_tau_failing_in_workers, tmp_path,
-                                           monkeypatch, capsys)
+    monkeypatch.setattr(kinetic_module, "bgk_relax", _relax_failing_in_workers)
+    error = _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys)
     assert isinstance(error.__cause__, MemoryError)
     assert "MemoryError: no room for the window" in str(error)
 
@@ -267,33 +273,29 @@ def test_window_exception_surfaces_as_solver_error(tmp_path, monkeypatch, capsys
     disc = _tiny_disc()
     traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
 
-    def tau(rho, theta):
+    def out_of_memory(*args, **kwargs):
         raise MemoryError("no room for the window")
 
+    monkeypatch.setattr(kinetic_module, "bgk_relax", out_of_memory)
     with pytest.raises(SolverError, match=r"iteration 2 at window 2\b") as info:
-        compute_jumps(traj, 2, disc, KineticParams(epsilon=1e-2, tau=tau),
-                      FluidParams())
+        compute_jumps(traj, 2, disc, KineticParams(epsilon=1e-2), FluidParams())
     assert isinstance(info.value.__cause__, MemoryError)
 
-    def solver_failure(rho, theta):
+    def solver_failure(*args, **kwargs):
         raise CorrectionOvershootError("own failure", slice_index=3)
 
+    monkeypatch.setattr(kinetic_module, "bgk_relax", solver_failure)
     with pytest.raises(SolverError, match=r"^iteration 1 at window 1 failed: "
                        r"CorrectionOvershootError: own failure$") as info:
-        compute_jumps(traj, 1, disc,
-                      KineticParams(epsilon=1e-2, tau=solver_failure), FluidParams())
+        compute_jumps(traj, 1, disc, KineticParams(epsilon=1e-2), FluidParams())
     assert isinstance(info.value.__cause__, CorrectionOvershootError)
     assert info.value.__cause__.slice_index == 3
 
 
-def _tau_nan(rho, theta):
-    return math.nan
-
-
 def test_window_blow_up_names_iteration_and_window(tmp_path, monkeypatch, capsys):
     for workers in (1, 2):
-        error = _assert_window_failure_exits_2(_tau_nan, tmp_path, monkeypatch,
-                                               capsys, workers=workers)
+        error = _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys,
+                                               workers=workers, epsilon=math.nan)
         assert str(error) == ("iteration 1 at window 1 failed: BlowUpError: "
                               "kinetic propagation lost finiteness at step 1")
         assert isinstance(error.__cause__, BlowUpError)
@@ -301,7 +303,7 @@ def test_window_blow_up_names_iteration_and_window(tmp_path, monkeypatch, capsys
 
 
 class _FailFirstCallPerProcess:
-    """A tau that logs every call, fails a process's first one, sleeps after.
+    """A relaxation that logs every call, fails a process's first one, sleeps after.
 
     Each forked worker holds its own copy of `failed_in`, so every worker's
     first window fails and all later windows run at a few ms per step.
@@ -311,26 +313,26 @@ class _FailFirstCallPerProcess:
         self.log = log
         self.failed_in = set()
 
-    def __call__(self, rho, theta):
+    def __call__(self, *args, **kwargs):
         with open(self.log, "a") as handle:
             handle.write(f"{os.getpid()}\n")
         if os.getpid() not in self.failed_in:
             self.failed_in.add(os.getpid())
             raise MemoryError("first call in this process")
         time.sleep(0.005)
-        return 1.0
+        return _relax(*args, **kwargs)
 
 
-def test_failing_window_cancels_queued_windows(tmp_path):
-    # 16 windows of 4 steps each; one tau call per step
+def test_failing_window_cancels_queued_windows(tmp_path, monkeypatch):
+    # 16 windows of 4 steps each; one relaxation call per step
     disc = _tiny_disc(n_g=16, n_f=64)
-    tau = _FailFirstCallPerProcess(tmp_path / "calls.log")
-    kinetic = KineticParams(epsilon=1e-2, tau=tau)
+    relax = _FailFirstCallPerProcess(tmp_path / "calls.log")
+    monkeypatch.setattr(kinetic_module, "bgk_relax", relax)
     with pytest.raises(SolverError, match=r"^iteration 1 at window 1 failed: "
                        r"MemoryError"):
         run_parareal(_sod_like(12), PararealConfig(k_max=1, tol=1e-300, workers=2),
-                     disc, kinetic, FluidParams())
-    calls = tau.log.read_text().split()
+                     disc, KineticParams(epsilon=1e-2), FluidParams())
+    calls = relax.log.read_text().split()
     assert os.getpid() not in map(int, calls)  # every window ran in a worker
     # running every window takes 16 * 4 calls; only the few windows already
     # handed to the pool's call queue when window 1 failed may still run
