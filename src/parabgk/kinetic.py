@@ -25,6 +25,16 @@ many windows allocates it once and every window reuses the same, already
 touched, pages. Without buffers each call allocates its own and leaves its
 input untouched.
 
+numpy copies a strided ufunc operand through its operand buffer when the
+operand's contiguous runs are shorter than half that buffer (8192 elements by
+default), and that path costs 3-4x as much per element as the direct one. A
+sign half of the x-upwind is strided with runs of n_vx/2 * n_vy * n_vz
+elements: 2048 on a 16^3 grid, which takes the slow path, and 16384 at
+128x16x16, which does not. transport_update therefore runs its ufuncs under
+a _UFUNC_BUFFER-element buffer and restores the caller's size when it ends,
+also on an error. project stays at the caller's size: its reductions are
+about a fifth faster buffered. The buffer size moves no result bit.
+
 Sign convention: f_t + v f_x + E f_vx = (M - f) / eps, so a positive field
 accelerates particles toward positive v_x.
 """
@@ -51,6 +61,9 @@ __all__ = [
 ]
 
 _BLOCK_BYTES = 1 << 21  # about one core's L2, so a block is reused while cached
+# ufunc buffer, in elements, for the transport's strided operands; numpy
+# requires a multiple of 16
+_UFUNC_BUFFER = 256
 
 
 @dataclass
@@ -136,7 +149,8 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     v_x = 0 column has c = 0 and does not move. The field term advects along
     v_x with zero flux through the cube faces; its interior fluxes are formed
     one donor side at a time in spare, the only scratch the step uses. Both
-    run block by block over the spare's rows of x cells.
+    run block by block over the spare's rows of x cells, under a
+    _UFUNC_BUFFER-element ufunc buffer (see the module docstring).
 
     out receives the result and must not overlap f; spare holds one block of
     x rows. Either left as None is allocated, and f is never written.
@@ -160,18 +174,23 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     # v_x cell there is no interior face, and the cube faces carry no flux.
     e_max = _max_field(params) if n_vx > 1 else 0.0
     half_dtdv = 0.5 * dt / grid.velocity.dv[0]
-    for rows in _blocks(n_x, spare.shape[0]):
-        for half, rightward in ((slice(0, neg), False), (slice(neg, n_vx), True)):
-            _upwind_half(f[:, half], out[:, half], courant[:, half], periodic,
-                         rightward, rows)
-        if e_max > 0.0:
-            field = params.force[rows, None, None, None]
-            flux = spare[:rows.stop - rows.start, :-1]
-            for donor, weight in ((f[rows, :-1], field + e_max),
-                                  (f[rows, 1:], field - e_max)):
-                np.multiply(donor, weight * half_dtdv, out=flux)
-                out[rows, :-1] -= flux
-                out[rows, 1:] += flux
+    # np.errstate does not restore the buffer size before numpy 2.0
+    saved = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        for rows in _blocks(n_x, spare.shape[0]):
+            for half, rightward in ((slice(0, neg), False), (slice(neg, n_vx), True)):
+                _upwind_half(f[:, half], out[:, half], courant[:, half], periodic,
+                             rightward, rows)
+            if e_max > 0.0:
+                field = params.force[rows, None, None, None]
+                flux = spare[:rows.stop - rows.start, :-1]
+                for donor, weight in ((f[rows, :-1], field + e_max),
+                                      (f[rows, 1:], field - e_max)):
+                    np.multiply(donor, weight * half_dtdv, out=flux)
+                    out[rows, :-1] -= flux
+                    out[rows, 1:] += flux
+    finally:
+        np.setbufsize(saved)
     return out
 
 

@@ -74,19 +74,32 @@ def write_artifacts(snapshots: list[MomentField], records: list[ConvergenceRecor
         write_convergence(records, out)
 
 
-def run_mode(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
-    """Run cfg.mode and write its artifacts; returns the output directory."""
+def _output_dir(cfg: RunConfig, out_dir: str | Path | None) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def run_mode(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
+    """Run cfg.mode and write its artifacts; returns the output directory.
+
+    The directory is made after the set-up has checked cfg and before the
+    solve, so an unusable one fails at once and a bad config leaves none.
+    """
     disc, kinetic, fluid, U0 = prepare(cfg)
+    out = _output_dir(cfg, out_dir)
     snapshots, records = solve(cfg, disc, kinetic, fluid, U0)
     write_artifacts(snapshots, records, disc.phase.space, out)
     return out
 
 
 def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> TimingReport:
-    """Run all three modes, write artifacts per mode, report costs and speedup."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    """Run all three modes, write artifacts per mode, report costs and speedup.
+
+    The output directory is made as run_mode makes it.
+    """
     disc, kinetic, fluid, U0 = prepare(cfg)
+    out = _output_dir(cfg, out_dir)
     seconds: dict[str, float] = {}
     stage_timing: dict[str, float] = {}
     for mode in ("fluid", "fine", "parareal"):

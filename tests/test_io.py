@@ -8,6 +8,7 @@ import pytest
 from parabgk import (ConvergenceRecord, MomentField, TimingReport,
                      build_spatial_grid, read_convergence, read_snapshot,
                      write_convergence, write_snapshots, write_timing)
+from parabgk import runner
 from parabgk.cli import main
 
 MICRO = """\
@@ -120,15 +121,20 @@ def test_cli_reports_missing_config(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err
 
 
-def test_cli_reports_output_path_that_is_a_file(tmp_path, capsys):
+def test_cli_reports_output_path_that_is_a_file(tmp_path, capsys, monkeypatch):
+    # the unusable directory is reported before any solve starts
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output directory was made")
+
+    monkeypatch.setattr(runner, "solve", no_solve)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MICRO)
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    assert main(["run", "--config", str(cfg), "--mode", "fluid",
-                 "--out", str(taken)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(taken) in err
+    for command in ("run", "compare"):
+        assert main([command, "--config", str(cfg), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(taken) in err
 
 
 def test_cli_rejects_infinite_bound(tmp_path, capsys):

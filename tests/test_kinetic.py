@@ -7,6 +7,7 @@ the vectorized kernels.
 
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from numpy.testing import assert_allclose
 from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      KineticParams, MomentField, PhaseGrid,
                      bgk_relax, build_spatial_grid, build_velocity_grid, lift,
-                     project, propagate_kinetic, stable_dt_kinetic,
+                     project, propagate_kinetic, sod_initial, stable_dt_kinetic,
                      transport_update, window_buffers)
+from parabgk import kinetic
 from oracles import relax_weight, transport_reference
 
 
@@ -191,6 +193,54 @@ def test_kernels_same_bytes_with_and_without_buffers(bc):
             assert in_place.tobytes() == fresh_relax.tobytes()
     with pytest.raises(ValueError):
         transport_update(f, dt, grid, params, bc, out=f)
+
+
+@contextmanager
+def _caller_bufsize(size):
+    saved = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(saved)
+
+
+def test_transport_restores_the_callers_buffer_size(monkeypatch):
+    # the step's own buffer size holds inside it and ends with it, also when
+    # the step raises
+    grid, params, f = _field_instance(n_x=8, n_v=(9, 4, 4))
+    dt = stable_dt_kinetic(grid, params)
+    seen = []
+
+    def failing_half(*args):
+        seen.append(np.getbufsize())
+        raise RuntimeError("upwind failed")
+
+    with _caller_bufsize(1024):
+        transport_update(f, dt, grid, params, BoundaryKind.PERIODIC)
+        assert np.getbufsize() == 1024
+        monkeypatch.setattr(kinetic, "_upwind_half", failing_half)
+        with pytest.raises(RuntimeError, match="upwind failed"):
+            transport_update(f, dt, grid, params, BoundaryKind.PERIODIC)
+        assert np.getbufsize() == 1024
+    assert seen == [kinetic._UFUNC_BUFFER]
+
+
+@pytest.mark.parametrize("instance", ["field", "sod"])
+def test_propagate_same_bytes_at_any_caller_buffer_size(instance):
+    # the numerics do not depend on numpy's ufunc buffering
+    if instance == "field":
+        grid, params, f0 = _field_instance(n_x=8, n_v=(9, 4, 4))
+        bc = BoundaryKind.PERIODIC
+    else:
+        grid = _grid(n_x=50, n_v=16)
+        params, f0 = KineticParams(epsilon=1e-2), sod_initial(grid)
+        bc = BoundaryKind.ABSORBING
+    span = 4 * stable_dt_kinetic(grid, params)
+    results = []
+    for size in (16, 8192):
+        with _caller_bufsize(size):
+            results.append(propagate_kinetic(f0, 0.0, span, grid, params, bc).tobytes())
+    assert results[0] == results[1]
 
 
 def test_window_allocation_peak():

@@ -36,11 +36,30 @@ def test_lift_matches_scalar_formula_nodewise():
                 assert_allclose(f[0, jx, jy, jz], want, rtol=1e-12)
 
 
+def _broadcast_lift(U, grid, normalize_mass, weight):
+    """The cube as the 4-D broadcast product g_x (g_y g_z) of lift's tables."""
+    v = grid.velocity
+    inv2t = 1.0 / (2.0 * U.theta)
+    g = []
+    for axis in range(3):
+        d = v.centers[axis][None, :] - U.u[:, axis, None]
+        g.append(np.exp(-(d * d) * inv2t[:, None]))
+    if normalize_mass:
+        amp = U.rho / (g[0].sum(axis=1) * g[1].sum(axis=1) * g[2].sum(axis=1)
+                       * v.cell_volume)
+    else:
+        amp = U.rho / (2.0 * np.pi * U.theta) ** 1.5
+    gx = g[0] * (amp * weight)[:, None]
+    gyz = g[1][:, :, None] * g[2][:, None, :]
+    return gx[:, :, None, None] * gyz[:, None]
+
+
 @pytest.mark.parametrize("normalize_mass", [False, True])
 def test_lift_fills_every_node_on_anisotropic_grid(normalize_mass):
     # distinct counts per axis catch a plane filled in the wrong order; each
     # cell has its own moments, and a row slice of the moments must give the
-    # same bytes as the same rows of the whole lift
+    # same bytes as the same rows of the whole lift, whether lift allocates,
+    # fills a given out or fills a block of rows of a larger array
     n_x = 5
     grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x),
                      build_velocity_grid(4.0, (9, 4, 6)))
@@ -62,9 +81,28 @@ def test_lift_fills_every_node_on_anisotropic_grid(normalize_mass):
         for node, w in zip(nodes, want):
             assert f[(i,) + node] == pytest.approx(w, rel=1e-12)
             assert scaled[(i,) + node] == pytest.approx(weight[i] * w, rel=1e-12)
+    want = _broadcast_lift(U, grid, normalize_mass, weight)
+    assert scaled.tobytes() == want.tobytes()
+    out = np.full_like(want, np.nan)
+    assert lift(U, grid, normalize_mass, out=out, weight=weight) is out
+    assert out.tobytes() == want.tobytes()
     rows = slice(1, 4)
     part = MomentField(U.rho[rows], U.u[rows], U.theta[rows])
     assert lift(part, grid, normalize_mass=normalize_mass).tobytes() == f[rows].tobytes()
+    block = np.full_like(want, np.nan)
+    lift(part, grid, normalize_mass, out=block[rows], weight=weight[rows])
+    assert block[rows].tobytes() == want[rows].tobytes()
+    assert np.isnan(block[:1]).all() and np.isnan(block[4:]).all()
+
+
+def test_lift_rejects_an_out_it_cannot_fill_in_place():
+    # a strided view cannot be reshaped without a copy, which would leave
+    # out unwritten
+    grid = _grid(n_v=8)
+    strided = np.zeros((2, 8, 8, 16))[..., ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        lift(_uniform(2, 1.0, (0, 0, 0), 1.0), grid, out=strided)
+    assert not strided.any()
 
 
 def test_round_trip_recovers_moments():

@@ -57,9 +57,10 @@ def test_compute_jumps_as_the_traced_pass_calls_it(harness):
     assert all(isinstance(jump, MomentField) for jump in traj.jumps)
     # the window task reaches its layers through the patched module globals:
     # one lift, kinetic window and projection per solved window, the span
-    # counts the traced pass checks against windows_solved
+    # counts the traced pass checks against windows_solved; the relaxation's
+    # Maxwellian is the normalized lift, whose span the pass takes a median of
     names = {span[0] for span in recorder.spans}
-    assert {"lifting.lift", "kinetic.window", "moments.project",
+    assert {"lifting.lift", "lifting.lift_norm", "kinetic.window", "moments.project",
             "fluid.window", "kinetic.transport", "kinetic.relax"} <= names
     for k in (1, 2):
         recorder = tracer.Tracer()
