@@ -10,7 +10,8 @@ class ConfigurationError(SolverError):
 
 
 class DegenerateStateError(SolverError):
-    """Moment data lost physical validity (rho <= 0 or theta <= 0)."""
+    """Moment data lost physical validity: a density, temperature or internal
+    energy that is not a finite positive number."""
 
 
 class BlowUpError(SolverError):

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError
+from .errors import BlowUpError, ConfigurationError, DegenerateStateError
 
 __all__ = [
     "BoundaryKind",
@@ -140,7 +140,8 @@ def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,
     """Advance state from t0 to t1 with steps min(stable_dt, dt_max, remaining).
 
     advance(state, dt) returns the next state and fault(state) describes what
-    makes it unusable, or returns None; a fault aborts with the 1-based step.
+    makes it unusable, or returns None; a fault, or a DegenerateStateError
+    raised by advance, aborts with the 1-based step.
     """
     if t1 < t0:
         raise ConfigurationError(f"need t1 >= t0, got [{t0}, {t1}]")
@@ -152,8 +153,11 @@ def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,
         if dt_max is not None:
             dt = min(dt, dt_max)
         dt = min(dt, span - elapsed)
-        state = advance(state, dt)
         step += 1
+        try:
+            state = advance(state, dt)
+        except DegenerateStateError as exc:
+            raise BlowUpError(f"{exc} at step {step}", step=step) from exc
         problem = fault(state)
         if problem is not None:
             raise BlowUpError(f"{problem} at step {step}", step=step)

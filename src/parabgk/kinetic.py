@@ -14,14 +14,15 @@ f / (1 + lam) + M lam / (1 + lam), the second weight folded into M.
 
 A distribution is a plain array f[i, jx, jy, jz] of shape
 (n_x, n_vx, n_vy, n_vz). A window runs on two state arrays the steps
-alternate between and a spare of one block of x rows, as many as fit in
-_BLOCK_BYTES (all of f when it is that small); window_buffers makes that
-triple. Only the v_x field flux and the Maxwellian use the spare, and both
-are local in x; the x-upwind reads its neighbour row from the input, so the
-step runs block by block with no halo. transport_update and bgk_relax take
-the buffers as optional out/spare arguments and block by the spare's row
-count, and propagate_kinetic takes the whole triple, so a caller that runs
-many windows allocates it once and every window reuses the same, already
+alternate between; window_buffers makes that pair. The transport reads one
+and writes the other over whole arrays, forming the v_x field flux one x row
+at a time in a one-row scratch of its own. The relaxation then blends in
+place and builds its Maxwellian in the state the transport has just read,
+which the step no longer needs, one block of x rows at a time, as many as
+fit in _BLOCK_BYTES, so that each block is blended while it is still cached.
+transport_update and bgk_relax take the buffers as optional out/spare
+arguments and propagate_kinetic takes the pair, so a caller that runs many
+windows allocates it once and every window reuses the same, already
 touched, pages. Without buffers each call allocates its own and leaves its
 input untouched.
 
@@ -41,7 +42,6 @@ accelerates particles toward positive v_x.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,15 +95,8 @@ def stable_dt_kinetic(grid: PhaseGrid, params: KineticParams) -> float:
     return params.cfl / rate
 
 
-def _spare(shape: tuple[int, ...]) -> np.ndarray:
-    """One block of x rows of an array of this shape."""
-    row = shape[1:]
-    rows = max(1, min(shape[0], _BLOCK_BYTES // (8 * math.prod(row))))
-    return np.empty((rows,) + row)
-
-
 def window_buffers(grid: PhaseGrid, first: np.ndarray | None = None):
-    """Two state arrays and one block of x rows, for propagate_kinetic.
+    """The two state arrays of a window, for propagate_kinetic.
 
     The arrays are uninitialised; first, when given, serves as the first
     state instead of a new array.
@@ -111,57 +104,48 @@ def window_buffers(grid: PhaseGrid, first: np.ndarray | None = None):
     shape = (grid.space.n_x,) + grid.velocity.n_v
     if first is None:
         first = np.empty(shape)
-    return first, np.empty(shape), _spare(shape)
-
-
-def _blocks(n_x: int, rows: int):
-    return (slice(i, min(i + rows, n_x)) for i in range(0, n_x, rows))
+    return first, np.empty(shape)
 
 
 def _upwind_half(f: np.ndarray, out: np.ndarray, courant: np.ndarray,
-                 periodic: bool, rightward: bool, rows: slice) -> None:
-    """out = f + courant * (f_upwind - f) on rows of one sign half of v_x.
+                 periodic: bool, rightward: bool) -> None:
+    """out = f + courant * (f_upwind - f) on one sign half of v_x.
 
     The upwind cell is the left neighbour for rightward speeds; leftward
     speeds mirror x. Beyond an absorbing boundary the upwind cell is empty.
     """
     if not rightward:
         f, out = f[::-1], out[::-1]
-        rows = slice(f.shape[0] - rows.stop, f.shape[0] - rows.start)
-    a, b = rows.start, rows.stop
-    np.subtract(f[a:b - 1], f[a + 1:b], out=out[a + 1:b])
-    if a > 0 or periodic:
-        np.subtract(f[a - 1], f[a], out=out[a])
+    np.subtract(f[:-1], f[1:], out=out[1:])
+    if periodic:
+        np.subtract(f[-1], f[0], out=out[0])
     else:
-        np.negative(f[a], out=out[a])
-    out[a:b] *= courant
-    out[a:b] += f[a:b]
+        np.negative(f[0], out=out[0])
+    out *= courant
+    out += f
 
 
 def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
                      params: KineticParams, bc: BoundaryKind,
-                     out: np.ndarray | None = None,
-                     spare: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None) -> np.ndarray:
     """One explicit transport step (no collisions).
 
     Upwind in x in the convex form f + c (f_upwind - f), split by the sign of
     v_x; for absorbing boundaries no flux enters and outflow leaves freely. A
     v_x = 0 column has c = 0 and does not move. The field term advects along
     v_x with zero flux through the cube faces; its interior fluxes are formed
-    one donor side at a time in spare, the only scratch the step uses. Both
-    run block by block over the spare's rows of x cells, under a
-    _UFUNC_BUFFER-element ufunc buffer (see the module docstring).
+    one x row and one donor side at a time in a one-row scratch, the only
+    one the step uses. Both run under a _UFUNC_BUFFER-element ufunc buffer
+    (see the module docstring).
 
-    out receives the result and must not overlap f; spare holds one block of
-    x rows. Either left as None is allocated, and f is never written.
+    out receives the result and must not overlap f; left as None it is
+    allocated. f is never written.
     """
-    n_x, n_vx = f.shape[:2]
+    n_vx = f.shape[1]
     if out is None:
         out = np.empty_like(f)
     elif np.may_share_memory(out, f):
         raise ValueError("transport_update cannot write over its input")
-    if spare is None:
-        spare = _spare(f.shape)
     cx = grid.velocity.centers[0]
     courant = dt / grid.space.dx * np.abs(cx)[None, :, None, None]
     periodic = bc is BoundaryKind.PERIODIC
@@ -177,18 +161,17 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     # np.errstate does not restore the buffer size before numpy 2.0
     saved = np.setbufsize(_UFUNC_BUFFER)
     try:
-        for rows in _blocks(n_x, spare.shape[0]):
-            for half, rightward in ((slice(0, neg), False), (slice(neg, n_vx), True)):
-                _upwind_half(f[:, half], out[:, half], courant[:, half], periodic,
-                             rightward, rows)
-            if e_max > 0.0:
-                field = params.force[rows, None, None, None]
-                flux = spare[:rows.stop - rows.start, :-1]
-                for donor, weight in ((f[rows, :-1], field + e_max),
-                                      (f[rows, 1:], field - e_max)):
+        for half, rightward in ((slice(0, neg), False), (slice(neg, n_vx), True)):
+            _upwind_half(f[:, half], out[:, half], courant[:, half], periodic,
+                         rightward)
+        if e_max > 0.0:
+            flux = np.empty((n_vx - 1,) + f.shape[2:])
+            for i, field in enumerate(params.force):
+                for donor, weight in ((f[i, :-1], field + e_max),
+                                      (f[i, 1:], field - e_max)):
                     np.multiply(donor, weight * half_dtdv, out=flux)
-                    out[rows, :-1] -= flux
-                    out[rows, 1:] += flux
+                    out[i, :-1] -= flux
+                    out[i, 1:] += flux
     finally:
         np.setbufsize(saved)
     return out
@@ -203,22 +186,28 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     f / (1 + lam) plus the Maxwellian with lam / (1 + lam) folded into its
     amplitude, where lam = dt / epsilon; lam = 0 leaves f unchanged. The
     moments are projected once; lift builds the Maxwellian in spare, one
-    block of x rows at a time, on that block's moments. Either buffer left as
-    None is allocated.
+    block of x rows at a time, on that block's moments. A block is as many
+    rows as fit in _BLOCK_BYTES, and no more than spare holds: spare is any
+    C-contiguous array of at least one x row that overlaps neither f nor out,
+    a whole state included. Either buffer left as None is allocated, spare
+    as one block.
     """
     U = project(f, grid)
     lam = dt / params.epsilon
     keep, weight = 1.0 / (1.0 + lam), lam / (1.0 + lam)
     if out is None:
         out = np.empty_like(f)
+    n_x, row = f.shape[0], f.shape[1:]
+    rows = max(1, min(n_x, _BLOCK_BYTES // f[0].nbytes))
     if spare is None:
-        spare = _spare(f.shape)
-    for rows in _blocks(f.shape[0], spare.shape[0]):
-        M = lift(MomentField(U.rho[rows], U.u[rows], U.theta[rows]), grid,
-                 normalize_mass=True, out=spare[:rows.stop - rows.start],
-                 weight=weight)
-        np.multiply(f[rows], keep, out=out[rows])
-        out[rows] += M
+        spare = np.empty((rows,) + row)
+    rows = min(rows, spare.shape[0])
+    for a in range(0, n_x, rows):
+        b = min(a + rows, n_x)
+        M = lift(MomentField(U.rho[a:b], U.u[a:b], U.theta[a:b]), grid,
+                 normalize_mass=True, out=spare[:b - a], weight=weight)
+        np.multiply(f[a:b], keep, out=out[a:b])
+        out[a:b] += M
     return out
 
 
@@ -228,21 +217,24 @@ def propagate_kinetic(f0: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
                       buffers: tuple | None = None) -> np.ndarray:
     """Advance f0 from t0 to t1 with steps min(stability cap, dt_max, remaining).
 
-    The steps alternate between two state arrays and share a spare of one
-    block of x rows. buffers, when given, is that triple as window_buffers
-    makes it, and f0 may be one of its two states: it is then overwritten,
-    so a window holds two states and one block. Without buffers the call
+    The steps alternate between two state arrays: each transports into the
+    state it does not read and relaxes there in place, and the relaxation
+    builds its Maxwellian in the other state, the transport's input once
+    that is a window state, or the still unused state on a first step from
+    a caller's f0, which is never written. buffers, when given, is that pair
+    as window_buffers makes it, and f0 may be one of its two states: it is
+    then overwritten, so a window holds two arrays. Without buffers the call
     allocates its own, f0 is only read, and a window holds its initial
     state besides. The result is one of the two states, except for an empty
     interval, which returns f0 itself.
     """
     cap = stable_dt_kinetic(grid, params)
-    *states, spare = window_buffers(grid) if buffers is None else buffers
+    states = window_buffers(grid) if buffers is None else buffers
 
     def advance(f, dt):
-        out = states[1] if f is states[0] else states[0]
-        f = transport_update(f, dt, grid, params, bc, out=out, spare=spare)
-        return bgk_relax(f, dt, grid, params, out=out, spare=spare)
+        out, free = (states[1], states[0]) if f is states[0] else states
+        f = transport_update(f, dt, grid, params, bc, out=out)
+        return bgk_relax(f, dt, grid, params, out=out, spare=free)
 
     def fault(f):
         if not np.all(np.isfinite(f)):

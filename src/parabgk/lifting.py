@@ -15,28 +15,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateStateError
 from .grid import PhaseGrid
-from .moments import MomentField
+from .moments import MomentField, require_positive
 
 __all__ = ["lift"]
 
 
 def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
          out: np.ndarray | None = None,
-         weight: float | np.ndarray = 1.0) -> np.ndarray:
+         weight: float = 1.0) -> np.ndarray:
     """Cell-local Maxwellians f[i, jx, jy, jz] evaluated at the velocity centers.
 
-    The Gaussian factorizes over the axes, so only three small 1D exponential
+    rho and theta must be finite and positive in every cell, else a
+    DegenerateStateError names the first cell that is not. The Gaussian
+    factorizes over the axes, so only three small 1D exponential
     tables are computed per cell, and the cube is filled as one outer product
     per cell, g_x times the flattened (v_y, v_z) plane g_y g_z, into out when
-    it is given; out must be C-contiguous. The amplitude is
-    scaled by the per-cell weight, which may be zero. With normalize_mass the
+    it is given; out must be C-contiguous. The amplitude of every cell is
+    scaled by the one weight, which may be zero. With normalize_mass the
     discrete mass matches rho exactly rather than up to quadrature error: the
     mass of a separable product is the product of the three 1D sums.
     """
-    if np.any(U.rho <= 0.0) or np.any(U.theta <= 0.0):
-        raise DegenerateStateError("lift requires rho > 0 and theta > 0 in every cell")
+    require_positive(U.rho, "lift's density")
+    require_positive(U.theta, "lift's temperature")
     v = grid.velocity
     inv2t = 1.0 / (2.0 * U.theta)
     factors = []

@@ -56,6 +56,16 @@ class MomentField:
                    float(np.max(np.abs(self.theta - other.theta))))
 
 
+def require_positive(values: np.ndarray, what: str) -> None:
+    """Raise DegenerateStateError naming the first cell whose value is not a
+    finite positive number; NaN and inf fail too."""
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        cell = int(np.argmax(bad))
+        raise DegenerateStateError(f"{what} at cell {cell} is {values[cell]}, "
+                                   "not a finite positive number")
+
+
 def _folded_first_moment(marg: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # Fold mirrored velocity pairs before summing: even marginals then cancel
     # exactly, so symmetric data projects to u = 0 with no rounding residue.
@@ -80,9 +90,7 @@ def project(f: np.ndarray, grid: PhaseGrid) -> MomentField:
     plane = f.sum(axis=1)
     margs = (f.sum(axis=(2, 3)), plane.sum(axis=2), plane.sum(axis=1))
     rho = margs[0].sum(axis=1) * dvol
-    if np.any(rho <= 0.0):
-        bad = int(np.argmax(rho <= 0.0))
-        raise DegenerateStateError(f"nonpositive density in projection at cell {bad}")
+    require_positive(rho, "density in projection")
     mom = np.stack([_folded_first_moment(m, c) for m, c in zip(margs, v.centers)],
                    axis=1) * dvol
     u = mom / rho[:, None]
@@ -107,11 +115,9 @@ def primitive_to_conserved(U: MomentField) -> np.ndarray:
 def conserved_to_primitive(v: np.ndarray) -> MomentField:
     """Primitive moments of packed conserved states (n_x, 5)."""
     rho = v[:, 0].copy()
-    if np.any(rho <= 0.0):
-        raise DegenerateStateError("nonpositive density in conserved state")
+    require_positive(rho, "density in conserved state")
     mom = v[:, 1:4]
     u = mom / rho[:, None]
     internal = v[:, 4] - 0.5 * np.einsum("ij,ij->i", mom, u)
-    if np.any(internal <= 0.0):
-        raise DegenerateStateError("nonpositive internal energy in conserved state")
+    require_positive(internal, "internal energy in conserved state")
     return MomentField(rho, u, internal / (1.5 * rho))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
-                     build_spatial_grid, build_time_grids, build_velocity_grid)
+                     DegenerateStateError, build_spatial_grid, build_time_grids,
+                     build_velocity_grid)
 from parabgk.grid import march
 
 
@@ -133,3 +134,15 @@ def test_march_schedule_and_guards():
         march(0.0, 0.0, 1.0, lambda t: 0.1, advance,
               lambda t: "went bad" if t > 0.25 else None)
     assert info.value.step == 3
+
+    # a state that turns degenerate inside a step is a blow-up at that step
+    def degenerate_advance(t, dt):
+        if t + dt > 0.15:
+            raise DegenerateStateError("density at cell 4 is nan")
+        return t + dt
+
+    with pytest.raises(BlowUpError,
+                       match="^density at cell 4 is nan at step 2$") as info:
+        march(0.0, 0.0, 1.0, lambda t: 0.1, degenerate_advance, no_fault)
+    assert info.value.step == 2
+    assert isinstance(info.value.__cause__, DegenerateStateError)

@@ -59,16 +59,17 @@ def test_lift_fills_every_node_on_anisotropic_grid(normalize_mass):
     # distinct counts per axis catch a plane filled in the wrong order; each
     # cell has its own moments, and a row slice of the moments must give the
     # same bytes as the same rows of the whole lift, whether lift allocates,
-    # fills a given out or fills a block of rows of a larger array
+    # fills a given out or fills a block of rows of a larger array; the
+    # weight scales every cell, and a zero weight gives a zero cube
     n_x = 5
     grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x),
                      build_velocity_grid(4.0, (9, 4, 6)))
     rng = np.random.default_rng(11)
     U = MomentField(rng.uniform(0.5, 1.5, n_x), rng.uniform(-0.6, 0.6, (n_x, 3)),
                     rng.uniform(0.6, 1.4, n_x))
-    weight = np.array([1.0, 0.25, 0.0, 2.0, 0.5])
+    weights = (0.25, 0.0)
     f = lift(U, grid, normalize_mass=normalize_mass)
-    scaled = lift(U, grid, normalize_mass=normalize_mass, weight=weight)
+    scaled = [lift(U, grid, normalize_mass=normalize_mass, weight=w) for w in weights]
     c = grid.velocity.centers
     dvol = grid.velocity.cell_volume
     for i in range(n_x):
@@ -80,19 +81,22 @@ def test_lift_fills_every_node_on_anisotropic_grid(normalize_mass):
             want = [w * U.rho[i] / mass for w in want]
         for node, w in zip(nodes, want):
             assert f[(i,) + node] == pytest.approx(w, rel=1e-12)
-            assert scaled[(i,) + node] == pytest.approx(weight[i] * w, rel=1e-12)
-    want = _broadcast_lift(U, grid, normalize_mass, weight)
-    assert scaled.tobytes() == want.tobytes()
-    out = np.full_like(want, np.nan)
-    assert lift(U, grid, normalize_mass, out=out, weight=weight) is out
-    assert out.tobytes() == want.tobytes()
+            for weight, cube in zip(weights, scaled):
+                assert cube[(i,) + node] == pytest.approx(weight * w, rel=1e-12)
+    assert not scaled[1].any()
     rows = slice(1, 4)
     part = MomentField(U.rho[rows], U.u[rows], U.theta[rows])
     assert lift(part, grid, normalize_mass=normalize_mass).tobytes() == f[rows].tobytes()
-    block = np.full_like(want, np.nan)
-    lift(part, grid, normalize_mass, out=block[rows], weight=weight[rows])
-    assert block[rows].tobytes() == want[rows].tobytes()
-    assert np.isnan(block[:1]).all() and np.isnan(block[4:]).all()
+    for weight, cube in zip(weights, scaled):
+        want = _broadcast_lift(U, grid, normalize_mass, weight)
+        assert cube.tobytes() == want.tobytes()
+        out = np.full_like(want, np.nan)
+        assert lift(U, grid, normalize_mass, out=out, weight=weight) is out
+        assert out.tobytes() == want.tobytes()
+        block = np.full_like(want, np.nan)
+        lift(part, grid, normalize_mass, out=block[rows], weight=weight)
+        assert block[rows].tobytes() == want[rows].tobytes()
+        assert np.isnan(block[:1]).all() and np.isnan(block[4:]).all()
 
 
 def test_lift_rejects_an_out_it_cannot_fill_in_place():
@@ -134,11 +138,14 @@ def test_normalized_lift_has_exact_mass():
 
 
 def test_lift_rejects_degenerate_inputs():
-    grid = _grid(n_v=8)
-    with pytest.raises(DegenerateStateError):
-        lift(_uniform(2, 0.0, (0, 0, 0), 1.0), grid)
-    with pytest.raises(DegenerateStateError):
-        lift(_uniform(2, 1.0, (0, 0, 0), -1.0), grid)
+    # the first cell whose rho or theta is not a finite positive number is named
+    grid = _grid(n_v=8, n_x=4)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for field in ("rho", "theta"):
+            U = _uniform(4, 1.0, (0, 0, 0), 1.0)
+            getattr(U, field)[2:] = bad
+            with pytest.raises(DegenerateStateError, match=r"at cell 2 is "):
+                lift(U, grid)
 
 
 def test_lift_varies_per_cell():

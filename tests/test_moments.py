@@ -1,5 +1,7 @@
 """Projection quadrature and the primitive/conserved algebra."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -62,9 +64,16 @@ def test_project_point_mass_is_exact():
 
 
 def test_project_zero_distribution_is_degenerate():
-    grid = _grid(n_x=2, n_v=8)
-    with pytest.raises(DegenerateStateError):
-        project(np.zeros((2, 8, 8, 8)), grid)
+    # zero mass, a NaN node and an infinite node all leave no finite
+    # positive density; the first such cell is named
+    grid = _grid(n_x=3, n_v=8)
+    for bad in (0.0, math.nan, math.inf):
+        f = lift(_uniform(3, 1.0, (0.0, 0.0, 0.0), 1.0), grid)
+        f[1:, 4, 4, 4] = bad
+        if bad == 0.0:
+            f[1:] = 0.0
+        with pytest.raises(DegenerateStateError, match=r"at cell 1 is "):
+            project(f, grid)
 
 
 def test_primitive_to_conserved_examples():
@@ -88,10 +97,13 @@ def test_conserved_to_primitive_examples():
 
 
 def test_conserved_to_primitive_rejects_degenerate():
-    with pytest.raises(DegenerateStateError):
-        conserved_to_primitive(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]))
-    with pytest.raises(DegenerateStateError):
-        conserved_to_primitive(np.array([[-1.0, 0.0, 0.0, 0.0, 1.0]]))
+    # a good cell, then the bad one, which is named
+    for bad in ([1.0, 0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0, 1.0],
+                [math.nan, 0.0, 0.0, 0.0, 1.0], [math.inf, 0.0, 0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0, 0.0, math.nan], [1.0, 0.0, 0.0, 0.0, math.inf]):
+        v = np.array([[1.0, 0.0, 0.0, 0.0, 1.5], bad])
+        with pytest.raises(DegenerateStateError, match=r"at cell 1 is "):
+            conserved_to_primitive(v)
 
 
 def test_round_trip_on_random_states():

@@ -16,7 +16,8 @@ import pytest
 
 from parabgk import (BoundaryKind, Discretization, FluidParams, KineticParams,
                      MomentField, PhaseGrid, build_spatial_grid, build_time_grids,
-                     build_velocity_grid, external_force, initial_coarse_sweep)
+                     build_velocity_grid, external_force, initial_coarse_sweep,
+                     kinetic, lift, stable_dt_kinetic)
 from parabgk.parareal import compute_jumps
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -70,6 +71,26 @@ def test_compute_jumps_as_the_traced_pass_calls_it(harness):
         solved = disc.time.n_g - k + 1
         assert [top[name] for name in ("kinetic.window", "lifting.lift",
                                        "moments.project")] == [solved] * 3
+
+
+@pytest.mark.parametrize("with_field", [False, True])
+def test_one_transport_and_one_relax_span_per_step(harness, with_field):
+    # the traced pass counts kinetic.steps as transport spans, so a step must
+    # reach each kernel through its traced global exactly once
+    _, tracer = harness
+    phase = PhaseGrid(build_spatial_grid(0.0, 2.0, 6),
+                      build_velocity_grid(8.0, (8, 4, 4)))
+    force = external_force(phase.space.centers) if with_field else None
+    params = KineticParams(epsilon=1e-2, force=force)
+    f0 = lift(MomentField(np.ones(6), np.zeros((6, 3)), np.full(6, 0.9)), phase)
+    steps = 4  # three full steps and a partial one
+    recorder = tracer.Tracer()
+    with recorder.patched():
+        kinetic.propagate_kinetic(f0, 0.0, 3.5 * stable_dt_kinetic(phase, params),
+                                  phase, params, BoundaryKind.PERIODIC)
+    counts = Counter(span[0] for span in recorder.spans)
+    assert counts["kinetic.transport"] == steps
+    assert counts["kinetic.relax"] == steps
 
 
 def test_alloc_peaks_as_the_traced_pass_calls_them(harness):
