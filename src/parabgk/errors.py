@@ -10,12 +10,15 @@ class ConfigurationError(SolverError):
 
 
 class DegenerateStateError(SolverError):
-    """Moment data lost physical validity: a density, temperature or internal
-    energy that is not a finite positive number."""
+    """A state a step, a lift or a correction cannot use: a density,
+    temperature, pressure, amplitude or internal energy that is not a finite
+    positive number, a velocity that is not finite, or a relaxation rate
+    outside [0, inf)."""
 
 
 class BlowUpError(SolverError):
-    """A propagator produced NaN/Inf or a nonphysical state mid-run."""
+    """A propagator step met a state it cannot use; the message names the
+    step and the cell, and step holds the 1-based step."""
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import BoundaryKind, PhaseGrid, march
-from .moments import MomentField, conserved_to_primitive, primitive_to_conserved
+from .moments import (MomentField, conserved_to_primitive, primitive_to_conserved,
+                      require_positive)
 
 __all__ = [
     "FluidParams",
@@ -86,7 +87,12 @@ def _ghosted(v: np.ndarray, bc: BoundaryKind) -> np.ndarray:
 def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
                     params: FluidParams, bc: BoundaryKind,
                     dt_max: float | None = None) -> MomentField:
-    """Advance primitive moments from t0 to t1 on the conserved variables."""
+    """Advance primitive moments from t0 to t1 on the conserved variables.
+
+    A step that leaves a density or pressure that is not a finite positive
+    number raises BlowUpError naming the step and the cell; a non-finite
+    momentum or energy makes the pressure non-finite.
+    """
     if t1 == t0:
         return U0
     dx = grid.space.dx
@@ -99,15 +105,10 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
         if force is not None:
             new[:, 1] += dt * v[:, 0] * force
             new[:, 4] += dt * v[:, 1] * force
+        require_positive(new[:, 0], "fluid density")
+        require_positive(_pressure(new), "fluid pressure")
         return new
 
-    def fault(v):
-        if not np.all(np.isfinite(v)):
-            return "fluid propagation lost finiteness"
-        if np.any(v[:, 0] <= 0.0) or np.any(_pressure(v) <= 0.0):
-            return "fluid propagation left the physical regime"
-        return None
-
     v = march(primitive_to_conserved(U0), t0, t1,
-              lambda v: stable_dt_fluid(v, grid, params), advance, fault, dt_max)
+              lambda v: stable_dt_fluid(v, grid, params), advance, dt_max)
     return conserved_to_primitive(v)

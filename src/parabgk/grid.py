@@ -136,12 +136,12 @@ def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
 
 
 def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,
-          fault: Callable, dt_max: float | None = None):
+          dt_max: float | None = None):
     """Advance state from t0 to t1 with steps min(stable_dt, dt_max, remaining).
 
-    advance(state, dt) returns the next state and fault(state) describes what
-    makes it unusable, or returns None; a fault, or a DegenerateStateError
-    raised by advance, aborts with the 1-based step.
+    advance(state, dt) returns the next state, or raises DegenerateStateError
+    naming the cell where it meets a state it cannot use. That is the one way
+    a step fails: march re-raises it as a BlowUpError with the 1-based step.
     """
     if t1 < t0:
         raise ConfigurationError(f"need t1 >= t0, got [{t0}, {t1}]")
@@ -158,8 +158,5 @@ def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,
             state = advance(state, dt)
         except DegenerateStateError as exc:
             raise BlowUpError(f"{exc} at step {step}", step=step) from exc
-        problem = fault(state)
-        if problem is not None:
-            raise BlowUpError(f"{problem} at step {step}", step=step)
         elapsed += dt
     return state

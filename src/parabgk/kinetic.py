@@ -47,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import DegenerateStateError
 from .grid import BoundaryKind, PhaseGrid, march
 from .lifting import lift
 from .moments import MomentField, project
@@ -184,16 +185,21 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
 
     The result (f + lam M) / (1 + lam) goes to out, which may be f itself, as
     f / (1 + lam) plus the Maxwellian with lam / (1 + lam) folded into its
-    amplitude, where lam = dt / epsilon; lam = 0 leaves f unchanged. The
-    moments are projected once; lift builds the Maxwellian in spare, one
-    block of x rows at a time, on that block's moments. A block is as many
-    rows as fit in _BLOCK_BYTES, and no more than spare holds: spare is any
-    C-contiguous array of at least one x row that overlaps neither f nor out,
-    a whole state included. Either buffer left as None is allocated, spare
-    as one block.
+    amplitude, where lam = dt / epsilon; lam = 0 leaves f unchanged, and a
+    lam outside [0, inf) (a NaN, zero or negative epsilon, or one so small
+    that dt / epsilon overflows) raises DegenerateStateError. The moments are
+    projected once, and project rejects a non-finite entry of f through the
+    mass of its cell; lift builds the Maxwellian in spare, one block of x
+    rows at a time, on that block's moments. A block is as many rows as fit
+    in _BLOCK_BYTES, and no more than spare holds: spare is any C-contiguous
+    array of at least one x row that overlaps neither f nor out, a whole
+    state included. Either buffer left as None is allocated, spare as one
+    block.
     """
+    lam = dt / params.epsilon if params.epsilon else np.inf
+    if not 0.0 <= lam < np.inf:
+        raise DegenerateStateError(f"relaxation rate dt/epsilon is {lam} in every cell")
     U = project(f, grid)
-    lam = dt / params.epsilon
     keep, weight = 1.0 / (1.0 + lam), lam / (1.0 + lam)
     if out is None:
         out = np.empty_like(f)
@@ -226,7 +232,8 @@ def propagate_kinetic(f0: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
     then overwritten, so a window holds two arrays. Without buffers the call
     allocates its own, f0 is only read, and a window holds its initial
     state besides. The result is one of the two states, except for an empty
-    interval, which returns f0 itself.
+    interval, which returns f0 itself. A step fails only through bgk_relax's
+    checks, which name the cell; march adds the step.
     """
     cap = stable_dt_kinetic(grid, params)
     states = window_buffers(grid) if buffers is None else buffers
@@ -236,9 +243,4 @@ def propagate_kinetic(f0: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
         f = transport_update(f, dt, grid, params, bc, out=out)
         return bgk_relax(f, dt, grid, params, out=out, spare=free)
 
-    def fault(f):
-        if not np.all(np.isfinite(f)):
-            return "kinetic propagation lost finiteness"
-        return None
-
-    return march(f0, t0, t1, lambda f: cap, advance, fault, dt_max)
+    return march(f0, t0, t1, lambda f: cap, advance, dt_max)

@@ -26,7 +26,8 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
          weight: float = 1.0) -> np.ndarray:
     """Cell-local Maxwellians f[i, jx, jy, jz] evaluated at the velocity centers.
 
-    rho and theta must be finite and positive in every cell, else a
+    rho and theta must be finite and positive in every cell and u finite, and
+    so must the amplitude the cell's Maxwellian is scaled to, else a
     DegenerateStateError names the first cell that is not. The Gaussian
     factorizes over the axes, so only three small 1D exponential
     tables are computed per cell, and the cube is filled as one outer product
@@ -36,8 +37,7 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
     discrete mass matches rho exactly rather than up to quadrature error: the
     mass of a separable product is the product of the three 1D sums.
     """
-    require_positive(U.rho, "lift's density")
-    require_positive(U.theta, "lift's temperature")
+    U.require_physical("lift's")
     v = grid.velocity
     inv2t = 1.0 / (2.0 * U.theta)
     factors = []
@@ -49,6 +49,7 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
         amp = U.rho / (sums[0] * sums[1] * sums[2] * v.cell_volume)
     else:
         amp = U.rho / (2.0 * np.pi * U.theta) ** 1.5
+    require_positive(amp, "lift's amplitude")
     gx = factors[0] * (amp * weight)[:, None]
     gyz = factors[1][:, :, None] * factors[2][:, None, :]
     n, n_vx = gx.shape

@@ -38,6 +38,14 @@ class MomentField:
     def n_x(self) -> int:
         return self.rho.shape[0]
 
+    def require_physical(self, what: str) -> None:
+        """Raise DegenerateStateError naming the first cell whose rho or theta
+        is not a finite positive number or whose u is not finite; each
+        quantity is named as what followed by its own name."""
+        require_positive(self.rho, f"{what} density")
+        require_positive(self.theta, f"{what} temperature")
+        _require(np.isfinite(self.u), self.u, f"{what} velocity", "finite")
+
     def copy(self) -> "MomentField":
         return MomentField(self.rho.copy(), self.u.copy(), self.theta.copy())
 
@@ -56,14 +64,19 @@ class MomentField:
                    float(np.max(np.abs(self.theta - other.theta))))
 
 
+def _require(ok: np.ndarray, values: np.ndarray, what: str, wanted: str) -> None:
+    # a cell fails when any of its entries does; values[cell] is its row
+    bad = np.flatnonzero(~ok.reshape(ok.shape[0], -1).all(axis=1))
+    if bad.size:
+        raise DegenerateStateError(f"{what} at cell {bad[0]} is {values[bad[0]]}, "
+                                   f"not {wanted}")
+
+
 def require_positive(values: np.ndarray, what: str) -> None:
     """Raise DegenerateStateError naming the first cell whose value is not a
     finite positive number; NaN and inf fail too."""
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if bad.any():
-        cell = int(np.argmax(bad))
-        raise DegenerateStateError(f"{what} at cell {cell} is {values[cell]}, "
-                                   "not a finite positive number")
+    _require(np.isfinite(values) & (values > 0.0), values, what,
+             "a finite positive number")
 
 
 def _folded_first_moment(marg: np.ndarray, centers: np.ndarray) -> np.ndarray:

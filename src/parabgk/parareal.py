@@ -23,7 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, CorrectionOvershootError, SolverError
+from .errors import (ConfigurationError, CorrectionOvershootError,
+                     DegenerateStateError, SolverError)
 from .fluid import FluidParams, propagate_fluid
 from .grid import Discretization
 from .kinetic import KineticParams, propagate_kinetic, window_buffers
@@ -201,20 +202,22 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
     """Coarse sweep plus stored jumps from window k on; returns the error.
 
     The error is the largest absolute componentwise change over all windows.
-    A correction that leaves the physical regime aborts the run: the jump
-    data cannot be trusted past that point.
+    A correction that leaves the physical regime, a density or temperature
+    that is not a finite positive number or a velocity that is not finite,
+    aborts the run with the window and the first such cell: the jump data
+    cannot be trusted past that point.
     """
     old = traj.snapshots
     new = list(old)
     error = 0.0
     for n in range(k, disc.time.n_g + 1):
         corrected = _coarse_window(n, new[n - 1], disc, fluid) + traj.jumps[n - 1]
-        finite = (np.all(np.isfinite(corrected.rho))
-                  and np.all(np.isfinite(corrected.u))
-                  and np.all(np.isfinite(corrected.theta)))
-        if not finite or np.any(corrected.rho <= 0.0) or np.any(corrected.theta <= 0.0):
+        try:
+            corrected.require_physical("corrected")
+        except DegenerateStateError as exc:
             raise CorrectionOvershootError(
-                f"correction left the physical regime in window {n}", slice_index=n)
+                f"correction left the physical regime in window {n}: {exc}",
+                slice_index=n) from exc
         error = max(error, corrected.sup_distance(old[n]))
         new[n] = corrected
     traj.snapshots = new

@@ -1,6 +1,7 @@
 """Coarse propagator: flux formulas, symmetry, conservation, guards."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,8 @@ def test_blow_up_reports_step():
         propagate_fluid(U, 0.0, 1.0, grid, FluidParams(force=np.full(50, -1000.0)),
                         BoundaryKind.PERIODIC)
     assert info.value.step >= 1
+    assert re.fullmatch(r"fluid (density|pressure) at cell \d+ is .* at step \d+",
+                        str(info.value))
 
 
 def test_propagate_respects_adaptive_schedule():

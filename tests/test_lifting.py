@@ -146,6 +146,24 @@ def test_lift_rejects_degenerate_inputs():
             getattr(U, field)[2:] = bad
             with pytest.raises(DegenerateStateError, match=r"at cell 2 is "):
                 lift(U, grid)
+    # a velocity that is not finite would fill the cell's cube with NaN
+    for bad in (math.nan, math.inf):
+        U = _uniform(4, 1.0, (0, 0, 0), 1.0)
+        U.u[2, 1] = bad
+        with pytest.raises(DegenerateStateError,
+                           match=r"^lift's velocity at cell 2 is .*, not finite$"):
+            lift(U, grid)
+    # at this theta the nearest nodes, dv/2 from the mean, give factors that
+    # underflow to 0, so the mass-normalising amplitude is inf; the
+    # unnormalised one stays finite
+    grid = _grid(n_v=16, n_x=4)
+    U = _uniform(4, 1.0, (0, 0, 0), 1.0)
+    U.theta[1:] = 1e-6
+    with pytest.raises(DegenerateStateError,
+                       match=r"^lift's amplitude at cell 1 is inf, not a finite "
+                             r"positive number$"):
+        lift(U, grid, normalize_mass=True)
+    assert np.all(np.isfinite(lift(U, grid)))
 
 
 def test_lift_varies_per_cell():

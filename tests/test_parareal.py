@@ -297,7 +297,8 @@ def test_window_blow_up_names_iteration_and_window(tmp_path, monkeypatch, capsys
         error = _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys,
                                                workers=workers, epsilon=math.nan)
         assert str(error) == ("iteration 1 at window 1 failed: BlowUpError: "
-                              "kinetic propagation lost finiteness at step 1")
+                              "relaxation rate dt/epsilon is nan in every cell "
+                              "at step 1")
         assert isinstance(error.__cause__, BlowUpError)
         assert error.__cause__.step == 1
 
@@ -371,6 +372,8 @@ def test_correction_overshoot_aborts_with_slice_index():
     with pytest.raises(CorrectionOvershootError) as info:
         sequential_correction(traj, 1, disc, FluidParams())
     assert info.value.slice_index == 3
+    assert "window 3" in str(info.value)
+    assert "corrected density at cell 0 is " in str(info.value)
 
 
 def test_zero_jumps_give_zero_error():
