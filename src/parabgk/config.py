@@ -17,6 +17,7 @@ from .fluid import FluidParams
 from .grid import (BoundaryKind, Discretization, PhaseGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
 from .kinetic import KineticParams
+from .parareal import PararealConfig
 
 __all__ = ["RunConfig", "PRESETS", "parse_config", "build_discretization",
            "build_params"]
@@ -26,6 +27,11 @@ MODES = ("parareal", "fine", "fluid")
 
 @dataclass
 class RunConfig:
+    """A run's settings, checked whenever one is made or replaced.
+
+    The grid builders check the remaining count and bound constraints.
+    """
+
     case: str
     x_min: float
     x_max: float
@@ -41,12 +47,21 @@ class RunConfig:
     n_f: int
     k_max: int
     tol: float
-    cfl_kinetic: float = 0.5
-    cfl_fluid: float = 0.9
     workers: int = 1
     mode: str = "parareal"
     out_dir: str = "out"
     preset: str | None = None
+
+    def __post_init__(self):
+        if self.case not in CASES:
+            raise ConfigurationError(f"unknown case '{self.case}'")
+        if self.bc not in (kind.value for kind in BoundaryKind):
+            raise ConfigurationError(f"unknown bc '{self.bc}'")
+        if self.mode not in MODES:
+            raise ConfigurationError(f"unknown mode '{self.mode}', expected one of {MODES}")
+        if not self.epsilon > 0:
+            raise ConfigurationError(f"need epsilon > 0, got {self.epsilon}")
+        PararealConfig(self.k_max, self.tol, self.workers)
 
 
 # Each case at publication scale; a config's `preset = name` starts from these.
@@ -69,6 +84,7 @@ _REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 def _read_pairs(path: Path) -> dict[str, object]:
     pairs: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,6 +96,10 @@ def _read_pairs(path: Path) -> dict[str, object]:
         value = value.strip()
         if key not in _CASTS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in first_line:
+            raise ConfigurationError(
+                f"{path}:{lineno}: key '{key}' already set on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             pairs[key] = _CASTS[key](value)
         except ValueError as exc:
@@ -87,30 +107,8 @@ def _read_pairs(path: Path) -> dict[str, object]:
     return pairs
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
-    if cfg.case not in CASES:
-        raise ConfigurationError(f"unknown case '{cfg.case}'")
-    if cfg.bc not in (kind.value for kind in BoundaryKind):
-        raise ConfigurationError(f"unknown bc '{cfg.bc}'")
-    if cfg.mode not in MODES:
-        raise ConfigurationError(f"unknown mode '{cfg.mode}', expected one of {MODES}")
-    if not cfg.epsilon > 0:
-        raise ConfigurationError(f"need epsilon > 0, got {cfg.epsilon}")
-    if not cfg.tol > 0:
-        raise ConfigurationError(f"need tol > 0, got {cfg.tol}")
-    for label, value in (("cfl_kinetic", cfg.cfl_kinetic), ("cfl_fluid", cfg.cfl_fluid)):
-        if not 0.0 < value <= 1.0:
-            raise ConfigurationError(f"need 0 < {label} <= 1, got {value}")
-    if cfg.k_max < 1:
-        raise ConfigurationError(f"need k_max >= 1, got {cfg.k_max}")
-    if cfg.workers < 1:
-        raise ConfigurationError(f"need workers >= 1, got {cfg.workers}")
-    # Grid builders check the remaining count/bound constraints.
-    return cfg
-
-
 def parse_config(path: str | Path) -> RunConfig:
-    """Read and validate a run configuration file."""
+    """Read a run configuration file; the RunConfig it makes checks itself."""
     path = Path(path)
     pairs = _read_pairs(path)
     preset = pairs.pop("preset", None)
@@ -118,12 +116,12 @@ def parse_config(path: str | Path) -> RunConfig:
         if preset not in PRESETS:
             raise ConfigurationError(
                 f"unknown preset '{preset}', expected one of {sorted(PRESETS)}")
-        return _validate(replace(PRESETS[preset], preset=preset, **pairs))
+        return replace(PRESETS[preset], preset=preset, **pairs)
     missing = [key for key in _REQUIRED if key not in pairs]
     if missing:
         raise ConfigurationError(
             f"{path}: no preset given and required keys missing: {missing}")
-    return _validate(RunConfig(**pairs))
+    return RunConfig(**pairs)
 
 
 def build_discretization(cfg: RunConfig) -> Discretization:
@@ -135,6 +133,4 @@ def build_discretization(cfg: RunConfig) -> Discretization:
 
 def build_params(cfg: RunConfig, disc: Discretization) -> tuple[KineticParams, FluidParams]:
     force = force_field(cfg.case, disc.phase.space)
-    kinetic = KineticParams(epsilon=cfg.epsilon, force=force, cfl=cfg.cfl_kinetic)
-    fluid = FluidParams(force=force, cfl=cfg.cfl_fluid)
-    return kinetic, fluid
+    return KineticParams(epsilon=cfg.epsilon, force=force), FluidParams(force=force)

@@ -26,11 +26,14 @@ __all__ = [
     "propagate_fluid",
 ]
 
+_CFL = 0.9  # Courant number of the Euler step
+
 
 @dataclass
 class FluidParams:
+    """What the Euler solver needs to know of the physics."""
+
     force: Optional[np.ndarray] = None  # per-cell E_i along x; None means 0
-    cfl: float = 0.9
 
 
 def _pressure(v: np.ndarray) -> np.ndarray:
@@ -63,12 +66,12 @@ def rusanov_flux(vl: np.ndarray, vr: np.ndarray) -> np.ndarray:
     return 0.5 * (euler_flux(vl) + euler_flux(vr)) - 0.5 * s[..., None] * (vr - vl)
 
 
-def stable_dt_fluid(v: np.ndarray, grid: PhaseGrid, params: FluidParams) -> float:
-    """Acoustic CFL bound cfl dx / max(|u_x| + sqrt(theta)) of packed states."""
+def stable_dt_fluid(v: np.ndarray, grid: PhaseGrid) -> float:
+    """Acoustic CFL bound 0.9 dx / max(|u_x| + sqrt(theta)) of packed states."""
     ux = v[:, 1] / v[:, 0]
     theta = _pressure(v) / v[:, 0]
     rate = float(np.max(np.abs(ux) + np.sqrt(theta)))
-    return params.cfl * grid.space.dx / rate
+    return _CFL * grid.space.dx / rate
 
 
 def _ghosted(v: np.ndarray, bc: BoundaryKind) -> np.ndarray:
@@ -110,5 +113,5 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
         return new
 
     v = march(primitive_to_conserved(U0), t0, t1,
-              lambda v: stable_dt_fluid(v, grid, params), advance, dt_max)
+              lambda v: stable_dt_fluid(v, grid), advance, dt_max)
     return conserved_to_primitive(v)

@@ -65,11 +65,12 @@ _BLOCK_BYTES = 1 << 21  # about one core's L2, so a block is reused while cached
 # ufunc buffer, in elements, for the transport's strided operands; numpy
 # requires a multiple of 16
 _UFUNC_BUFFER = 256
+_CFL = 0.5  # Courant number of the explicit transport
 
 
 @dataclass
 class KineticParams:
-    """Knobs of the kinetic solver.
+    """What the kinetic solver needs to know of the physics.
 
     Collisions relax f toward M at rate 1/epsilon (epsilon = inf is the
     collisionless limit); force is the per-cell field E_i along x (None
@@ -78,7 +79,6 @@ class KineticParams:
 
     epsilon: float
     force: Optional[np.ndarray] = None
-    cfl: float = 0.5
 
 
 def _max_field(params: KineticParams) -> float:
@@ -88,12 +88,12 @@ def _max_field(params: KineticParams) -> float:
 
 
 def stable_dt_kinetic(grid: PhaseGrid, params: KineticParams) -> float:
-    """CFL-stable explicit step: cfl / (v_max/dx + E_max/dv_x)."""
+    """CFL-stable explicit step: 0.5 / (v_max/dx + E_max/dv_x)."""
     rate = grid.velocity.v_max / grid.space.dx
     e_max = _max_field(params)
     if e_max > 0.0:
         rate += e_max / grid.velocity.dv[0]
-    return params.cfl / rate
+    return _CFL / rate
 
 
 def window_buffers(grid: PhaseGrid, first: np.ndarray | None = None):

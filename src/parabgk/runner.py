@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .cases import initial_distribution
 from .config import RunConfig, build_discretization, build_params
+from .errors import SolverError
 from .fluid import FluidParams
 from .grid import Discretization, SpatialGrid
 from .io import TimingReport, write_convergence, write_snapshots, write_timing
@@ -37,16 +38,21 @@ def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) 
     """Serial kinetic reference: one distribution marched across all windows.
 
     The initial distribution is the first of the window buffers, which every
-    window reuses.
+    window reuses. A SolverError raised in a window is raised again as a
+    SolverError naming the window, chained from the cause.
     """
     f = initial_distribution(cfg.case, disc.phase)
     buffers = window_buffers(disc.phase, first=f)
     times = disc.time.coarse_times
     snapshots = [project(f, disc.phase)]
     for n in range(1, disc.time.n_g + 1):
-        f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
-                              kinetic, disc.bc, dt_max=disc.time.dt_f, buffers=buffers)
-        snapshots.append(project(f, disc.phase))
+        try:
+            f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
+                                  kinetic, disc.bc, dt_max=disc.time.dt_f,
+                                  buffers=buffers)
+            snapshots.append(project(f, disc.phase))
+        except SolverError as exc:
+            raise SolverError(f"window {n} failed: {type(exc).__name__}: {exc}") from exc
     return snapshots
 
 
@@ -83,8 +89,9 @@ def _output_dir(cfg: RunConfig, out_dir: str | Path | None) -> Path:
 def run_mode(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     """Run cfg.mode and write its artifacts; returns the output directory.
 
-    The directory is made after the set-up has checked cfg and before the
-    solve, so an unusable one fails at once and a bad config leaves none.
+    The directory is made after the set-up, whose grid builders check what
+    RunConfig itself does not, and before the solve, so an unusable one
+    fails at once and a bad config leaves none.
     """
     disc, kinetic, fluid, U0 = prepare(cfg)
     out = _output_dir(cfg, out_dir)

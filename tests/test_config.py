@@ -1,6 +1,7 @@
 """Config file parsing, validation, and object construction."""
 
-from dataclasses import fields, replace
+import re
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ def test_parse_explicit_config(tmp_path):
     assert (cfg.n_g, cfg.n_f, cfg.k_max, cfg.tol) == (10, 40, 5, 1e-8)
     # defaults
     assert cfg.workers == 1 and cfg.mode == "parareal"
-    assert cfg.cfl_kinetic == 0.5 and cfg.cfl_fluid == 0.9
     assert cfg.out_dir == "out"
 
 
@@ -53,8 +53,8 @@ def test_every_field_round_trips(tmp_path):
     expected = RunConfig(case="blast", x_min=-1.0, x_max=3.0, n_x=30, v_max=6.5,
                          n_vx=12, n_vy=10, n_vz=8, epsilon=3e-3, bc="periodic",
                          t_final=0.15, n_g=6, n_f=24, k_max=3, tol=1e-6,
-                         cfl_kinetic=0.4, cfl_fluid=0.8, workers=3, mode="fine",
-                         out_dir="results/blast", preset="sod")
+                         workers=3, mode="fine", out_dir="results/blast",
+                         preset="sod")
     text = "".join(f"{f.name} = {getattr(expected, f.name)}\n"
                    for f in fields(RunConfig))
     assert parse_config(_write(tmp_path, text)) == expected
@@ -105,12 +105,26 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path = _write(tmp_path, "preset = sod\ntau = 2.5\n", "t.cfg")
     with pytest.raises(ConfigurationError, match=r":2: unknown key 'tau'"):
         parse_config(path)
+    # each step's Courant number is fixed by its scheme, not a setting
+    for key in ("cfl_kinetic", "cfl_fluid"):
+        path = _write(tmp_path, f"preset = sod\n{key} = 0.5\n", "c.cfg")
+        with pytest.raises(ConfigurationError, match=rf":2: unknown key '{key}'"):
+            parse_config(path)
+    # a key set twice is a mistake in the file, not an override
+    path = _write(tmp_path, "preset = sod\nn_x = 12\n\nworkers = 2\nn_x = 14\n", "d.cfg")
+    with pytest.raises(ConfigurationError,
+                       match=r"d\.cfg:5: key 'n_x' already set on line 2$"):
+        parse_config(path)
 
 
 def test_every_key_is_documented_in_readme():
+    # both ways: every field has a `name =` line in the README's config
+    # blocks, and every such line names a field or the preset
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    missing = [f.name for f in fields(RunConfig) if f"{f.name} =" not in readme]
-    assert missing == []
+    blocks = readme.split("```")[1::2]
+    documented = {m.group(1) for block in blocks
+                  for m in re.finditer(r"^(\w+)\s*=", block, re.MULTILINE)}
+    assert documented == {f.name for f in fields(RunConfig)}
 
 
 def test_unknown_preset_and_missing_keys(tmp_path):
@@ -121,21 +135,27 @@ def test_unknown_preset_and_missing_keys(tmp_path):
 
 
 def test_semantic_validation(tmp_path):
+    # a RunConfig checks itself however it is made: parsed, replaced or
+    # constructed directly
     bad = [
-        ("case = vortex\n", "unknown case"),
-        ("bc = reflecting\n", "unknown bc"),
-        ("mode = exact\n", "unknown mode"),
-        ("epsilon = 0.0\n", "epsilon > 0"),
-        ("tol = 0.0\n", "tol > 0"),
-        ("cfl_kinetic = 1.5\n", "cfl_kinetic"),
-        ("cfl_fluid = 0.0\n", "cfl_fluid"),
-        ("k_max = 0\n", "k_max >= 1"),
-        ("workers = 0\n", "workers >= 1"),
+        ("case", "vortex", "unknown case 'vortex'"),
+        ("bc", "reflecting", "unknown bc"),
+        ("mode", "exact", "unknown mode"),
+        ("mode", "flud", "unknown mode 'flud'"),
+        ("epsilon", 0.0, "epsilon > 0"),
+        ("tol", 0.0, "tol > 0"),
+        ("k_max", 0, "k_max >= 1"),
+        ("workers", 0, "workers >= 1"),
     ]
-    for i, (line, fragment) in enumerate(bad):
-        path = _write(tmp_path, "preset = sod\n" + line, f"bad{i}.cfg")
+    base = parse_config(_write(tmp_path, FULL))
+    for i, (key, value, fragment) in enumerate(bad):
+        path = _write(tmp_path, f"preset = sod\n{key} = {value}\n", f"bad{i}.cfg")
         with pytest.raises(ConfigurationError, match=fragment):
             parse_config(path)
+        with pytest.raises(ConfigurationError, match=fragment):
+            replace(base, **{key: value})
+        with pytest.raises(ConfigurationError, match=fragment):
+            RunConfig(**{**asdict(base), key: value})
 
 
 def test_build_discretization(tmp_path):
@@ -153,11 +173,10 @@ def test_build_params_defaults(tmp_path):
     kinetic, fluid = build_params(cfg, disc)
     assert kinetic.force is None and fluid.force is None
     assert kinetic.epsilon == 1e-2
-    assert kinetic.cfl == 0.5 and fluid.cfl == 0.9
 
 
 def test_build_params_beams_force(tmp_path):
-    text = "preset = beams\ncfl_kinetic = 0.4\ncfl_fluid = 0.8\nn_x = 20\n"
+    text = "preset = beams\nn_x = 20\n"
     cfg = parse_config(_write(tmp_path, text))
     disc = build_discretization(cfg)
     kinetic, fluid = build_params(cfg, disc)
@@ -165,4 +184,3 @@ def test_build_params_beams_force(tmp_path):
     expected = external_force(disc.phase.space.centers)
     assert np.array_equal(kinetic.force, expected)
     assert np.array_equal(fluid.force, expected)
-    assert kinetic.cfl == 0.4 and fluid.cfl == 0.8

@@ -54,12 +54,12 @@ def test_stable_dt_examples():
     x = grid.space.centers
     sod = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((200, 3)),
                       np.where(x < 1.0, 1.0, 0.8))
-    dt = stable_dt_fluid(primitive_to_conserved(sod), grid, FluidParams())
+    dt = stable_dt_fluid(primitive_to_conserved(sod), grid)
     assert dt == pytest.approx(0.9 * 0.01 / 1.0, rel=1e-14)
 
     grid2 = _grid(n_x=4)  # dx = 0.5
     uni = MomentField(np.ones(4), np.zeros((4, 3)), np.ones(4))
-    dt2 = stable_dt_fluid(primitive_to_conserved(uni), grid2, FluidParams())
+    dt2 = stable_dt_fluid(primitive_to_conserved(uni), grid2)
     assert dt2 == pytest.approx(0.45, rel=1e-14)
 
 
@@ -180,7 +180,7 @@ def test_propagate_respects_adaptive_schedule():
     elapsed = 0.0
     binding = set()
     while span - elapsed > 1e-12 * span:
-        stable = stable_dt_fluid(v, grid, params)
+        stable = stable_dt_fluid(v, grid)
         dt = min(stable, dt_max, span - elapsed)
         binding.add("cfl" if dt == stable else "cap" if dt == dt_max else "rest")
         ext = np.concatenate([v[:1], v, v[-1:]])

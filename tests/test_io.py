@@ -112,6 +112,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown key" in err
+    # an override is checked like the file, before any directory is made
+    cfg.write_text(MICRO)
+    out = tmp_path / "out"
+    for command in (["run", "--mode", "fine"], ["run"], ["compare"]):
+        code = main(command + ["--config", str(cfg), "--workers", "0",
+                               "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "need workers >= 1, got 0" in err
+        assert not out.exists()
 
 
 def test_cli_reports_missing_config(tmp_path, capsys):

@@ -21,7 +21,8 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      build_params, build_spatial_grid, build_velocity_grid,
                      initial_distribution, kinetic, lift, project,
                      propagate_kinetic, sod_initial, stable_dt_kinetic,
-                     transport_update, window_buffers)
+                     SolverError, transport_update, window_buffers)
+from parabgk import runner
 from parabgk.runner import run_fine_mode
 from oracles import reduced_fine, relax_weight, transport_reference
 
@@ -39,16 +40,16 @@ def _uniform(n_x, rho, u, theta):
 
 def test_stable_dt_formula():
     grid = _grid(n_x=200, n_v=8)
-    assert stable_dt_kinetic(grid, KineticParams(epsilon=1.0, cfl=0.9)) == 0.9 * 0.01 / 8.0
+    assert stable_dt_kinetic(grid, KineticParams(epsilon=1.0)) == 0.5 * 0.01 / 8.0
     half = _grid(n_x=400, n_v=8)
-    assert stable_dt_kinetic(half, KineticParams(epsilon=1.0, cfl=0.9)) == pytest.approx(
-        0.5 * 0.9 * 0.01 / 8.0, rel=1e-15)
+    assert stable_dt_kinetic(half, KineticParams(epsilon=1.0)) == pytest.approx(
+        0.5 * 0.5 * 0.01 / 8.0, rel=1e-15)
 
 
 def test_stable_dt_with_field():
     grid = PhaseGrid(build_spatial_grid(0.0, 2.0, 100),
                      build_velocity_grid(8.0, (256, 8, 8)))
-    params = KineticParams(epsilon=1.0, force=np.full(100, 0.8), cfl=0.5)
+    params = KineticParams(epsilon=1.0, force=np.full(100, 0.8))
     assert stable_dt_kinetic(grid, params) == pytest.approx(
         0.5 / (8.0 / 0.02 + 0.8 / 0.0625), rel=1e-15)
 
@@ -508,8 +509,36 @@ def test_fine_mode_matches_reduced_velocity_oracle(case, bc):
     phase = disc.phase
     want = reduced_fine(initial_distribution(case, phase), phase.space.dx,
                         phase.velocity.v_max, phase.velocity.centers, params.epsilon,
-                        params.force, params.cfl, bc == "periodic",
+                        params.force, 0.5, bc == "periodic",
                         disc.time.coarse_times, disc.time.dt_f)
     assert len(got) == len(want) == cfg.n_g + 1
     for U, (rho, u, theta) in zip(got, want):
         assert U.sup_distance(MomentField(rho, u, theta)) <= 1e-13
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_fine_mode_names_the_failing_window(monkeypatch, window):
+    # a step failure names its window as parareal's does, while the step
+    # counts from that window's start; windows before it run as usual
+    cfg = RunConfig(case="sod", x_min=0.0, x_max=2.0, n_x=12, v_max=6.0, n_vx=8,
+                    n_vy=6, n_vz=4, epsilon=1e-2, bc="absorbing", t_final=0.08,
+                    n_g=4, n_f=4, k_max=1, tol=1e-8, mode="fine")
+    disc = build_discretization(cfg)
+    params, _ = build_params(cfg, disc)
+    t_fail = float(disc.time.coarse_times[window - 1])
+    solved = []
+
+    def tiny_epsilon_in_window(f, t0, t1, grid, params, *args, **kwargs):
+        if t0 == t_fail:
+            params = KineticParams(epsilon=5e-324)
+        solved.append(t0)
+        return propagate_kinetic(f, t0, t1, grid, params, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "propagate_kinetic", tiny_epsilon_in_window)
+    with pytest.raises(SolverError,
+                       match=rf"^window {window} failed: BlowUpError: relaxation "
+                             r"rate dt/epsilon is inf in every cell at step 1$") as info:
+        run_fine_mode(cfg, disc, params)
+    assert type(info.value) is SolverError
+    assert isinstance(info.value.__cause__, BlowUpError)
+    assert len(solved) == window
