@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import PhaseGrid, SpatialGrid
+from .kinetic import _block_rows
 from .lifting import lift
 from .moments import MomentField
 
@@ -63,14 +64,22 @@ def beams_initial(grid: PhaseGrid) -> np.ndarray:
     """Sum of two unit-density Maxwellian beams at u_x = +1 and -1.
 
     The mixture is not a Maxwellian: its moments are rho = 2, u = 0 and
-    theta = 4/3 (per-axis variances 2, 1, 1 averaged over three axes).
+    theta = 4/3 (per-axis variances 2, 1, 1 averaged over three axes). The
+    forward beam is lifted into the result and the backward one added one
+    block of x rows at a time, so the only array besides the result is one
+    block.
     """
     n_x = grid.space.n_x
     ones = np.ones(n_x)
     u_fwd = np.zeros((n_x, 3))
     u_fwd[:, 0] = 1.0
     f = lift(MomentField(ones, u_fwd, ones.copy()), grid)
-    f += lift(MomentField(ones, -u_fwd, ones.copy()), grid)
+    rows = _block_rows(grid)
+    block = np.empty((rows,) + grid.velocity.n_v)
+    for a in range(0, n_x, rows):
+        b = min(a + rows, n_x)
+        back = MomentField(ones[a:b], -u_fwd[a:b], ones[a:b])
+        f[a:b] += lift(back, grid, out=block[:b - a])
     return f
 
 

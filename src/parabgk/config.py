@@ -7,6 +7,7 @@ for the initial data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -61,6 +62,15 @@ class RunConfig:
             raise ConfigurationError(f"unknown mode '{self.mode}', expected one of {MODES}")
         if not self.epsilon > 0:
             raise ConfigurationError(f"need epsilon > 0, got {self.epsilon}")
+        # No kinetic step is longer than t_final / n_f, so a finite rate there
+        # bounds every step's dt / epsilon; a t_final or n_f that is itself
+        # invalid is left to the grid builders to report.
+        if math.isfinite(self.t_final) and self.t_final > 0 and self.n_f >= 1:
+            rate = self.t_final / self.n_f / self.epsilon
+            if not math.isfinite(rate):
+                raise ConfigurationError(
+                    f"need a finite relaxation rate t_final/n_f/epsilon, got {rate} "
+                    f"with epsilon = {self.epsilon}")
         PararealConfig(self.k_max, self.tol, self.workers)
 
 

@@ -5,7 +5,7 @@ explicitly. Transport is a conservative unsplit update: upwind fluxes in x
 (the only inhomogeneous direction) and, when an external field is present,
 central fluxes with max-speed dissipation along v_x. The x-upwind is split by
 the sign of v_x and takes the convex form f + c (f_upwind - f) with
-c = dt/dx |v_x|, which needs no scratch. The v_x flux through a face is the
+c = dt/dx |v_x|. The v_x flux through a face is the
 sum of two donor terms, one from each neighbouring cell, and each term is
 applied to both cells it joins. The relaxation toward the local Maxwellian is
 linear in f because the Maxwellian depends on f only through moments the
@@ -13,18 +13,19 @@ collision operator conserves, so the implicit solve reduces to the blend
 f / (1 + lam) + M lam / (1 + lam), the second weight folded into M.
 
 A distribution is a plain array f[i, jx, jy, jz] of shape
-(n_x, n_vx, n_vy, n_vz). A window runs on two state arrays the steps
-alternate between; window_buffers makes that pair. The transport reads one
-and writes the other over whole arrays, forming the v_x field flux one x row
-at a time in a one-row scratch of its own. The relaxation then blends in
-place and builds its Maxwellian in the state the transport has just read,
-which the step no longer needs, one block of x rows at a time, as many as
-fit in _BLOCK_BYTES, so that each block is blended while it is still cached.
-transport_update and bgk_relax take the buffers as optional out/spare
-arguments and propagate_kinetic takes the pair, so a caller that runs many
-windows allocates it once and every window reuses the same, already
-touched, pages. Without buffers each call allocates its own and leaves its
-input untouched.
+(n_x, n_vx, n_vy, n_vz). A window runs on one state array and one block of x
+rows, as many as fit in _BLOCK_BYTES; window_buffers makes that pair. Each
+step works on the state in place, one block at a time, so that each block is
+reused while it is still cached. The transport forms a block's upwind
+increments in the block from the state's old values, keeps one-row copies
+of the old rows a later block still reads, forms each row's v_x field
+fluxes in one-row scratches before the row changes, and then adds both to
+the rows. The relaxation blends in place and builds its Maxwellian in the
+block. transport_update and bgk_relax take the buffers as optional
+out/spare arguments and propagate_kinetic takes the pair, so a caller that
+runs many windows allocates it once and every window reuses the same,
+already touched, pages. Without buffers each call allocates its own and
+leaves its input untouched.
 
 numpy copies a strided ufunc operand through its operand buffer when the
 operand's contiguous runs are shorter than half that buffer (8192 elements by
@@ -96,86 +97,132 @@ def stable_dt_kinetic(grid: PhaseGrid, params: KineticParams) -> float:
     return _CFL / rate
 
 
+def _block_rows(grid: PhaseGrid) -> int:
+    """x rows in a block: as many as fit in _BLOCK_BYTES, at least one."""
+    row_bytes = np.dtype(float).itemsize * int(np.prod(grid.velocity.n_v))
+    return max(1, min(grid.space.n_x, _BLOCK_BYTES // row_bytes))
+
+
 def window_buffers(grid: PhaseGrid, first: np.ndarray | None = None):
-    """The two state arrays of a window, for propagate_kinetic.
+    """The state array and the block of a window, for propagate_kinetic.
 
-    The arrays are uninitialised; first, when given, serves as the first
-    state instead of a new array.
+    The arrays are uninitialised; first, when given, serves as the state
+    instead of a new array. The block holds _block_rows(grid) x rows.
     """
-    shape = (grid.space.n_x,) + grid.velocity.n_v
     if first is None:
-        first = np.empty(shape)
-    return first, np.empty(shape)
+        first = np.empty((grid.space.n_x,) + grid.velocity.n_v)
+    return first, np.empty((_block_rows(grid),) + grid.velocity.n_v)
 
 
-def _upwind_half(f: np.ndarray, out: np.ndarray, courant: np.ndarray,
-                 periodic: bool, rightward: bool) -> None:
-    """out = f + courant * (f_upwind - f) on one sign half of v_x.
+def _upwind_half(f: np.ndarray, inc: np.ndarray, courant: np.ndarray,
+                 edge: np.ndarray | None, rightward: bool) -> None:
+    """inc = courant * (f_upwind - f) on one sign half of v_x of a block of rows.
 
     The upwind cell is the left neighbour for rightward speeds; leftward
-    speeds mirror x. Beyond an absorbing boundary the upwind cell is empty.
+    speeds mirror x. edge is the upwind row just outside the block, None
+    beyond an absorbing boundary, where the upwind cell is empty.
     """
     if not rightward:
-        f, out = f[::-1], out[::-1]
-    np.subtract(f[:-1], f[1:], out=out[1:])
-    if periodic:
-        np.subtract(f[-1], f[0], out=out[0])
+        f, inc = f[::-1], inc[::-1]
+    np.subtract(f[:-1], f[1:], out=inc[1:])
+    if edge is None:
+        np.negative(f[0], out=inc[0])
     else:
-        np.negative(f[0], out=out[0])
-    out *= courant
-    out += f
+        np.subtract(edge, f[0], out=inc[0])
+    inc *= courant
 
 
 def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
                      params: KineticParams, bc: BoundaryKind,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None,
+                     spare: np.ndarray | None = None) -> np.ndarray:
     """One explicit transport step (no collisions).
 
     Upwind in x in the convex form f + c (f_upwind - f), split by the sign of
     v_x; for absorbing boundaries no flux enters and outflow leaves freely. A
     v_x = 0 column has c = 0 and does not move. The field term advects along
-    v_x with zero flux through the cube faces; its interior fluxes are formed
-    one x row and one donor side at a time in a one-row scratch, the only
-    one the step uses. Both run under a _UFUNC_BUFFER-element ufunc buffer
-    (see the module docstring).
+    v_x with zero flux through the cube faces, as two donor fluxes per
+    interior face.
 
-    out receives the result and must not overlap f; left as None it is
-    allocated. f is never written.
+    The step runs in place on out, one block of x rows at a time: both sign
+    halves' increments c (f_upwind - f) go to spare while the block still
+    holds its old values, each row's field fluxes are formed from its old
+    values in two one-row scratches, and then the row takes the increment
+    and the fluxes. The rows a later block reads after they have changed,
+    the last of each block and, when periodic, the first of all, are kept
+    as one-row copies. A block is as many rows as fit in _BLOCK_BYTES and
+    no more than spare holds. Everything runs under a _UFUNC_BUFFER-element
+    ufunc buffer (see the module docstring).
+
+    out may be f itself, for a step in place; another array gets a copy of
+    f first and must not overlap it; None allocates that copy. spare is any
+    C-contiguous array of at least one x row that overlaps neither f nor
+    out; None allocates one block. Beyond those, a step allocates a few x
+    rows.
     """
-    n_vx = f.shape[1]
+    n_x, n_vx = f.shape[:2]
     if out is None:
-        out = np.empty_like(f)
-    elif np.may_share_memory(out, f):
-        raise ValueError("transport_update cannot write over its input")
+        out = f.copy()
+    elif out is not f:
+        if np.may_share_memory(out, f):
+            raise ValueError("transport_update's out overlaps its input in part")
+        np.copyto(out, f)
+    rows = _block_rows(grid)
+    if spare is None:
+        spare = np.empty((rows,) + f.shape[1:])
+    elif np.may_share_memory(spare, f) or np.may_share_memory(spare, out):
+        raise ValueError("transport_update's spare overlaps its input or out")
+    f = out
+    rows = min(rows, spare.shape[0])
     cx = grid.velocity.centers[0]
     courant = dt / grid.space.dx * np.abs(cx)[None, :, None, None]
     periodic = bc is BoundaryKind.PERIODIC
     # Centers ascend and are odd-symmetric: negative speeds first, then at
     # most one zero column, then positive speeds.
     neg = int(np.count_nonzero(cx < 0.0))
+    left, right = slice(0, neg), slice(neg, n_vx)
+    # The old rows read after they change: the leftward half of the first
+    # row, which the periodic wrap hands to the last block, and the
+    # rightward half of each block's last row, which the next block reads.
+    first = f[0, left].copy() if periodic else None
+    carry = np.empty_like(f[0, right])
     # The central flux with max-speed dissipation through the face between
     # v_x cells j and j+1 is a f_j + b f_{j+1}, with a = (E + E_max) / 2 and
     # b = (E - E_max) / 2; each half leaves cell j and enters j+1. With one
     # v_x cell there is no interior face, and the cube faces carry no flux.
     e_max = _max_field(params) if n_vx > 1 else 0.0
     half_dtdv = 0.5 * dt / grid.velocity.dv[0]
+    if e_max > 0.0:
+        faces = (n_vx - 1,) + f.shape[2:]
+        fluxes = (np.empty(faces), np.empty(faces))
     # np.errstate does not restore the buffer size before numpy 2.0
     saved = np.setbufsize(_UFUNC_BUFFER)
     try:
-        for half, rightward in ((slice(0, neg), False), (slice(neg, n_vx), True)):
-            _upwind_half(f[:, half], out[:, half], courant[:, half], periodic,
-                         rightward)
-        if e_max > 0.0:
-            flux = np.empty((n_vx - 1,) + f.shape[2:])
-            for i, field in enumerate(params.force):
-                for donor, weight in ((f[i, :-1], field + e_max),
-                                      (f[i, 1:], field - e_max)):
-                    np.multiply(donor, weight * half_dtdv, out=flux)
-                    out[i, :-1] -= flux
-                    out[i, 1:] += flux
+        for a in range(0, n_x, rows):
+            b = min(a + rows, n_x)
+            block, inc = f[a:b], spare[:b - a]
+            # each half's upwind row just outside the block
+            edges = (f[b, left] if b < n_x else first,
+                     carry if a > 0 else (f[-1, right] if periodic else None))
+            for half, edge, rightward in zip((left, right), edges, (False, True)):
+                _upwind_half(block[:, half], inc[:, half], courant[:, half],
+                             edge, rightward)
+            if b < n_x:
+                np.copyto(carry, f[b - 1, right])
+            if e_max == 0.0:
+                block += inc
+                continue
+            for i in range(a, b):
+                field = params.force[i]
+                np.multiply(f[i, :-1], (field + e_max) * half_dtdv, out=fluxes[0])
+                np.multiply(f[i, 1:], (field - e_max) * half_dtdv, out=fluxes[1])
+                f[i] += inc[i - a]
+                for flux in fluxes:
+                    f[i, :-1] -= flux
+                    f[i, 1:] += flux
     finally:
         np.setbufsize(saved)
-    return out
+    return f
 
 
 def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
@@ -203,10 +250,10 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     keep, weight = 1.0 / (1.0 + lam), lam / (1.0 + lam)
     if out is None:
         out = np.empty_like(f)
-    n_x, row = f.shape[0], f.shape[1:]
-    rows = max(1, min(n_x, _BLOCK_BYTES // f[0].nbytes))
+    n_x = f.shape[0]
+    rows = _block_rows(grid)
     if spare is None:
-        spare = np.empty((rows,) + row)
+        spare = np.empty((rows,) + f.shape[1:])
     rows = min(rows, spare.shape[0])
     for a in range(0, n_x, rows):
         b = min(a + rows, n_x)
@@ -223,24 +270,21 @@ def propagate_kinetic(f0: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
                       buffers: tuple | None = None) -> np.ndarray:
     """Advance f0 from t0 to t1 with steps min(stability cap, dt_max, remaining).
 
-    The steps alternate between two state arrays: each transports into the
-    state it does not read and relaxes there in place, and the relaxation
-    builds its Maxwellian in the other state, the transport's input once
-    that is a window state, or the still unused state on a first step from
-    a caller's f0, which is never written. buffers, when given, is that pair
-    as window_buffers makes it, and f0 may be one of its two states: it is
-    then overwritten, so a window holds two arrays. Without buffers the call
-    allocates its own, f0 is only read, and a window holds its initial
-    state besides. The result is one of the two states, except for an empty
-    interval, which returns f0 itself. A step fails only through bgk_relax's
-    checks, which name the cell; march adds the step.
+    The window runs on one state array and one block of x rows, buffers as
+    window_buffers makes them: each step transports the state in place
+    through the block and relaxes it in place, the block serving as the
+    relaxation's spare. The first step copies f0 into the state unless f0
+    is the state itself, which is then overwritten; any other f0 is never
+    written. Without buffers the call allocates its own pair. The result is
+    the state, except for an empty interval, which returns f0 itself. A step
+    fails only through bgk_relax's checks, which name the cell; march adds
+    the step.
     """
     cap = stable_dt_kinetic(grid, params)
-    states = window_buffers(grid) if buffers is None else buffers
+    state, block = window_buffers(grid) if buffers is None else buffers
 
     def advance(f, dt):
-        out, free = (states[1], states[0]) if f is states[0] else states
-        f = transport_update(f, dt, grid, params, bc, out=out)
-        return bgk_relax(f, dt, grid, params, out=out, spare=free)
+        f = transport_update(f, dt, grid, params, bc, out=state, spare=block)
+        return bgk_relax(f, dt, grid, params, out=f, spare=block)
 
     return march(f0, t0, t1, lambda f: cap, advance, dt_max)

@@ -107,7 +107,7 @@ def initial_coarse_sweep(U0: MomentField, disc: Discretization,
 
 def _kinetic_window(n: int, U: MomentField, disc: Discretization,
                     kinetic: KineticParams, buffers: tuple):
-    """Lift U into a state of buffers, solve window n on them and project,
+    """Lift U into the state of buffers, solve window n on them and project,
     with the (lift, kinetic, project) stage timings."""
     times = disc.time.coarse_times
     tic = time.perf_counter()

@@ -37,7 +37,7 @@ def prepare(cfg: RunConfig):
 def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) -> list[MomentField]:
     """Serial kinetic reference: one distribution marched across all windows.
 
-    The initial distribution is the first of the window buffers, which every
+    The initial distribution is the state of the window buffers, which every
     window reuses. A SolverError raised in a window is raised again as a
     SolverError naming the window, chained from the cause.
     """

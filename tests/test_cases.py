@@ -60,25 +60,28 @@ def test_external_force_antisymmetric_about_midpoint():
 
 
 def test_beams_built_in_place():
-    # the second beam is added into the first: two arrays at the peak, not
-    # three, and the same bytes as the plain sum
-    grid = PhaseGrid(build_spatial_grid(0.0, 2.0, 8),
-                     build_velocity_grid(8.0, (32, 16, 16)))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        f = beams_initial(grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * f.nbytes
-    ones = np.ones(8)
-    u = np.zeros((8, 3))
-    u[:, 0] = 1.0
-    fwd = lift(MomentField(ones, u, ones), grid)
-    bwd = lift(MomentField(ones, -u, ones), grid)
-    assert f.tobytes() == (fwd + bwd).tobytes()
+    # the second beam is added into the first one block of x rows at a time
+    # (8 rows of 128x16x16 here): one array and one block at the peak, and
+    # the same bytes as the plain sum, on a one-block grid and on one whose
+    # last block is short
+    for n_x, n_v in ((8, (32, 16, 16)), (44, (128, 16, 16))):
+        grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x), build_velocity_grid(8.0, n_v))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f = beams_initial(grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block = min(n_x, 8) * f[0].nbytes
+        assert peak <= f.nbytes + block + f[0].nbytes
+        ones = np.ones(n_x)
+        u = np.zeros((n_x, 3))
+        u[:, 0] = 1.0
+        fwd = lift(MomentField(ones, u, ones), grid)
+        bwd = lift(MomentField(ones, -u, ones), grid)
+        assert f.tobytes() == (fwd + bwd).tobytes()
 
 
 def test_beams_mixture_moments():

@@ -143,6 +143,9 @@ def test_semantic_validation(tmp_path):
         ("mode", "exact", "unknown mode"),
         ("mode", "flud", "unknown mode 'flud'"),
         ("epsilon", 0.0, "epsilon > 0"),
+        # the rate of a fine step, t_final/n_f/epsilon, overflows
+        ("epsilon", 5e-324, r"relaxation rate t_final/n_f/epsilon, got inf "
+                            r"with epsilon = 5e-324"),
         ("tol", 0.0, "tol > 0"),
         ("k_max", 0, "k_max >= 1"),
         ("workers", 0, "workers >= 1"),
@@ -156,6 +159,17 @@ def test_semantic_validation(tmp_path):
             replace(base, **{key: value})
         with pytest.raises(ConfigurationError, match=fragment):
             RunConfig(**{**asdict(base), key: value})
+
+
+@pytest.mark.parametrize("key, value", [("t_final", float("nan")),
+                                        ("t_final", -1.0), ("n_f", 0)])
+def test_epsilon_rate_check_leaves_bad_times_to_the_grid(tmp_path, key, value):
+    # with t_final or n_f invalid there is no fine step to bound; the time
+    # grid builder names the bad key instead
+    base = parse_config(_write(tmp_path, FULL))
+    cfg = replace(base, epsilon=5e-324, **{key: value})
+    with pytest.raises(ConfigurationError, match=r"need (finite t_final|n_f >=)"):
+        build_discretization(cfg)
 
 
 def test_build_discretization(tmp_path):

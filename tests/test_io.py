@@ -1,10 +1,15 @@
 """Artifact files and the command line wrapper."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parabgk
 from parabgk import (ConvergenceRecord, MomentField, TimingReport,
                      build_spatial_grid, read_convergence, read_snapshot,
                      write_convergence, write_snapshots, write_timing)
@@ -95,6 +100,27 @@ def test_cli_run_fluid_mode(tmp_path, capsys):
     assert not (out / "convergence.csv").exists()
 
 
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # `python -m parabgk` from a source checkout writes what cli.main writes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MICRO)
+    src = str(Path(parabgk.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    by_module, by_main = tmp_path / "module", tmp_path / "main"
+    done = subprocess.run([sys.executable, "-m", "parabgk", "run", "--config", str(cfg),
+                           "--mode", "fine", "--out", str(by_module)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "wrote fine artifacts" in done.stdout
+    assert main(["run", "--config", str(cfg), "--mode", "fine", "--out", str(by_main)]) == 0
+    names = sorted(p.name for p in by_main.glob("snap_*.csv"))
+    assert names == sorted(p.name for p in by_module.glob("snap_*.csv"))
+    assert len(names) == 3
+    for name in names:
+        assert (by_module / name).read_bytes() == (by_main / name).read_bytes()
+
+
 def test_cli_run_parareal_writes_convergence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MICRO)
@@ -121,6 +147,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "need workers >= 1, got 0" in err
+        assert not out.exists()
+    # an epsilon whose relaxation rate overflows is refused at the config,
+    # not in the first window after the output directory exists
+    cfg.write_text(MICRO.replace("epsilon = 1e-2", "epsilon = 5e-324"))
+    for command in (["run", "--mode", "fine"], ["run"], ["compare"]):
+        code = main(command + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epsilon = 5e-324" in err
         assert not out.exists()
 
 

@@ -172,22 +172,30 @@ def test_propagate_leaves_input_and_owns_result():
 @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
 def test_kernels_same_bytes_with_and_without_buffers(bc):
     # buffers start as NaN so that a value read before it is written shows;
-    # a spare of fewer rows than n_x = 8 blocks the relaxation by its row
-    # count, 3 rows leave a short last block, and a whole state is one block
+    # a spare of fewer rows than n_x = 8 blocks a kernel by its row count,
+    # 3 rows leave a short last block, and a whole state is one block
     grid, field, f = _field_instance(n_x=8, n_v=(9, 4, 4))
     f *= np.random.default_rng(2).uniform(0.5, 1.5, size=f.shape)
     shape = f.shape
+    before = f.tobytes()
     for params in (field, KineticParams(epsilon=field.epsilon)):
         dt = stable_dt_kinetic(grid, params)
         fresh_transport = transport_update(f, dt, grid, params, bc)
-        out = np.full(shape, np.nan)
-        reused = transport_update(f, dt, grid, params, bc, out=out)
-        assert reused is out
-        assert reused.tobytes() == fresh_transport.tobytes()
-
         fresh_relax = bgk_relax(f, dt, grid, params)
         spares = [np.empty((rows,) + shape[1:]) for rows in (1, 3, 8)]
-        for spare in spares + [window_buffers(grid)[1]]:
+        for spare in spares + [window_buffers(grid)[0]]:
+            spare[:] = np.nan
+            out = np.full(shape, np.nan)
+            copied = transport_update(f, dt, grid, params, bc, out=out, spare=spare)
+            assert copied is out
+            assert copied.tobytes() == fresh_transport.tobytes()
+            probe = f.copy()
+            spare[:] = np.nan
+            in_place = transport_update(probe, dt, grid, params, bc, out=probe,
+                                        spare=spare)
+            assert in_place is probe
+            assert in_place.tobytes() == fresh_transport.tobytes()
+
             spare[:] = np.nan
             reused = bgk_relax(f, dt, grid, params, out=np.full(shape, np.nan),
                                spare=spare)
@@ -197,8 +205,17 @@ def test_kernels_same_bytes_with_and_without_buffers(bc):
             in_place = bgk_relax(probe, dt, grid, params, out=probe, spare=spare)
             assert in_place is probe
             assert in_place.tobytes() == fresh_relax.tobytes()
-    with pytest.raises(ValueError):
-        transport_update(f, dt, grid, params, bc, out=f)
+    assert f.tobytes() == before
+    # an out or a spare that overlaps the state in part is refused before
+    # anything is written
+    wide = np.zeros((shape[0] + 1,) + shape[1:])
+    state = wide[:-1]
+    state[:] = f
+    with pytest.raises(ValueError, match="out overlaps"):
+        transport_update(state, dt, grid, params, bc, out=wide[1:])
+    with pytest.raises(ValueError, match="spare overlaps"):
+        transport_update(state, dt, grid, params, bc, out=state, spare=wide[-2:])
+    assert state.tobytes() == before
 
 
 @contextmanager
@@ -249,26 +266,50 @@ def test_propagate_same_bytes_at_any_caller_buffer_size(instance):
     assert results[0] == results[1]
 
 
-def test_window_allocation_peak():
-    # two state arrays; the remaining temporaries are per-cell, per-row or
-    # per-plane
-    grid, params, f0 = _field_instance(n_x=100, n_v=(64, 16, 16))
-    span = 4 * stable_dt_kinetic(grid, params)
+def _traced_peak(call):
+    """tracemalloc peak of call() above what was allocated before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * f0.nbytes
+
+
+def test_window_allocation_peak():
+    # one state array and one block of 16 of the 100 rows; the remaining
+    # temporaries are per-cell, per-row or per-plane
+    grid, params, f0 = _field_instance(n_x=100, n_v=(64, 16, 16))
+    span = 4 * stable_dt_kinetic(grid, params)
+    block = window_buffers(grid)[1]
+    assert block.shape[0] == 16
+    peak = _traced_peak(lambda: propagate_kinetic(f0, 0.0, span, grid, params,
+                                                  BoundaryKind.PERIODIC))
+    assert peak <= f0.nbytes + block.nbytes + 4 * f0[0].nbytes
+    assert peak <= 1.2 * f0.nbytes
+
+
+@pytest.mark.parametrize("bc", ["periodic", "absorbing"])
+def test_fine_mode_holds_one_state(bc):
+    # the initial beams and every window share one state array; the blocks
+    # of the initial data, the transport and the relaxation are 16 of the
+    # 100 rows
+    cfg = RunConfig(case="beams", x_min=0.0, x_max=2.0, n_x=100, v_max=8.0,
+                    n_vx=64, n_vy=16, n_vz=16, epsilon=1e-2, bc=bc, t_final=0.01,
+                    n_g=2, n_f=4, k_max=1, tol=1e-3, mode="fine")
+    disc = build_discretization(cfg)
+    params, _ = build_params(cfg, disc)
+    state_bytes = 8 * cfg.n_x * cfg.n_vx * cfg.n_vy * cfg.n_vz
+    assert _traced_peak(lambda: run_fine_mode(cfg, disc, params)) <= 1.3 * state_bytes
 
 
 @pytest.mark.parametrize("f0_is_state", [False, True])
 def test_propagate_on_given_buffers(f0_is_state):
-    # NaN buffers show a value read before it is written; with f0 one of the
-    # states the call consumes it, and either way it allocates no array
+    # NaN buffers show a value read before it is written; with f0 the state
+    # the call consumes it, any other f0 is left as it was, and either way
+    # the call allocates a few x rows at most
     grid, params, f = _field_instance(n_x=100, n_v=(64, 16, 16))
     span = 4 * stable_dt_kinetic(grid, params)
     want = propagate_kinetic(f, 0.0, span, grid, params, BoundaryKind.PERIODIC)
@@ -277,20 +318,16 @@ def test_propagate_on_given_buffers(f0_is_state):
         array.fill(np.nan)
     f0 = f
     if f0_is_state:
-        f0 = buffers[1]
+        f0 = buffers[0]
         f0[:] = f
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        got = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC,
-                                buffers=buffers)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert got is buffers[0] or got is buffers[1]
-    assert got.tobytes() == want.tobytes()
-    assert peak < 0.5 * f.nbytes
+    before = f.tobytes()
+    got = []
+    peak = _traced_peak(lambda: got.append(propagate_kinetic(
+        f0, 0.0, span, grid, params, BoundaryKind.PERIODIC, buffers=buffers)))
+    assert got[0] is buffers[0]
+    assert got[0].tobytes() == want.tobytes()
+    assert f.tobytes() == before
+    assert peak <= 4 * f[0].nbytes
 
 
 def test_relax_fixed_point():

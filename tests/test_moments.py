@@ -43,12 +43,15 @@ def test_project_standard_maxwellian_within_quadrature_bound():
 
 
 def test_project_even_data_gives_exact_zero_velocity():
+    # data even in one velocity axis has exactly zero mean velocity along it,
+    # which keeps the snapshots' uy and uz columns at 0.0 on every built-in case
     grid = _grid(n_x=2, n_v=16)
     rng = np.random.default_rng(7)
-    half = rng.uniform(0.1, 1.0, size=(2, 8, 16, 16))
-    vals = np.concatenate([half, half[:, ::-1]], axis=1)  # even in v_x
-    U = project(vals, grid)
-    assert np.all(U.u[:, 0] == 0.0)
+    for axis in (1, 2, 3):
+        half = np.moveaxis(rng.uniform(0.1, 1.0, size=(2, 8, 16, 16)), 1, axis)
+        vals = np.concatenate([half, np.flip(half, axis=axis)], axis=axis)
+        U = project(vals, grid)
+        assert np.all(U.u[:, axis - 1] == 0.0)
 
 
 def test_project_point_mass_is_exact():
