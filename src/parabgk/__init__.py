@@ -11,8 +11,8 @@ from .grid import (BoundaryKind, Discretization, PhaseGrid, SpatialGrid,
                    TimeGrids, VelocityGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
 from .moments import (MomentField, conserved_to_primitive,
-                      primitive_to_conserved, project)
-from .lifting import lift
+                      moments_of_marginals, primitive_to_conserved, project)
+from .lifting import lift, maxwellian_marginals
 from .kinetic import (KineticParams, bgk_relax, propagate_kinetic,
                       stable_dt_kinetic, transport_update, window_buffers)
 from .fluid import (FluidParams, euler_flux, propagate_fluid, rusanov_flux,
@@ -21,8 +21,8 @@ from .parareal import (ConvergenceRecord, ParTrajectory, PararealConfig,
                        compute_jumps, estimate_k_opt, fine_moment_chain,
                        initial_coarse_sweep, parareal_cost, run_parareal,
                        sequential_correction)
-from .cases import (beams_initial, blast_initial, blast_moments, external_force,
-                    force_field, initial_distribution, sod_initial, sod_moments)
+from .cases import (beams_components, blast_moments, external_force, force_field,
+                    initial_distribution, initial_moments, sod_moments)
 from .config import (PRESETS, RunConfig, build_discretization, build_params,
                      parse_config)
 from .io import (TimingReport, read_convergence, read_snapshot,

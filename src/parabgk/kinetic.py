@@ -114,6 +114,26 @@ def window_buffers(grid: PhaseGrid, first: np.ndarray | None = None):
     return first, np.empty((_block_rows(grid),) + grid.velocity.n_v)
 
 
+def _block_buffer(f: np.ndarray, out: np.ndarray | None,
+                  spare: np.ndarray | None, grid: PhaseGrid, who: str):
+    """A kernel's spare, one new block when it is None, and its block rows.
+
+    out may be None or f itself; any other out that overlaps f raises
+    ValueError, and so does a spare that overlaps f or out, before anything
+    is written. A block is _block_rows(grid) rows and no more than spare
+    holds.
+    """
+    if out is not None and out is not f and np.may_share_memory(out, f):
+        raise ValueError(f"{who}'s out overlaps its input in part")
+    rows = _block_rows(grid)
+    if spare is None:
+        return np.empty((rows,) + f.shape[1:]), rows
+    if np.may_share_memory(spare, f) or (out is not None
+                                         and np.may_share_memory(spare, out)):
+        raise ValueError(f"{who}'s spare overlaps its input or out")
+    return spare, min(rows, spare.shape[0])
+
+
 def _upwind_half(f: np.ndarray, inc: np.ndarray, courant: np.ndarray,
                  edge: np.ndarray | None, rightward: bool) -> None:
     """inc = courant * (f_upwind - f) on one sign half of v_x of a block of rows.
@@ -155,25 +175,19 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     ufunc buffer (see the module docstring).
 
     out may be f itself, for a step in place; another array gets a copy of
-    f first and must not overlap it; None allocates that copy. spare is any
-    C-contiguous array of at least one x row that overlaps neither f nor
-    out; None allocates one block. Beyond those, a step allocates a few x
+    f first; None allocates that copy. spare is any C-contiguous array of
+    at least one x row; None allocates one block. An out that overlaps f
+    without being f, or a spare that overlaps f or out, raises ValueError
+    before anything is written. Beyond those, a step allocates a few x
     rows.
     """
     n_x, n_vx = f.shape[:2]
+    spare, rows = _block_buffer(f, out, spare, grid, "transport_update")
     if out is None:
         out = f.copy()
     elif out is not f:
-        if np.may_share_memory(out, f):
-            raise ValueError("transport_update's out overlaps its input in part")
         np.copyto(out, f)
-    rows = _block_rows(grid)
-    if spare is None:
-        spare = np.empty((rows,) + f.shape[1:])
-    elif np.may_share_memory(spare, f) or np.may_share_memory(spare, out):
-        raise ValueError("transport_update's spare overlaps its input or out")
     f = out
-    rows = min(rows, spare.shape[0])
     cx = grid.velocity.centers[0]
     courant = dt / grid.space.dx * np.abs(cx)[None, :, None, None]
     periodic = bc is BoundaryKind.PERIODIC
@@ -239,22 +253,20 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     mass of its cell; lift builds the Maxwellian in spare, one block of x
     rows at a time, on that block's moments. A block is as many rows as fit
     in _BLOCK_BYTES, and no more than spare holds: spare is any C-contiguous
-    array of at least one x row that overlaps neither f nor out, a whole
-    state included. Either buffer left as None is allocated, spare as one
-    block.
+    array of at least one x row, a whole state included. Either buffer left
+    as None is allocated, spare as one block. An out that overlaps f
+    without being f, or a spare that overlaps f or out, raises ValueError as
+    in transport_update.
     """
     lam = dt / params.epsilon if params.epsilon else np.inf
     if not 0.0 <= lam < np.inf:
         raise DegenerateStateError(f"relaxation rate dt/epsilon is {lam} in every cell")
+    spare, rows = _block_buffer(f, out, spare, grid, "bgk_relax")
     U = project(f, grid)
     keep, weight = 1.0 / (1.0 + lam), lam / (1.0 + lam)
     if out is None:
         out = np.empty_like(f)
     n_x = f.shape[0]
-    rows = _block_rows(grid)
-    if spare is None:
-        spare = np.empty((rows,) + f.shape[1:])
-    rows = min(rows, spare.shape[0])
     for a in range(0, n_x, rows):
         b = min(a + rows, n_x)
         M = lift(MomentField(U.rho[a:b], U.u[a:b], U.theta[a:b]), grid,

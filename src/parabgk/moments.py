@@ -4,9 +4,12 @@ The moment triple (rho, u, theta) is the primitive description shared by the
 coarse solver and the outer iteration; (rho, rho u, E) with
 E = rho |u|^2 / 2 + 3 rho theta / 2, packed per cell into an (n_x, 5) array,
 is the conserved form used by the flux update. Projection uses plain midpoint
-quadrature on the velocity cube. The temperature is taken around the
-already-computed discrete mean, so a point mass projects to theta = 0 instead
-of a rounding residue.
+quadrature on the velocity cube, and every moment it takes is a moment of
+one of the cube's three 1D marginals: project sums the cube down to them and
+moments_of_marginals does the rest, so a distribution known only through its
+marginals (lifting.maxwellian_marginals) has its moments without a cube. The
+temperature is taken around the already-computed discrete mean, so a point
+mass projects to theta = 0 instead of a rounding residue.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .grid import PhaseGrid
 __all__ = [
     "MomentField",
     "project",
+    "moments_of_marginals",
     "primitive_to_conserved",
     "conserved_to_primitive",
 ]
@@ -93,15 +97,24 @@ def _folded_first_moment(marg: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def project(f: np.ndarray, grid: PhaseGrid) -> MomentField:
     """First-order quadrature moments of a distribution f[i, jx, jy, jz].
 
-    Two-pass form: the discrete mean u is computed first and the temperature
-    accumulates |v - u|^2 around it, one separable term per velocity axis.
     The three 1D marginals take two passes over the cube: the v_x marginal
     directly, and the v_y and v_z marginals from the (v_y, v_z) plane sums.
     """
+    plane = f.sum(axis=1)
+    return moments_of_marginals((f.sum(axis=(2, 3)), plane.sum(axis=2),
+                                 plane.sum(axis=1)), grid)
+
+
+def moments_of_marginals(margs, grid: PhaseGrid) -> MomentField:
+    """Quadrature moments of a distribution given by its three 1D marginals.
+
+    margs[a] is an (n_x, n_v[a]) array, the distribution summed over the
+    other two velocity axes with no cell-volume factor. Two-pass form: the
+    discrete mean u is computed first and the temperature accumulates
+    |v - u|^2 around it, one separable term per velocity axis.
+    """
     v = grid.velocity
     dvol = v.cell_volume
-    plane = f.sum(axis=1)
-    margs = (f.sum(axis=(2, 3)), plane.sum(axis=2), plane.sum(axis=1))
     rho = margs[0].sum(axis=1) * dvol
     require_positive(rho, "density in projection")
     mom = np.stack([_folded_first_moment(m, c) for m, c in zip(margs, v.centers)],
@@ -110,7 +123,8 @@ def project(f: np.ndarray, grid: PhaseGrid) -> MomentField:
     e2 = np.zeros_like(rho)
     for axis in range(3):
         shifted = v.centers[axis][None, :] - u[:, axis, None]
-        e2 += np.einsum("ij,ij->i", shifted * shifted, margs[axis])
+        shifted *= shifted
+        e2 += np.einsum("ij,ij->i", shifted, margs[axis])
     theta = e2 * dvol / (3.0 * rho)
     return MomentField(rho, u, theta)
 

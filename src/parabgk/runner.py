@@ -11,7 +11,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .cases import initial_distribution
+from .cases import initial_distribution, initial_moments
 from .config import RunConfig, build_discretization, build_params
 from .errors import SolverError
 from .fluid import FluidParams
@@ -27,19 +27,24 @@ __all__ = ["prepare", "run_fine_mode", "solve", "write_artifacts", "run_mode",
 
 
 def prepare(cfg: RunConfig):
-    """Build discretization, solver parameters and the initial moments."""
+    """Build discretization, solver parameters and the initial moments.
+
+    The moments come from the case's Maxwellian marginals
+    (cases.initial_moments), so set-up builds no distribution, and neither
+    does the main process of the fluid and parareal modes.
+    """
     disc = build_discretization(cfg)
     kinetic, fluid = build_params(cfg, disc)
-    U0 = project(initial_distribution(cfg.case, disc.phase), disc.phase)
-    return disc, kinetic, fluid, U0
+    return disc, kinetic, fluid, initial_moments(cfg.case, disc.phase)
 
 
 def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) -> list[MomentField]:
     """Serial kinetic reference: one distribution marched across all windows.
 
-    The initial distribution is the state of the window buffers, which every
-    window reuses. A SolverError raised in a window is raised again as a
-    SolverError naming the window, chained from the cause.
+    The initial distribution, built here and nowhere else in the mode, is
+    the state of the window buffers, which every window reuses. A
+    SolverError raised in a window is raised again as a SolverError naming
+    the window, chained from the cause.
     """
     f = initial_distribution(cfg.case, disc.phase)
     buffers = window_buffers(disc.phase, first=f)

@@ -16,11 +16,11 @@ from oracles import relax_weight, riemann_density
 from parabgk import (BoundaryKind, Discretization, FluidParams, KineticParams,
                      MomentField, PhaseGrid, PararealConfig,
                      RunConfig, build_spatial_grid, build_time_grids,
-                     build_velocity_grid, beams_initial, estimate_k_opt,
+                     build_velocity_grid, estimate_k_opt,
                      external_force, fine_moment_chain, initial_coarse_sweep,
-                     lift, project, propagate_fluid, propagate_kinetic,
-                     read_convergence, run_comparison, run_mode, run_parareal,
-                     sod_moments)
+                     initial_distribution, lift, project, propagate_fluid,
+                     propagate_kinetic, read_convergence, run_comparison,
+                     run_mode, run_parareal, sod_moments)
 from parabgk.parareal import compute_jumps, make_executor
 
 
@@ -279,7 +279,7 @@ def test_criterion_12_confined_beams_concentrate_and_converge():
     force = external_force(phase.space.centers)
     kinetic = KineticParams(epsilon=1e-3, force=force)
     fluid = FluidParams(force=force)
-    U0 = project(beams_initial(phase), phase)
+    U0 = project(initial_distribution("beams", phase), phase)
     chain = fine_moment_chain(U0, disc, kinetic)
     traj, _ = run_parareal(U0, PararealConfig(k_max=6, tol=1e-300),
                            disc, kinetic, fluid)

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from parabgk import (DegenerateStateError, MomentField, PhaseGrid,
-                     build_spatial_grid, build_velocity_grid, lift, project)
+                     build_spatial_grid, build_velocity_grid, lift,
+                     maxwellian_marginals, project)
 from oracles import maxwellian_value
 
 
@@ -164,6 +165,42 @@ def test_lift_rejects_degenerate_inputs():
                              r"positive number$"):
         lift(U, grid, normalize_mass=True)
     assert np.all(np.isfinite(lift(U, grid)))
+
+
+def test_maxwellian_marginals_share_lifts_checks():
+    # at theta = 1e-300 the amplitude rho / (2 pi theta)^1.5 overflows
+    grid = _grid(n_v=16, n_x=4)
+    U = _uniform(4, 1.0, (0, 0, 0), 1.0)
+    U.theta[1:] = 1e-300
+    with pytest.raises(DegenerateStateError,
+                       match=r"^lift's amplitude at cell 1 is inf, not a finite "):
+        maxwellian_marginals(U, grid)
+    U.rho[2] = math.nan
+    with pytest.raises(DegenerateStateError, match=r"^lift's density at cell 2 is nan"):
+        maxwellian_marginals(U, grid)
+
+
+@pytest.mark.parametrize("n_v", [16, (128, 16, 16), (15, 9, 7)])
+def test_maxwellian_marginals_match_the_cubes_axis_sums(n_v):
+    # against the exactly rounded axis sums of lift's cube, entry by entry;
+    # the float64 sums of the cube are themselves off by up to ~6e-15 on
+    # 128x16x16. Cell 0 has u = 0 and the odd grid a zero centre, where every
+    # marginal is symmetric bit for bit
+    n_x = 5
+    grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x), build_velocity_grid(8.0, n_v))
+    rng = np.random.default_rng(4)
+    U = MomentField(rng.uniform(0.5, 1.5, n_x), rng.uniform(-1.0, 1.0, (n_x, 3)),
+                    rng.uniform(0.3, 2.0, n_x))
+    U.u[0] = 0.0
+    f = lift(U, grid)
+    got = maxwellian_marginals(U, grid)
+    for axis, marg in enumerate(got):
+        cube = np.moveaxis(f, axis + 1, 1)
+        want = np.array([[math.fsum(cube[i, j].ravel()) for j in range(cube.shape[1])]
+                         for i in range(n_x)])
+        assert marg.shape == want.shape
+        assert np.all(np.abs(marg - want) <= 1e-15 * want)
+        assert np.array_equal(marg[0], marg[0][::-1])
 
 
 def test_lift_varies_per_cell():
