@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import PhaseGrid, SpatialGrid
-from .kinetic import _block_rows
+from .kinetic import window_block
 from .lifting import lift, maxwellian_marginals
 from .moments import MomentField, moments_of_marginals
 
@@ -102,11 +102,10 @@ def initial_distribution(case: str, grid: PhaseGrid) -> np.ndarray:
     first, *rest = components(grid.space)
     f = lift(first, grid)
     n_x = grid.space.n_x
-    rows = _block_rows(grid)
-    block = np.empty((rows,) + grid.velocity.n_v) if rest else None
+    block = window_block(grid) if rest else None
     for U in rest:
-        for a in range(0, n_x, rows):
-            b = min(a + rows, n_x)
+        for a in range(0, n_x, len(block)):
+            b = min(a + len(block), n_x)
             part = MomentField(U.rho[a:b], U.u[a:b], U.theta[a:b])
             f[a:b] += lift(part, grid, out=block[:b - a])
     return f

@@ -13,19 +13,19 @@ collision operator conserves, so the implicit solve reduces to the blend
 f / (1 + lam) + M lam / (1 + lam), the second weight folded into M.
 
 A distribution is a plain array f[i, jx, jy, jz] of shape
-(n_x, n_vx, n_vy, n_vz). A window runs on one state array and one block of x
-rows, as many as fit in _BLOCK_BYTES; window_buffers makes that pair. Each
-step works on the state in place, one block at a time, so that each block is
-reused while it is still cached. The transport forms a block's upwind
-increments in the block from the state's old values, keeps one-row copies
-of the old rows a later block still reads, forms each row's v_x field
-fluxes in one-row scratches before the row changes, and then adds both to
-the rows. The relaxation blends in place and builds its Maxwellian in the
-block. transport_update and bgk_relax take the buffers as optional
-out/spare arguments and propagate_kinetic takes the pair, so a caller that
-runs many windows allocates it once and every window reuses the same,
-already touched, pages. Without buffers each call allocates its own and
-leaves its input untouched.
+(n_x, n_vx, n_vy, n_vz). Every call here advances the array it is given in
+place and returns it; a caller who wants to keep the input passes a copy.
+A step works on the state one block of x rows at a time, as many rows as
+fit in _BLOCK_BYTES, so that each block is reused while it is still cached.
+The transport forms a block's upwind increments in the block from the
+state's old values, keeps one-row copies of the old rows a later block
+still reads, forms each row's v_x field fluxes in one-row scratches before
+the row changes, and then adds both to the rows. The relaxation blends in
+place and builds its Maxwellian in the block. The block is the optional
+spare of transport_update, bgk_relax and propagate_kinetic, and
+window_block makes one, so a caller that runs many windows allocates it
+once and every window reuses the same, already touched, pages. Without a
+spare each call allocates its own block.
 
 numpy copies a strided ufunc operand through its operand buffer when the
 operand's contiguous runs are shorter than half that buffer (8192 elements by
@@ -59,7 +59,7 @@ __all__ = [
     "transport_update",
     "bgk_relax",
     "propagate_kinetic",
-    "window_buffers",
+    "window_block",
 ]
 
 _BLOCK_BYTES = 1 << 21  # about one core's L2, so a block is reused while cached
@@ -103,35 +103,23 @@ def _block_rows(grid: PhaseGrid) -> int:
     return max(1, min(grid.space.n_x, _BLOCK_BYTES // row_bytes))
 
 
-def window_buffers(grid: PhaseGrid, first: np.ndarray | None = None):
-    """The state array and the block of a window, for propagate_kinetic.
+def window_block(grid: PhaseGrid) -> np.ndarray:
+    """An uninitialised block of _block_rows(grid) x rows, a step's spare."""
+    return np.empty((_block_rows(grid),) + grid.velocity.n_v)
 
-    The arrays are uninitialised; first, when given, serves as the state
-    instead of a new array. The block holds _block_rows(grid) x rows.
+
+def _block_buffer(f: np.ndarray, spare: np.ndarray | None, grid: PhaseGrid,
+                  who: str):
+    """A kernel's spare, a new block when it is None, and its block rows.
+
+    A spare that overlaps f raises ValueError before anything is written. A
+    block is _block_rows(grid) rows and no more than spare holds.
     """
-    if first is None:
-        first = np.empty((grid.space.n_x,) + grid.velocity.n_v)
-    return first, np.empty((_block_rows(grid),) + grid.velocity.n_v)
-
-
-def _block_buffer(f: np.ndarray, out: np.ndarray | None,
-                  spare: np.ndarray | None, grid: PhaseGrid, who: str):
-    """A kernel's spare, one new block when it is None, and its block rows.
-
-    out may be None or f itself; any other out that overlaps f raises
-    ValueError, and so does a spare that overlaps f or out, before anything
-    is written. A block is _block_rows(grid) rows and no more than spare
-    holds.
-    """
-    if out is not None and out is not f and np.may_share_memory(out, f):
-        raise ValueError(f"{who}'s out overlaps its input in part")
-    rows = _block_rows(grid)
     if spare is None:
-        return np.empty((rows,) + f.shape[1:]), rows
-    if np.may_share_memory(spare, f) or (out is not None
-                                         and np.may_share_memory(spare, out)):
-        raise ValueError(f"{who}'s spare overlaps its input or out")
-    return spare, min(rows, spare.shape[0])
+        spare = window_block(grid)
+    elif np.may_share_memory(spare, f):
+        raise ValueError(f"{who}'s spare overlaps its input")
+    return spare, min(_block_rows(grid), spare.shape[0])
 
 
 def _upwind_half(f: np.ndarray, inc: np.ndarray, courant: np.ndarray,
@@ -154,7 +142,6 @@ def _upwind_half(f: np.ndarray, inc: np.ndarray, courant: np.ndarray,
 
 def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
                      params: KineticParams, bc: BoundaryKind,
-                     out: np.ndarray | None = None,
                      spare: np.ndarray | None = None) -> np.ndarray:
     """One explicit transport step (no collisions).
 
@@ -164,7 +151,7 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     v_x with zero flux through the cube faces, as two donor fluxes per
     interior face.
 
-    The step runs in place on out, one block of x rows at a time: both sign
+    The step runs in place on f, one block of x rows at a time: both sign
     halves' increments c (f_upwind - f) go to spare while the block still
     holds its old values, each row's field fluxes are formed from its old
     values in two one-row scratches, and then the row takes the increment
@@ -174,20 +161,12 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     no more than spare holds. Everything runs under a _UFUNC_BUFFER-element
     ufunc buffer (see the module docstring).
 
-    out may be f itself, for a step in place; another array gets a copy of
-    f first; None allocates that copy. spare is any C-contiguous array of
-    at least one x row; None allocates one block. An out that overlaps f
-    without being f, or a spare that overlaps f or out, raises ValueError
-    before anything is written. Beyond those, a step allocates a few x
-    rows.
+    spare is any C-contiguous array of at least one x row; None allocates
+    one block. A spare that overlaps f raises ValueError before anything is
+    written. Beyond the block, a step allocates a few x rows. Returns f.
     """
     n_x, n_vx = f.shape[:2]
-    spare, rows = _block_buffer(f, out, spare, grid, "transport_update")
-    if out is None:
-        out = f.copy()
-    elif out is not f:
-        np.copyto(out, f)
-    f = out
+    spare, rows = _block_buffer(f, spare, grid, "transport_update")
     cx = grid.velocity.centers[0]
     courant = dt / grid.space.dx * np.abs(cx)[None, :, None, None]
     periodic = bc is BoundaryKind.PERIODIC
@@ -240,11 +219,10 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
 
 
 def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
-              params: KineticParams, out: np.ndarray | None = None,
-              spare: np.ndarray | None = None) -> np.ndarray:
+              params: KineticParams, spare: np.ndarray | None = None) -> np.ndarray:
     """Implicit relaxation toward the Maxwellian of the current moments.
 
-    The result (f + lam M) / (1 + lam) goes to out, which may be f itself, as
+    f becomes (f + lam M) / (1 + lam), in place and returned, as
     f / (1 + lam) plus the Maxwellian with lam / (1 + lam) folded into its
     amplitude, where lam = dt / epsilon; lam = 0 leaves f unchanged, and a
     lam outside [0, inf) (a NaN, zero or negative epsilon, or one so small
@@ -253,50 +231,43 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     mass of its cell; lift builds the Maxwellian in spare, one block of x
     rows at a time, on that block's moments. A block is as many rows as fit
     in _BLOCK_BYTES, and no more than spare holds: spare is any C-contiguous
-    array of at least one x row, a whole state included. Either buffer left
-    as None is allocated, spare as one block. An out that overlaps f
-    without being f, or a spare that overlaps f or out, raises ValueError as
-    in transport_update.
+    array of at least one x row, a whole state included, and None allocates
+    one block. A spare that overlaps f raises ValueError as in
+    transport_update.
     """
     lam = dt / params.epsilon if params.epsilon else np.inf
     if not 0.0 <= lam < np.inf:
         raise DegenerateStateError(f"relaxation rate dt/epsilon is {lam} in every cell")
-    spare, rows = _block_buffer(f, out, spare, grid, "bgk_relax")
+    spare, rows = _block_buffer(f, spare, grid, "bgk_relax")
     U = project(f, grid)
     keep, weight = 1.0 / (1.0 + lam), lam / (1.0 + lam)
-    if out is None:
-        out = np.empty_like(f)
     n_x = f.shape[0]
     for a in range(0, n_x, rows):
         b = min(a + rows, n_x)
         M = lift(MomentField(U.rho[a:b], U.u[a:b], U.theta[a:b]), grid,
                  normalize_mass=True, out=spare[:b - a], weight=weight)
-        np.multiply(f[a:b], keep, out=out[a:b])
-        out[a:b] += M
-    return out
+        np.multiply(f[a:b], keep, out=f[a:b])
+        f[a:b] += M
+    return f
 
 
-def propagate_kinetic(f0: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
+def propagate_kinetic(f: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
                       params: KineticParams, bc: BoundaryKind,
                       dt_max: float | None = None,
-                      buffers: tuple | None = None) -> np.ndarray:
-    """Advance f0 from t0 to t1 with steps min(stability cap, dt_max, remaining).
+                      spare: np.ndarray | None = None) -> np.ndarray:
+    """Advance f in place from t0 to t1 and return it.
 
-    The window runs on one state array and one block of x rows, buffers as
-    window_buffers makes them: each step transports the state in place
-    through the block and relaxes it in place, the block serving as the
-    relaxation's spare. The first step copies f0 into the state unless f0
-    is the state itself, which is then overwritten; any other f0 is never
-    written. Without buffers the call allocates its own pair. The result is
-    the state, except for an empty interval, which returns f0 itself. A step
-    fails only through bgk_relax's checks, which name the cell; march adds
-    the step.
+    Steps are min(stability cap, dt_max, remaining). Each step transports f
+    and relaxes it, both through one block of x rows: spare, as window_block
+    makes it, or one block allocated for the call. A step fails only
+    through bgk_relax's checks, which name the cell; march adds the step.
     """
     cap = stable_dt_kinetic(grid, params)
-    state, block = window_buffers(grid) if buffers is None else buffers
+    if spare is None:
+        spare = window_block(grid)
 
     def advance(f, dt):
-        f = transport_update(f, dt, grid, params, bc, out=state, spare=block)
-        return bgk_relax(f, dt, grid, params, out=f, spare=block)
+        f = transport_update(f, dt, grid, params, bc, spare=spare)
+        return bgk_relax(f, dt, grid, params, spare=spare)
 
-    return march(f0, t0, t1, lambda f: cap, advance, dt_max)
+    return march(f, t0, t1, lambda f: cap, advance, dt_max)

@@ -27,7 +27,7 @@ from .errors import (ConfigurationError, CorrectionOvershootError,
                      DegenerateStateError, SolverError)
 from .fluid import FluidParams, propagate_fluid
 from .grid import Discretization
-from .kinetic import KineticParams, propagate_kinetic, window_buffers
+from .kinetic import KineticParams, propagate_kinetic, window_block
 from .lifting import lift
 from .moments import MomentField, project
 
@@ -105,17 +105,24 @@ def initial_coarse_sweep(U0: MomentField, disc: Discretization,
     return ParTrajectory(snapshots, jumps)
 
 
+def _window_arrays(disc: Discretization) -> tuple:
+    """A window's state, the lift target, and the block its steps reuse."""
+    state = np.empty((disc.phase.space.n_x,) + disc.phase.velocity.n_v)
+    return state, window_block(disc.phase)
+
+
 def _kinetic_window(n: int, U: MomentField, disc: Discretization,
-                    kinetic: KineticParams, buffers: tuple):
-    """Lift U into the state of buffers, solve window n on them and project,
+                    kinetic: KineticParams, arrays: tuple):
+    """Lift U into the state of arrays, solve window n on it and project,
     with the (lift, kinetic, project) stage timings."""
     times = disc.time.coarse_times
+    state, block = arrays
     tic = time.perf_counter()
-    f = lift(U, disc.phase, normalize_mass=False, out=buffers[0])
+    f = lift(U, disc.phase, normalize_mass=False, out=state)
     t_lift = time.perf_counter() - tic
     tic = time.perf_counter()
     f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
-                          kinetic, disc.bc, dt_max=disc.time.dt_f, buffers=buffers)
+                          kinetic, disc.bc, dt_max=disc.time.dt_f, spare=block)
     t_kin = time.perf_counter() - tic
     tic = time.perf_counter()
     fine = project(f, disc.phase)
@@ -124,9 +131,9 @@ def _kinetic_window(n: int, U: MomentField, disc: Discretization,
 
 
 def _window_jump(n: int, U: MomentField, disc: Discretization,
-                 kinetic: KineticParams, fluid: FluidParams, buffers: tuple):
+                 kinetic: KineticParams, fluid: FluidParams, arrays: tuple):
     """Fine-minus-coarse defect of window n started from U, with stage timings."""
-    fine, stages = _kinetic_window(n, U, disc, kinetic, buffers)
+    fine, stages = _kinetic_window(n, U, disc, kinetic, arrays)
     tic = time.perf_counter()
     coarse = _coarse_window(n, U, disc, fluid)
     t_fluid = time.perf_counter() - tic
@@ -135,13 +142,13 @@ def _window_jump(n: int, U: MomentField, disc: Discretization,
 
 # Per-process context for pool workers, installed by the pool initializer so
 # each submitted task only ships the small moment payload; the worker's window
-# buffers come with it and serve every window the worker runs.
+# arrays come with it and serve every window the worker runs.
 _WORKER_CTX = None
 
 
 def _init_worker(disc, kinetic, fluid):
     global _WORKER_CTX
-    _WORKER_CTX = (disc, kinetic, fluid, window_buffers(disc.phase))
+    _WORKER_CTX = (disc, kinetic, fluid, _window_arrays(disc))
 
 
 def _window_jump_remote(n: int, U: MomentField):
@@ -150,13 +157,17 @@ def _window_jump_remote(n: int, U: MomentField):
 
 def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
                   fluid: FluidParams) -> Executor:
-    """Process pool whose workers carry the problem context."""
+    """Process pool whose workers carry the problem context.
+
+    A forked pool starts all its processes at the first task, and each holds
+    a state and a block, so the pool has no more processes than windows.
+    """
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-fork platforms
         ctx = multiprocessing.get_context()
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                               initializer=_init_worker,
+    return ProcessPoolExecutor(max_workers=min(workers, disc.time.n_g),
+                               mp_context=ctx, initializer=_init_worker,
                                initargs=(disc, kinetic, fluid))
 
 
@@ -166,7 +177,7 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
                   timing: dict | None = None) -> None:
     """Set the jump slots of windows k..n_g from the previous iterate.
 
-    Windows run in turn here, on one set of window buffers, or as independent
+    Windows run in turn here, on one set of window arrays, or as independent
     tasks on the executor when one is given; results are taken in window
     order either way, so the outcome does not depend on scheduling. The
     first failing window, whatever it raised (a SolverError or a dead
@@ -181,7 +192,7 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
     try:
         if executor is None:
             results = map(partial(_window_jump, disc=disc, kinetic=kinetic,
-                                  fluid=fluid, buffers=window_buffers(disc.phase)),
+                                  fluid=fluid, arrays=_window_arrays(disc)),
                           windows, starts)
         else:
             results = executor.map(_window_jump_remote, windows, starts)
@@ -251,15 +262,15 @@ def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
 def fine_moment_chain(U0: MomentField, disc: Discretization,
                       kinetic: KineticParams) -> list[MomentField]:
     """Window-wise fine reference: lift, solve, project for each window in turn,
-    all on one set of window buffers.
+    all on one set of window arrays.
 
     This is the trajectory the outer iteration reproduces exactly once k
     reaches the window count.
     """
-    buffers = window_buffers(disc.phase)
+    arrays = _window_arrays(disc)
     out = [U0.copy()]
     for n in range(1, disc.time.n_g + 1):
-        out.append(_kinetic_window(n, out[-1], disc, kinetic, buffers)[0])
+        out.append(_kinetic_window(n, out[-1], disc, kinetic, arrays)[0])
     return out
 
 

@@ -122,7 +122,7 @@ def test_criterion_05_homogeneous_relaxation_closed_form():
           + lift(MomentField(0.5 * ones, u2, 0.5 * ones), grid))
     epsilon, dt, steps = 0.1, 2e-3, 50
     kinetic = KineticParams(epsilon=epsilon)
-    got = propagate_kinetic(f0, 0.0, dt * steps, grid, kinetic,
+    got = propagate_kinetic(f0.copy(), 0.0, dt * steps, grid, kinetic,
                             BoundaryKind.PERIODIC, dt_max=dt)
     M0 = lift(project(f0, grid), grid, normalize_mass=True)
     a = relax_weight([dt / epsilon] * steps)

@@ -21,7 +21,7 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      build_params, build_spatial_grid, build_velocity_grid,
                      initial_distribution, kinetic, lift, project,
                      propagate_kinetic, stable_dt_kinetic,
-                     SolverError, transport_update, window_buffers)
+                     SolverError, transport_update, window_block)
 from parabgk import runner
 from parabgk.runner import run_fine_mode
 from oracles import reduced_fine, relax_weight, transport_reference
@@ -57,7 +57,7 @@ def test_stable_dt_with_field():
 def test_transport_preserves_constants_periodic():
     grid = _grid()
     f = lift(_uniform(8, 1.0, (0.3, 0.0, 0.0), 1.0), grid)
-    out = transport_update(f, 1e-3, grid, KineticParams(epsilon=1.0),
+    out = transport_update(f.copy(), 1e-3, grid, KineticParams(epsilon=1.0),
                            BoundaryKind.PERIODIC)
     assert np.array_equal(out, f)
 
@@ -108,7 +108,7 @@ def test_field_term_conserves_mass():
     grid = _grid(n_x=4, n_v=16)
     params = KineticParams(epsilon=1.0, force=np.full(4, 0.9))
     f = lift(_uniform(4, 1.0, (0.0, 0.0, 0.0), 1.0), grid)
-    out = transport_update(f, 2e-3, grid, params, BoundaryKind.PERIODIC)
+    out = transport_update(f.copy(), 2e-3, grid, params, BoundaryKind.PERIODIC)
     assert out.sum() == pytest.approx(f.sum(), rel=1e-14)
 
 
@@ -126,7 +126,7 @@ def test_transport_matches_scalar_oracle(n_vx, bc, with_field):
     force = rng.uniform(-1.0, 1.0, size=n_x) if with_field else None
     params = KineticParams(epsilon=1.0, force=force)
     dt = stable_dt_kinetic(grid, params)
-    got = transport_update(f, dt, grid, params, bc)
+    got = transport_update(f.copy(), dt, grid, params, bc)
     want = transport_reference(f, dt, grid.space.dx,
                                grid.velocity.centers[0], grid.velocity.dv[0],
                                bc is BoundaryKind.PERIODIC, force)
@@ -140,8 +140,8 @@ def test_field_with_one_vx_cell_is_inert():
     f = lift(_uniform(8, 1.0, (0.0, 0.2, 0.0), 1.0), grid)
     field = KineticParams(epsilon=1e-2, force=np.full(8, 0.5))
     plain = KineticParams(epsilon=1e-2)
-    got = transport_update(f, 1e-3, grid, field, BoundaryKind.PERIODIC)
-    want = transport_update(f, 1e-3, grid, plain, BoundaryKind.PERIODIC)
+    got = transport_update(f.copy(), 1e-3, grid, field, BoundaryKind.PERIODIC)
+    want = transport_update(f.copy(), 1e-3, grid, plain, BoundaryKind.PERIODIC)
     assert got.tobytes() == want.tobytes()
     out = propagate_kinetic(f, 0.0, 0.05, grid, field, BoundaryKind.PERIODIC)
     assert np.all(np.isfinite(out))
@@ -157,85 +157,66 @@ def _field_instance(n_x=20, n_v=(32, 16, 16)):
     return grid, params, lift(U, grid)
 
 
-def test_propagate_leaves_input_and_owns_result():
+def test_propagate_advances_its_argument_in_place():
+    # the call returns the array it was given, stepped exactly as a manual
+    # transport + relax loop on the same schedule steps a copy
     grid, params, f0 = _field_instance(n_x=8, n_v=(8, 4, 4))
-    before = f0.tobytes()
-    span = 4 * stable_dt_kinetic(grid, params)
-    first = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
-    second = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
-    assert f0.tobytes() == before
-    assert not np.shares_memory(first, f0)
-    assert not np.shares_memory(first, second)
-    assert first.tobytes() == second.tobytes()
+    cap = stable_dt_kinetic(grid, params)
+    span = 3.5 * cap
+    f = f0.copy()
+    got = propagate_kinetic(f, 0.0, span, grid, params, BoundaryKind.PERIODIC)
+    assert got is f
+    want = f0.copy()
+    elapsed = 0.0
+    while span - elapsed > 1e-12 * span:
+        dt = min(cap, span - elapsed)
+        assert transport_update(want, dt, grid, params, BoundaryKind.PERIODIC) is want
+        assert bgk_relax(want, dt, grid, params) is want
+        elapsed += dt
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
 def test_kernels_same_bytes_with_and_without_buffers(bc):
-    # buffers start as NaN so that a value read before it is written shows;
+    # spares start as NaN so that a value read before it is written shows;
     # a spare of fewer rows than n_x = 8 blocks a kernel by its row count,
     # 3 rows leave a short last block, and a whole state is one block
     grid, field, f = _field_instance(n_x=8, n_v=(9, 4, 4))
     f *= np.random.default_rng(2).uniform(0.5, 1.5, size=f.shape)
     shape = f.shape
-    before = f.tobytes()
     for params in (field, KineticParams(epsilon=field.epsilon)):
         dt = stable_dt_kinetic(grid, params)
-        fresh_transport = transport_update(f, dt, grid, params, bc)
-        fresh_relax = bgk_relax(f, dt, grid, params)
+        fresh_transport = transport_update(f.copy(), dt, grid, params, bc)
+        fresh_relax = bgk_relax(f.copy(), dt, grid, params)
         spares = [np.empty((rows,) + shape[1:]) for rows in (1, 3, 8)]
-        for spare in spares + [window_buffers(grid)[0]]:
+        for spare in spares + [np.empty(shape)]:
             spare[:] = np.nan
-            out = np.full(shape, np.nan)
-            copied = transport_update(f, dt, grid, params, bc, out=out, spare=spare)
-            assert copied is out
-            assert copied.tobytes() == fresh_transport.tobytes()
             probe = f.copy()
-            spare[:] = np.nan
-            in_place = transport_update(probe, dt, grid, params, bc, out=probe,
-                                        spare=spare)
-            assert in_place is probe
-            assert in_place.tobytes() == fresh_transport.tobytes()
+            assert transport_update(probe, dt, grid, params, bc, spare=spare) is probe
+            assert probe.tobytes() == fresh_transport.tobytes()
 
             spare[:] = np.nan
-            reused = bgk_relax(f, dt, grid, params, out=np.full(shape, np.nan),
-                               spare=spare)
-            assert reused.tobytes() == fresh_relax.tobytes()
             probe = f.copy()
-            spare[:] = np.nan
-            in_place = bgk_relax(probe, dt, grid, params, out=probe, spare=spare)
-            assert in_place is probe
-            assert in_place.tobytes() == fresh_relax.tobytes()
-    assert f.tobytes() == before
-    # an out or a spare that overlaps the state in part is refused before
-    # anything is written
-    wide = np.zeros((shape[0] + 1,) + shape[1:])
-    state = wide[:-1]
-    state[:] = f
-    with pytest.raises(ValueError, match="out overlaps"):
-        transport_update(state, dt, grid, params, bc, out=wide[1:])
-    with pytest.raises(ValueError, match="spare overlaps"):
-        transport_update(state, dt, grid, params, bc, out=state, spare=wide[-2:])
-    assert state.tobytes() == before
+            assert bgk_relax(probe, dt, grid, params, spare=spare) is probe
+            assert probe.tobytes() == fresh_relax.tobytes()
 
 
-@pytest.mark.parametrize("placement", ["spare in f", "spare in out", "out in part of f"])
+@pytest.mark.parametrize("placement", ["spare in f", "spare is f"])
 def test_relax_refuses_overlapping_buffers(placement):
-    # each placement once gave a state up to 1e-3 off with no error; the
-    # check shared with transport_update refuses it before anything is
-    # written
+    # a spare inside the state once gave a state up to 1e-3 off with no
+    # error; both kernels refuse it before anything is written
     grid, params, f = _field_instance(n_x=8, n_v=(8, 4, 4))
+    dt = stable_dt_kinetic(grid, params)
     wide = np.zeros((f.shape[0] + 1,) + f.shape[1:])
     h = wide[:-1]
     h[:] = f
-    g = np.zeros_like(f)
-    out, spare, match = {
-        "spare in f": (h, h[4:], "^bgk_relax's spare overlaps its input or out$"),
-        "spare in out": (g, g[4:], "^bgk_relax's spare overlaps its input or out$"),
-        "out in part of f": (wide[1:], None, "^bgk_relax's out overlaps its input in part$"),
-    }[placement]
-    with pytest.raises(ValueError, match=match):
-        bgk_relax(h, 1e-3, grid, params, out=out, spare=spare)
-    assert h.tobytes() == f.tobytes() and not g.any() and not wide[-1].any()
+    spare = h[4:] if placement == "spare in f" else h
+    with pytest.raises(ValueError, match="^bgk_relax's spare overlaps its input$"):
+        bgk_relax(h, dt, grid, params, spare=spare)
+    with pytest.raises(ValueError,
+                       match="^transport_update's spare overlaps its input$"):
+        transport_update(h, dt, grid, params, BoundaryKind.PERIODIC, spare=spare)
+    assert h.tobytes() == f.tobytes() and not wide[-1].any()
 
 
 @contextmanager
@@ -282,7 +263,8 @@ def test_propagate_same_bytes_at_any_caller_buffer_size(instance):
     results = []
     for size in (16, 8192):
         with _caller_bufsize(size):
-            results.append(propagate_kinetic(f0, 0.0, span, grid, params, bc).tobytes())
+            results.append(propagate_kinetic(f0.copy(), 0.0, span, grid, params,
+                                             bc).tobytes())
     assert results[0] == results[1]
 
 
@@ -299,16 +281,15 @@ def _traced_peak(call):
 
 
 def test_window_allocation_peak():
-    # one state array and one block of 16 of the 100 rows; the remaining
-    # temporaries are per-cell, per-row or per-plane
+    # the state is the caller's and the call allocates one block of 16 of the
+    # 100 rows; the remaining temporaries are per-cell, per-row or per-plane
     grid, params, f0 = _field_instance(n_x=100, n_v=(64, 16, 16))
     span = 4 * stable_dt_kinetic(grid, params)
-    block = window_buffers(grid)[1]
+    block = window_block(grid)
     assert block.shape[0] == 16
     peak = _traced_peak(lambda: propagate_kinetic(f0, 0.0, span, grid, params,
                                                   BoundaryKind.PERIODIC))
-    assert peak <= f0.nbytes + block.nbytes + 4 * f0[0].nbytes
-    assert peak <= 1.2 * f0.nbytes
+    assert peak <= block.nbytes + 4 * f0[0].nbytes
 
 
 @pytest.mark.parametrize("bc", ["periodic", "absorbing"])
@@ -325,28 +306,21 @@ def test_fine_mode_holds_one_state(bc):
     assert _traced_peak(lambda: run_fine_mode(cfg, disc, params)) <= 1.3 * state_bytes
 
 
-@pytest.mark.parametrize("f0_is_state", [False, True])
-def test_propagate_on_given_buffers(f0_is_state):
-    # NaN buffers show a value read before it is written; with f0 the state
-    # the call consumes it, any other f0 is left as it was, and either way
-    # the call allocates a few x rows at most
+@pytest.mark.parametrize("periodic", [False, True])
+def test_propagate_on_given_buffers(periodic):
+    # a NaN block shows a value read before it is written; with the block
+    # given, the call allocates a few x rows at most
+    bc = BoundaryKind.PERIODIC if periodic else BoundaryKind.ABSORBING
     grid, params, f = _field_instance(n_x=100, n_v=(64, 16, 16))
     span = 4 * stable_dt_kinetic(grid, params)
-    want = propagate_kinetic(f, 0.0, span, grid, params, BoundaryKind.PERIODIC)
-    buffers = window_buffers(grid)
-    for array in buffers:
-        array.fill(np.nan)
-    f0 = f
-    if f0_is_state:
-        f0 = buffers[0]
-        f0[:] = f
-    before = f.tobytes()
+    want = propagate_kinetic(f.copy(), 0.0, span, grid, params, bc)
+    block = window_block(grid)
+    block.fill(np.nan)
     got = []
     peak = _traced_peak(lambda: got.append(propagate_kinetic(
-        f0, 0.0, span, grid, params, BoundaryKind.PERIODIC, buffers=buffers)))
-    assert got[0] is buffers[0]
-    assert got[0].tobytes() == want.tobytes()
-    assert f.tobytes() == before
+        f, 0.0, span, grid, params, bc, spare=block)))
+    assert got[0] is f
+    assert f.tobytes() == want.tobytes()
     assert peak <= 4 * f[0].nbytes
 
 
@@ -354,7 +328,7 @@ def test_relax_fixed_point():
     grid = _grid(n_x=2, n_v=32)
     U = _uniform(2, 1.0, (0.0, 0.0, 0.0), 1.0)
     f = lift(U, grid, normalize_mass=True)
-    out = bgk_relax(f, 1e-2, grid, KineticParams(epsilon=1e-2))
+    out = bgk_relax(f.copy(), 1e-2, grid, KineticParams(epsilon=1e-2))
     assert np.max(np.abs(out - f)) <= 1e-14
 
 
@@ -362,7 +336,7 @@ def test_relax_with_zero_rate_leaves_f():
     # epsilon = inf gives lam = 0, which folds a zero weight into the Maxwellian
     grid = _grid(n_x=3, n_v=8)
     f = lift(_uniform(3, 1.0, (0.1, 0.0, 0.0), 0.8), grid) * 1.2
-    out = bgk_relax(f, 1e-2, grid, KineticParams(epsilon=math.inf))
+    out = bgk_relax(f.copy(), 1e-2, grid, KineticParams(epsilon=math.inf))
     assert out.tobytes() == f.tobytes()
 
 
@@ -449,7 +423,7 @@ def test_propagate_respects_dt_cap():
     f0 = lift(U, grid)
     cap = stable_dt_kinetic(grid, params)
     span = 3.5 * cap
-    out = propagate_kinetic(f0, 0.0, span, grid, params, BoundaryKind.PERIODIC)
+    out = propagate_kinetic(f0.copy(), 0.0, span, grid, params, BoundaryKind.PERIODIC)
     f = f0.copy()
     elapsed = 0.0
     while span - elapsed > 1e-12 * span:

@@ -1,6 +1,7 @@
 """Outer iteration: sweeps, jumps, corrections, cost model."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -112,6 +113,30 @@ def test_parallel_jumps_bitwise_equal_serial():
         assert np.array_equal(a.rho, b.rho)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.theta, b.theta)
+
+
+def test_pool_has_no_more_processes_than_windows():
+    # a forked pool starts all its processes at the first task, each holding
+    # a state and a block; with 2 windows, 2 of 4 workers would sit idle
+    disc = _tiny_disc(n_g=2, n_f=8)
+    kinetic = KineticParams(epsilon=1e-2)
+    fluid = FluidParams()
+    serial = initial_coarse_sweep(_sod_like(12), disc, fluid)
+    compute_jumps(serial, 1, disc, kinetic, fluid)
+    pooled = initial_coarse_sweep(_sod_like(12), disc, fluid)
+    before = {child.pid for child in multiprocessing.active_children()}
+    executor = make_executor(4, disc, kinetic, fluid)
+    try:
+        compute_jumps(pooled, 1, disc, kinetic, fluid, executor=executor)
+        started = [child for child in multiprocessing.active_children()
+                   if child.pid not in before]
+        assert len(started) == 2
+    finally:
+        executor.shutdown()
+    for a, b in zip(serial.jumps, pooled.jumps):
+        assert a.rho.tobytes() == b.rho.tobytes()
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.theta.tobytes() == b.theta.tobytes()
 
 
 def test_frozen_prefix_reproduces_fine_chain():
