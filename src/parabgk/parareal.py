@@ -95,12 +95,24 @@ def _coarse_window(n: int, U: MomentField, disc: Discretization,
                            fluid, disc.bc, dt_max=disc.time.dt_g)
 
 
+def _window_failed(prefix: str, exc: Exception) -> SolverError:
+    """A SolverError for a failed window, to be raised from exc."""
+    return SolverError(f"{prefix} failed: {type(exc).__name__}: {exc}")
+
+
 def initial_coarse_sweep(U0: MomentField, disc: Discretization,
                          fluid: FluidParams) -> ParTrajectory:
-    """Iteration 0: one serial coarse pass over all windows."""
+    """Iteration 0: one serial coarse pass over all windows.
+
+    A SolverError in a window is raised again as a SolverError naming the
+    window, chained from the cause.
+    """
     snapshots = [U0.copy()]
     for n in range(1, disc.time.n_g + 1):
-        snapshots.append(_coarse_window(n, snapshots[-1], disc, fluid))
+        try:
+            snapshots.append(_coarse_window(n, snapshots[-1], disc, fluid))
+        except SolverError as exc:
+            raise _window_failed(f"window {n}", exc) from exc
     jumps = [_zero_like(U0) for _ in range(disc.time.n_g)]
     return ParTrajectory(snapshots, jumps)
 
@@ -201,8 +213,7 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
             stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
             n += 1
     except Exception as exc:
-        raise SolverError(f"iteration {k} at window {n} failed: "
-                          f"{type(exc).__name__}: {exc}") from exc
+        raise _window_failed(f"iteration {k} at window {n}", exc) from exc
     if timing is not None:
         for key, value in zip(("t_lift", "t_kin", "t_proj", "t_fluid"), stage_max):
             timing[key] = max(timing.get(key, 0.0), value)
@@ -216,13 +227,18 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
     A correction that leaves the physical regime, a density or temperature
     that is not a finite positive number or a velocity that is not finite,
     aborts the run with the window and the first such cell: the jump data
-    cannot be trusted past that point.
+    cannot be trusted past that point. A SolverError in a coarse window is
+    raised again as a SolverError naming the iteration and the window,
+    chained from the cause.
     """
     old = traj.snapshots
     new = list(old)
     error = 0.0
     for n in range(k, disc.time.n_g + 1):
-        corrected = _coarse_window(n, new[n - 1], disc, fluid) + traj.jumps[n - 1]
+        try:
+            corrected = _coarse_window(n, new[n - 1], disc, fluid) + traj.jumps[n - 1]
+        except SolverError as exc:
+            raise _window_failed(f"iteration {k} correction at window {n}", exc) from exc
         try:
             corrected.require_physical("corrected")
         except DegenerateStateError as exc:
@@ -265,12 +281,16 @@ def fine_moment_chain(U0: MomentField, disc: Discretization,
     all on one set of window arrays.
 
     This is the trajectory the outer iteration reproduces exactly once k
-    reaches the window count.
+    reaches the window count. A SolverError in a window is raised again as a
+    SolverError naming the window, chained from the cause.
     """
     arrays = _window_arrays(disc)
     out = [U0.copy()]
     for n in range(1, disc.time.n_g + 1):
-        out.append(_kinetic_window(n, out[-1], disc, kinetic, arrays)[0])
+        try:
+            out.append(_kinetic_window(n, out[-1], disc, kinetic, arrays)[0])
+        except SolverError as exc:
+            raise _window_failed(f"window {n}", exc) from exc
     return out
 
 

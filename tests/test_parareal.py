@@ -23,7 +23,7 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      fine_moment_chain, initial_coarse_sweep, lift,
                      parareal_cost, project, propagate_fluid, propagate_kinetic,
                      run_parareal, sequential_correction)
-from parabgk import cli, config, runner
+from parabgk import cli, config, parareal, runner
 from parabgk import kinetic as kinetic_module
 from parabgk.parareal import compute_jumps, make_executor
 
@@ -251,6 +251,16 @@ def _relax_failing_in_workers(*args, **kwargs):
     return _relax(*args, **kwargs)
 
 
+def _tiny_config(tmp_path):
+    """A config file of the _tiny_disc() problem with sod data."""
+    path = tmp_path / "run.cfg"
+    path.write_text("case = sod\nx_min = 0.0\nx_max = 2.0\nn_x = 12\n"
+                    "v_max = 8.0\nn_vx = 8\nn_vy = 8\nn_vz = 8\n"
+                    "epsilon = 1e-2\nbc = absorbing\nt_final = 0.1\n"
+                    "n_g = 4\nn_f = 16\nk_max = 2\ntol = 1e-300\n")
+    return path
+
+
 def _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys, workers=2,
                                    epsilon=1e-2):
     """A failing window: SolverError naming the window, exit code 2.
@@ -272,11 +282,7 @@ def _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys, workers=2,
         return kinetic, fluid
 
     monkeypatch.setattr(runner, "build_params", failing_params)
-    path = tmp_path / "run.cfg"
-    path.write_text("case = sod\nx_min = 0.0\nx_max = 2.0\nn_x = 12\n"
-                    "v_max = 8.0\nn_vx = 8\nn_vy = 8\nn_vz = 8\n"
-                    "epsilon = 1e-2\nbc = absorbing\nt_final = 0.1\n"
-                    "n_g = 4\nn_f = 16\nk_max = 2\ntol = 1e-300\n")
+    path = _tiny_config(tmp_path)
     assert cli.main(["run", "--config", str(path), "--workers", str(workers),
                      "--out", str(tmp_path / "out")]) == 2
     assert "iteration 1 at window" in capsys.readouterr().err
@@ -326,6 +332,61 @@ def test_window_blow_up_names_iteration_and_window(tmp_path, monkeypatch, capsys
                               "at step 1")
         assert isinstance(error.__cause__, BlowUpError)
         assert error.__cause__.step == 1
+
+
+def _fail_on_third_call(propagate):
+    """propagate, but its third call raises BlowUpError."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise BlowUpError("planted failure at step 1", step=1)
+        return propagate(*args, **kwargs)
+
+    return wrapped
+
+
+_PLANTED = "failed: BlowUpError: planted failure at step 1"
+
+
+def test_coarse_sweep_names_the_failing_window(monkeypatch):
+    monkeypatch.setattr(parareal, "propagate_fluid",
+                        _fail_on_third_call(propagate_fluid))
+    with pytest.raises(SolverError, match=f"^window 3 {_PLANTED}$") as info:
+        initial_coarse_sweep(_sod_like(12), _tiny_disc(), FluidParams())
+    assert isinstance(info.value.__cause__, BlowUpError)
+
+
+def test_fluid_mode_names_the_failing_window(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(parareal, "propagate_fluid",
+                        _fail_on_third_call(propagate_fluid))
+    assert cli.main(["run", "--config", str(_tiny_config(tmp_path)), "--mode",
+                     "fluid", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: window 3 {_PLANTED}\n"
+
+
+def test_correction_names_the_failing_window(monkeypatch):
+    # a failing coarse solve inside the correction names the iteration and
+    # the window; an overshoot keeps its own CorrectionOvershootError
+    disc = _tiny_disc()
+    traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
+    monkeypatch.setattr(parareal, "propagate_fluid",
+                        _fail_on_third_call(propagate_fluid))
+    with pytest.raises(SolverError, match="^iteration 1 correction at window 3 "
+                       f"{_PLANTED}$") as info:
+        sequential_correction(traj, 1, disc, FluidParams())
+    assert type(info.value) is SolverError
+    assert isinstance(info.value.__cause__, BlowUpError)
+
+
+def test_fine_chain_names_the_failing_window(monkeypatch):
+    disc = _tiny_disc()
+    monkeypatch.setattr(parareal, "propagate_kinetic",
+                        _fail_on_third_call(propagate_kinetic))
+    with pytest.raises(SolverError, match=f"^window 3 {_PLANTED}$") as info:
+        fine_moment_chain(_sod_like(12), disc, KineticParams(epsilon=1e-2))
+    assert isinstance(info.value.__cause__, BlowUpError)
 
 
 class _FailFirstCallPerProcess:
