@@ -14,7 +14,7 @@ from .moments import (MomentField, conserved_to_primitive,
                       moments_of_marginals, primitive_to_conserved, project)
 from .lifting import lift, maxwellian_marginals
 from .kinetic import (KineticParams, bgk_relax, propagate_kinetic,
-                      stable_dt_kinetic, transport_update, window_block)
+                      stable_dt_kinetic, transport_update)
 from .fluid import (FluidParams, euler_flux, propagate_fluid, rusanov_flux,
                     stable_dt_fluid)
 from .parareal import (ConvergenceRecord, ParTrajectory, PararealConfig,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import PhaseGrid, SpatialGrid
-from .kinetic import window_block
+from .kinetic import _block_rows
 from .lifting import lift, maxwellian_marginals
 from .moments import MomentField, moments_of_marginals
 
@@ -95,17 +95,17 @@ def initial_distribution(case: str, grid: PhaseGrid) -> np.ndarray:
     """The sum of the case's Maxwellian components on the phase grid.
 
     The first component is lifted into the result and each further one is
-    added one block of x rows at a time, so the only array besides the
-    result is one block.
+    added one block of x rows at a time, as many as the relaxation's blocks
+    hold, so the only array besides the result is one block.
     """
     components, _ = _case(case)
     first, *rest = components(grid.space)
     f = lift(first, grid)
-    n_x = grid.space.n_x
-    block = window_block(grid) if rest else None
+    n_x, rows = grid.space.n_x, _block_rows(grid)
+    block = np.empty((rows,) + grid.velocity.n_v) if rest else None
     for U in rest:
-        for a in range(0, n_x, len(block)):
-            b = min(a + len(block), n_x)
+        for a in range(0, n_x, rows):
+            b = min(a + rows, n_x)
             part = MomentField(U.rho[a:b], U.u[a:b], U.theta[a:b])
             f[a:b] += lift(part, grid, out=block[:b - a])
     return f

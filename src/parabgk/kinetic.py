@@ -20,11 +20,9 @@ increment and v_x field fluxes in one-row scratches from old values before
 the row takes them, so all its operands are contiguous parts of rows. The
 relaxation works one block of x rows at a time, as many as fit in
 _BLOCK_BYTES, so that each block is reused while it is still cached: it
-blends in place and builds its Maxwellian in the block. The block is the
-optional spare of bgk_relax and propagate_kinetic, and window_block makes
-one, so a caller that runs many windows allocates it once and every window
-reuses the same, already touched, pages. Without a spare each call
-allocates its own block.
+blends in place and builds its Maxwellian in one block-sized array that
+each call allocates and frees, so the block and the transport's rows are
+never alive together.
 
 Sign convention: f_t + v f_x + E f_vx = (M - f) / eps, so a positive field
 accelerates particles toward positive v_x.
@@ -48,7 +46,6 @@ __all__ = [
     "transport_update",
     "bgk_relax",
     "propagate_kinetic",
-    "window_block",
 ]
 
 _BLOCK_BYTES = 1 << 21  # about one core's L2, so a block is reused while cached
@@ -87,11 +84,6 @@ def _block_rows(grid: PhaseGrid) -> int:
     """x rows in a block: as many as fit in _BLOCK_BYTES, at least one."""
     row_bytes = np.dtype(float).itemsize * int(np.prod(grid.velocity.n_v))
     return max(1, min(grid.space.n_x, _BLOCK_BYTES // row_bytes))
-
-
-def window_block(grid: PhaseGrid) -> np.ndarray:
-    """An uninitialised block of _block_rows(grid) x rows, a relaxation's spare."""
-    return np.empty((_block_rows(grid),) + grid.velocity.n_v)
 
 
 def _upwind_difference(upwind: np.ndarray | None, row: np.ndarray,
@@ -164,7 +156,7 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
 
 
 def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
-              params: KineticParams, spare: np.ndarray | None = None) -> np.ndarray:
+              params: KineticParams) -> np.ndarray:
     """Implicit relaxation toward the Maxwellian of the current moments.
 
     f becomes (f + lam M) / (1 + lam), in place and returned, as
@@ -173,28 +165,22 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     lam outside [0, inf) (a NaN, zero or negative epsilon, or one so small
     that dt / epsilon overflows) raises DegenerateStateError. The moments are
     projected once, and project rejects a non-finite entry of f through the
-    mass of its cell; lift builds the Maxwellian in spare, one block of x
-    rows at a time, on that block's moments. A block is as many rows as fit
-    in _BLOCK_BYTES, and no more than spare holds: spare is any C-contiguous
-    array of at least one x row, a whole state included, and None allocates
-    one block. A spare that overlaps f raises ValueError before anything is
-    written.
+    mass of its cell; lift builds the Maxwellian one block of x rows at a
+    time, on that block's moments, in one array of _block_rows(grid) rows
+    allocated for the call.
     """
     lam = dt / params.epsilon if params.epsilon else np.inf
     if not 0.0 <= lam < np.inf:
         raise DegenerateStateError(f"relaxation rate dt/epsilon is {lam} in every cell")
-    if spare is None:
-        spare = window_block(grid)
-    elif np.may_share_memory(spare, f):
-        raise ValueError("bgk_relax's spare overlaps its input")
-    rows = min(_block_rows(grid), spare.shape[0])
+    rows = _block_rows(grid)
+    block = np.empty((rows,) + f.shape[1:])
     U = project(f, grid)
     keep, weight = 1.0 / (1.0 + lam), lam / (1.0 + lam)
     n_x = f.shape[0]
     for a in range(0, n_x, rows):
         b = min(a + rows, n_x)
         M = lift(MomentField(U.rho[a:b], U.u[a:b], U.theta[a:b]), grid,
-                 normalize_mass=True, out=spare[:b - a], weight=weight)
+                 normalize_mass=True, out=block[:b - a], weight=weight)
         np.multiply(f[a:b], keep, out=f[a:b])
         f[a:b] += M
     return f
@@ -202,25 +188,18 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
 
 def propagate_kinetic(f: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
                       params: KineticParams, bc: BoundaryKind,
-                      dt_max: float | None = None,
-                      spare: np.ndarray | None = None) -> np.ndarray:
+                      dt_max: float | None = None) -> np.ndarray:
     """Advance f in place from t0 to t1 and return it.
 
     Steps are min(stability cap, dt_max, remaining). Each step transports f
-    one x row at a time and relaxes it through one block of x rows: spare,
-    as window_block makes it, or one block allocated for the call. A spare
-    that overlaps f raises ValueError before anything is written. A step
-    fails only through bgk_relax's checks, which name the cell; march adds
-    the step.
+    one x row at a time and then relaxes it one block of x rows at a time,
+    each kernel allocating and freeing its own scratch. A step fails only
+    through bgk_relax's checks, which name the cell; march adds the step.
     """
     cap = stable_dt_kinetic(grid, params)
-    if spare is None:
-        spare = window_block(grid)
-    elif np.may_share_memory(spare, f):
-        raise ValueError("propagate_kinetic's spare overlaps its input")
 
     def advance(f, dt):
         f = transport_update(f, dt, grid, params, bc)
-        return bgk_relax(f, dt, grid, params, spare=spare)
+        return bgk_relax(f, dt, grid, params)
 
     return march(f, t0, t1, lambda f: cap, advance, dt_max)

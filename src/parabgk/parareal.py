@@ -27,7 +27,7 @@ from .errors import (ConfigurationError, CorrectionOvershootError,
                      DegenerateStateError, SolverError)
 from .fluid import FluidParams, propagate_fluid
 from .grid import Discretization
-from .kinetic import KineticParams, propagate_kinetic, window_block
+from .kinetic import KineticParams, propagate_kinetic
 from .lifting import lift
 from .moments import MomentField, project
 
@@ -117,24 +117,22 @@ def initial_coarse_sweep(U0: MomentField, disc: Discretization,
     return ParTrajectory(snapshots, jumps)
 
 
-def _window_arrays(disc: Discretization) -> tuple:
-    """A window's state, the lift target, and the block its steps reuse."""
-    state = np.empty((disc.phase.space.n_x,) + disc.phase.velocity.n_v)
-    return state, window_block(disc.phase)
+def _window_state(disc: Discretization) -> np.ndarray:
+    """An uninitialised distribution, the lift target every window reuses."""
+    return np.empty((disc.phase.space.n_x,) + disc.phase.velocity.n_v)
 
 
 def _kinetic_window(n: int, U: MomentField, disc: Discretization,
-                    kinetic: KineticParams, arrays: tuple):
-    """Lift U into the state of arrays, solve window n on it and project,
-    with the (lift, kinetic, project) stage timings."""
+                    kinetic: KineticParams, state: np.ndarray):
+    """Lift U into state, solve window n on it and project, with the
+    (lift, kinetic, project) stage timings."""
     times = disc.time.coarse_times
-    state, block = arrays
     tic = time.perf_counter()
     f = lift(U, disc.phase, normalize_mass=False, out=state)
     t_lift = time.perf_counter() - tic
     tic = time.perf_counter()
     f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
-                          kinetic, disc.bc, dt_max=disc.time.dt_f, spare=block)
+                          kinetic, disc.bc, dt_max=disc.time.dt_f)
     t_kin = time.perf_counter() - tic
     tic = time.perf_counter()
     fine = project(f, disc.phase)
@@ -143,9 +141,9 @@ def _kinetic_window(n: int, U: MomentField, disc: Discretization,
 
 
 def _window_jump(n: int, U: MomentField, disc: Discretization,
-                 kinetic: KineticParams, fluid: FluidParams, arrays: tuple):
+                 kinetic: KineticParams, fluid: FluidParams, state: np.ndarray):
     """Fine-minus-coarse defect of window n started from U, with stage timings."""
-    fine, stages = _kinetic_window(n, U, disc, kinetic, arrays)
+    fine, stages = _kinetic_window(n, U, disc, kinetic, state)
     tic = time.perf_counter()
     coarse = _coarse_window(n, U, disc, fluid)
     t_fluid = time.perf_counter() - tic
@@ -154,13 +152,13 @@ def _window_jump(n: int, U: MomentField, disc: Discretization,
 
 # Per-process context for pool workers, installed by the pool initializer so
 # each submitted task only ships the small moment payload; the worker's window
-# arrays come with it and serve every window the worker runs.
+# state comes with it and serves every window the worker runs.
 _WORKER_CTX = None
 
 
 def _init_worker(disc, kinetic, fluid):
     global _WORKER_CTX
-    _WORKER_CTX = (disc, kinetic, fluid, _window_arrays(disc))
+    _WORKER_CTX = (disc, kinetic, fluid, _window_state(disc))
 
 
 def _window_jump_remote(n: int, U: MomentField):
@@ -172,7 +170,7 @@ def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
     """Process pool whose workers carry the problem context.
 
     A forked pool starts all its processes at the first task, and each holds
-    a state and a block, so the pool has no more processes than windows.
+    a state, so the pool has no more processes than windows.
     """
     try:
         ctx = multiprocessing.get_context("fork")
@@ -189,7 +187,7 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
                   timing: dict | None = None) -> None:
     """Set the jump slots of windows k..n_g from the previous iterate.
 
-    Windows run in turn here, on one set of window arrays, or as independent
+    Windows run in turn here, on one window state, or as independent
     tasks on the executor when one is given; results are taken in window
     order either way, so the outcome does not depend on scheduling. The
     first failing window, whatever it raised (a SolverError or a dead
@@ -204,7 +202,7 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
     try:
         if executor is None:
             results = map(partial(_window_jump, disc=disc, kinetic=kinetic,
-                                  fluid=fluid, arrays=_window_arrays(disc)),
+                                  fluid=fluid, state=_window_state(disc)),
                           windows, starts)
         else:
             results = executor.map(_window_jump_remote, windows, starts)
@@ -278,17 +276,17 @@ def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
 def fine_moment_chain(U0: MomentField, disc: Discretization,
                       kinetic: KineticParams) -> list[MomentField]:
     """Window-wise fine reference: lift, solve, project for each window in turn,
-    all on one set of window arrays.
+    all on one window state.
 
     This is the trajectory the outer iteration reproduces exactly once k
     reaches the window count. A SolverError in a window is raised again as a
     SolverError naming the window, chained from the cause.
     """
-    arrays = _window_arrays(disc)
+    state = _window_state(disc)
     out = [U0.copy()]
     for n in range(1, disc.time.n_g + 1):
         try:
-            out.append(_kinetic_window(n, out[-1], disc, kinetic, arrays)[0])
+            out.append(_kinetic_window(n, out[-1], disc, kinetic, state)[0])
         except SolverError as exc:
             raise _window_failed(f"window {n}", exc) from exc
     return out

@@ -17,10 +17,10 @@ from .errors import SolverError
 from .fluid import FluidParams
 from .grid import Discretization, SpatialGrid
 from .io import TimingReport, write_convergence, write_snapshots, write_timing
-from .kinetic import KineticParams, propagate_kinetic, window_block
+from .kinetic import KineticParams, propagate_kinetic
 from .moments import MomentField, project
-from .parareal import (ConvergenceRecord, PararealConfig, estimate_k_opt,
-                       initial_coarse_sweep, run_parareal)
+from .parareal import (ConvergenceRecord, PararealConfig, _window_failed,
+                       estimate_k_opt, initial_coarse_sweep, run_parareal)
 
 __all__ = ["prepare", "run_fine_mode", "solve", "write_artifacts", "run_mode",
            "run_comparison"]
@@ -42,22 +42,20 @@ def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) 
     """Serial kinetic reference: one distribution marched across all windows.
 
     The initial distribution, built here and nowhere else in the mode, is
-    the state every window advances in place, through one block that every
-    window reuses. A SolverError raised in a window is raised again as a
-    SolverError naming the window, chained from the cause.
+    the state every window advances in place. A SolverError raised in a
+    window is raised again as a SolverError naming the window, chained from
+    the cause.
     """
     f = initial_distribution(cfg.case, disc.phase)
-    block = window_block(disc.phase)
     times = disc.time.coarse_times
     snapshots = [project(f, disc.phase)]
     for n in range(1, disc.time.n_g + 1):
         try:
             f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
-                                  kinetic, disc.bc, dt_max=disc.time.dt_f,
-                                  spare=block)
+                                  kinetic, disc.bc, dt_max=disc.time.dt_f)
             snapshots.append(project(f, disc.phase))
         except SolverError as exc:
-            raise SolverError(f"window {n} failed: {type(exc).__name__}: {exc}") from exc
+            raise _window_failed(f"window {n}", exc) from exc
     return snapshots
 
 

@@ -21,8 +21,8 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      build_params, build_spatial_grid, build_velocity_grid,
                      initial_distribution, lift, project,
                      propagate_kinetic, stable_dt_kinetic,
-                     SolverError, transport_update, window_block)
-from parabgk import runner
+                     SolverError, transport_update)
+from parabgk import kinetic, runner
 from parabgk.runner import run_fine_mode
 from oracles import reduced_fine, relax_weight, transport_reference
 
@@ -177,48 +177,28 @@ def test_propagate_advances_its_argument_in_place():
 
 
 @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
-def test_kernels_same_bytes_with_and_without_buffers(bc):
-    # spares start as NaN so that a value read before it is written shows;
-    # a spare of fewer rows than n_x = 8 blocks the relaxation by its row
-    # count, 3 rows leave a short last block, and a whole state is one block
+def test_kernels_same_bytes_with_and_without_buffers(bc, monkeypatch):
+    # the relaxation's blocking does not show in the result: blocks of 1 and
+    # 3 of the n_x = 8 rows, the latter leaving a short last block, give the
+    # bytes of the default, where the whole state is one block
     grid, field, f = _field_instance(n_x=8, n_v=(9, 4, 4))
     f *= np.random.default_rng(2).uniform(0.5, 1.5, size=f.shape)
-    shape = f.shape
+    assert kinetic._block_rows(grid) == 8
     for params in (field, KineticParams(epsilon=field.epsilon)):
         dt = stable_dt_kinetic(grid, params)
-        fresh_relax = bgk_relax(f.copy(), dt, grid, params)
-        fresh_window = propagate_kinetic(f.copy(), 0.0, 2.5 * dt, grid, params, bc)
-        spares = [np.empty((rows,) + shape[1:]) for rows in (1, 3, 8)]
-        for spare in spares + [np.empty(shape)]:
-            spare[:] = np.nan
+        whole_relax = bgk_relax(f.copy(), dt, grid, params)
+        whole_window = propagate_kinetic(f.copy(), 0.0, 2.5 * dt, grid, params, bc)
+        for rows in (1, 3):
+            monkeypatch.setattr(kinetic, "_BLOCK_BYTES", rows * f[0].nbytes)
+            assert kinetic._block_rows(grid) == rows
             probe = f.copy()
-            assert propagate_kinetic(probe, 0.0, 2.5 * dt, grid, params, bc,
-                                     spare=spare) is probe
-            assert probe.tobytes() == fresh_window.tobytes()
+            assert propagate_kinetic(probe, 0.0, 2.5 * dt, grid, params, bc) is probe
+            assert probe.tobytes() == whole_window.tobytes()
 
-            spare[:] = np.nan
             probe = f.copy()
-            assert bgk_relax(probe, dt, grid, params, spare=spare) is probe
-            assert probe.tobytes() == fresh_relax.tobytes()
-
-
-@pytest.mark.parametrize("placement", ["spare in f", "spare is f"])
-def test_relax_refuses_overlapping_buffers(placement):
-    # a spare inside the state once gave a state up to 1e-3 off with no
-    # error; the relaxation and a window refuse it before anything is written
-    grid, params, f = _field_instance(n_x=8, n_v=(8, 4, 4))
-    dt = stable_dt_kinetic(grid, params)
-    wide = np.zeros((f.shape[0] + 1,) + f.shape[1:])
-    h = wide[:-1]
-    h[:] = f
-    spare = h[4:] if placement == "spare in f" else h
-    with pytest.raises(ValueError, match="^bgk_relax's spare overlaps its input$"):
-        bgk_relax(h, dt, grid, params, spare=spare)
-    with pytest.raises(ValueError,
-                       match="^propagate_kinetic's spare overlaps its input$"):
-        propagate_kinetic(h, 0.0, dt, grid, params, BoundaryKind.PERIODIC,
-                          spare=spare)
-    assert h.tobytes() == f.tobytes() and not wide[-1].any()
+            assert bgk_relax(probe, dt, grid, params) is probe
+            assert probe.tobytes() == whole_relax.tobytes()
+            monkeypatch.undo()
 
 
 @contextmanager
@@ -275,15 +255,18 @@ def _traced_peak(call):
 
 
 def test_window_allocation_peak():
-    # the state is the caller's and the call allocates one block of 16 of the
-    # 100 rows; the remaining temporaries are per-cell, per-row or per-plane
+    # the state is the caller's; each relaxation allocates one block of 16 of
+    # the 100 rows and frees it before the next transport allocates its few
+    # rows, so the two are never alive together; the remaining temporaries
+    # are per-cell, per-row or per-plane
     grid, params, f0 = _field_instance(n_x=100, n_v=(64, 16, 16))
     span = 4 * stable_dt_kinetic(grid, params)
-    block = window_block(grid)
-    assert block.shape[0] == 16
-    peak = _traced_peak(lambda: propagate_kinetic(f0, 0.0, span, grid, params,
-                                                  BoundaryKind.PERIODIC))
-    assert peak <= block.nbytes + 5.5 * f0[0].nbytes
+    assert kinetic._block_rows(grid) == 16
+    row = f0[0].nbytes
+    for bc in (BoundaryKind.PERIODIC, BoundaryKind.ABSORBING):
+        peak = _traced_peak(lambda: propagate_kinetic(f0, 0.0, span, grid,
+                                                      params, bc))
+        assert peak <= 16 * row + 3.5 * row, bc
 
 
 @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
@@ -308,24 +291,6 @@ def test_fine_mode_holds_one_state(bc):
     params, _ = build_params(cfg, disc)
     state_bytes = 8 * cfg.n_x * cfg.n_vx * cfg.n_vy * cfg.n_vz
     assert _traced_peak(lambda: run_fine_mode(cfg, disc, params)) <= 1.3 * state_bytes
-
-
-@pytest.mark.parametrize("periodic", [False, True])
-def test_propagate_on_given_buffers(periodic):
-    # a NaN block shows a value read before it is written; with the block
-    # given, the call allocates the transport's few x rows at most
-    bc = BoundaryKind.PERIODIC if periodic else BoundaryKind.ABSORBING
-    grid, params, f = _field_instance(n_x=100, n_v=(64, 16, 16))
-    span = 4 * stable_dt_kinetic(grid, params)
-    want = propagate_kinetic(f.copy(), 0.0, span, grid, params, bc)
-    block = window_block(grid)
-    block.fill(np.nan)
-    got = []
-    peak = _traced_peak(lambda: got.append(propagate_kinetic(
-        f, 0.0, span, grid, params, bc, spare=block)))
-    assert got[0] is f
-    assert f.tobytes() == want.tobytes()
-    assert peak <= 5.5 * f[0].nbytes
 
 
 def test_relax_fixed_point():

@@ -8,6 +8,7 @@ benchmark run.
 
 import importlib
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -104,3 +105,37 @@ def test_alloc_peaks_as_the_traced_pass_calls_them(harness):
     peaks = bench.alloc_peaks_mb(U0, disc, kinetic)
     assert len(peaks) == 2
     assert all(np.isfinite(peak) and peak > 0.0 for peak in peaks)
+
+
+@pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
+def test_alloc_probe_counts_what_a_window_relaxation_allocates(harness, monkeypatch, bc):
+    # the probe's relax figure is the tracemalloc peak of a bgk_relax call
+    # inside one propagate_kinetic step, to within one x row
+    bench, _ = harness
+    phase = PhaseGrid(build_spatial_grid(0.0, 2.0, 20),
+                      build_velocity_grid(8.0, (16, 8, 8)))
+    disc = Discretization(phase, build_time_grids(0.05, 2, 4), bc)
+    x = phase.space.centers
+    U0 = MomentField(1.0 + 0.3 * np.sin(np.pi * x), np.zeros((20, 3)), np.full(20, 0.9))
+    params = KineticParams(epsilon=1e-2, force=external_force(x))
+    dt = min(stable_dt_kinetic(phase, params), disc.time.dt_f)
+    relax, peaks = kinetic.bgk_relax, []
+
+    def traced_relax(*args, **kwargs):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = relax(*args, **kwargs)
+        peaks.append((tracemalloc.get_traced_memory()[1] - base) / 1e6)
+        return out
+
+    f = lift(U0, phase)
+    monkeypatch.setattr(kinetic, "bgk_relax", traced_relax)
+    tracemalloc.start()
+    try:
+        kinetic.propagate_kinetic(f, 0.0, dt, phase, params, bc)
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert len(peaks) == 1
+    probe = bench.alloc_peaks_mb(U0, disc, params)[1]
+    assert abs(probe - peaks[0]) <= f[0].nbytes / 1e6
