@@ -1,10 +1,12 @@
 """Outer iteration: coarse sweeps corrected by windowed fine solves.
 
 The expensive kinetic solves of distinct time windows depend only on the
-previous iterate, so they run as independent tasks on a worker pool; the
-cheap coarse corrections stay sequential. Results are collected in window
-order into each window's own jump slot, so they are bitwise identical for any
-worker count.
+previous iterate, so they run as independent tasks on a worker pool that
+lifts, solves and projects. The cheap coarse solves stay sequential in the
+main process: each sweep solves every window it moves once and keeps the
+result, so a window's jump is its pooled fine result minus the coarse value
+the previous sweep stored. Jumps are formed in window order into each
+window's own slot, so they are bitwise identical for any worker count.
 
 After iteration k the first k snapshots coincide with the window-wise fine
 chain (`fine_moment_chain`) and never change again, so both loops of
@@ -74,11 +76,14 @@ class ParTrajectory:
     """State of the outer iteration over one time horizon.
 
     snapshots[n] approximates the moments at coarse time T^n for the current
-    iterate; jumps[n-1] holds the latest fine-minus-coarse defect of window n
-    (zero until that window is first solved).
+    iterate; coarse[n-1] is the Euler solve of window n from snapshots[n-1],
+    set by the sweep that made snapshots[n]; jumps[n-1] holds the latest
+    fine-minus-coarse defect of window n (zero until that window is first
+    solved).
     """
 
     snapshots: list[MomentField]
+    coarse: list[MomentField]
     jumps: list[MomentField]
 
 
@@ -114,7 +119,7 @@ def initial_coarse_sweep(U0: MomentField, disc: Discretization,
         except SolverError as exc:
             raise _window_failed(f"window {n}", exc) from exc
     jumps = [_zero_like(U0) for _ in range(disc.time.n_g)]
-    return ParTrajectory(snapshots, jumps)
+    return ParTrajectory(snapshots, snapshots[1:], jumps)
 
 
 def _window_state(disc: Discretization) -> np.ndarray:
@@ -140,37 +145,29 @@ def _kinetic_window(n: int, U: MomentField, disc: Discretization,
     return fine, (t_lift, t_kin, t_proj)
 
 
-def _window_jump(n: int, U: MomentField, disc: Discretization,
-                 kinetic: KineticParams, fluid: FluidParams, state: np.ndarray):
-    """Fine-minus-coarse defect of window n started from U, with stage timings."""
-    fine, stages = _kinetic_window(n, U, disc, kinetic, state)
-    tic = time.perf_counter()
-    coarse = _coarse_window(n, U, disc, fluid)
-    t_fluid = time.perf_counter() - tic
-    return fine - coarse, (*stages, t_fluid)
-
-
 # Per-process context for pool workers, installed by the pool initializer so
 # each submitted task only ships the small moment payload; the worker's window
 # state comes with it and serves every window the worker runs.
 _WORKER_CTX = None
 
 
-def _init_worker(disc, kinetic, fluid):
+def _init_worker(disc, kinetic):
     global _WORKER_CTX
-    _WORKER_CTX = (disc, kinetic, fluid, _window_state(disc))
+    _WORKER_CTX = (disc, kinetic, _window_state(disc))
 
 
-def _window_jump_remote(n: int, U: MomentField):
-    return _window_jump(n, U, *_WORKER_CTX)
+def _kinetic_window_remote(n: int, U: MomentField):
+    return _kinetic_window(n, U, *_WORKER_CTX)
 
 
 def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
                   fluid: FluidParams) -> Executor:
-    """Process pool whose workers carry the problem context.
+    """Process pool whose workers carry the kinetic problem context.
 
     A forked pool starts all its processes at the first task, and each holds
-    a state, so the pool has no more processes than windows.
+    a state, so the pool has no more processes than windows. The workers run
+    no coarse solve, so `fluid` is unused; it stays for callers that pass it
+    positionally.
     """
     try:
         ctx = multiprocessing.get_context("fork")
@@ -178,7 +175,7 @@ def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
         ctx = multiprocessing.get_context()
     return ProcessPoolExecutor(max_workers=min(workers, disc.time.n_g),
                                mp_context=ctx, initializer=_init_worker,
-                               initargs=(disc, kinetic, fluid))
+                               initargs=(disc, kinetic))
 
 
 def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
@@ -187,9 +184,13 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
                   timing: dict | None = None) -> None:
     """Set the jump slots of windows k..n_g from the previous iterate.
 
-    Windows run in turn here, on one window state, or as independent
-    tasks on the executor when one is given; results are taken in window
-    order either way, so the outcome does not depend on scheduling. The
+    Each window's fine solve (lift, kinetic window, project) runs in turn
+    here, on one window state, or as an independent task on the executor
+    when one is given. Its jump is the fine result minus the coarse solve
+    the previous sweep stored for that window, taken in window order either
+    way, so the outcome does not depend on scheduling. `timing` collects the
+    per-stage maxima under t_lift, t_kin and t_proj. `fluid` is unused; it
+    stays for callers that pass it positionally. The
     first failing window, whatever it raised (a SolverError or a dead
     worker's broken pool included), surfaces as a SolverError naming the
     iteration and the window, chained from the cause, and the windows still
@@ -197,23 +198,23 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
     """
     windows = range(k, disc.time.n_g + 1)
     starts = traj.snapshots[k - 1:-1]
-    stage_max = [0.0, 0.0, 0.0, 0.0]
+    stage_max = [0.0, 0.0, 0.0]
     n = k  # the window whose result is awaited
     try:
         if executor is None:
-            results = map(partial(_window_jump, disc=disc, kinetic=kinetic,
-                                  fluid=fluid, state=_window_state(disc)),
+            results = map(partial(_kinetic_window, disc=disc, kinetic=kinetic,
+                                  state=_window_state(disc)),
                           windows, starts)
         else:
-            results = executor.map(_window_jump_remote, windows, starts)
-        for delta, stages in results:
-            traj.jumps[n - 1] = delta
+            results = executor.map(_kinetic_window_remote, windows, starts)
+        for fine, stages in results:
+            traj.jumps[n - 1] = fine - traj.coarse[n - 1]
             stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
             n += 1
     except Exception as exc:
         raise _window_failed(f"iteration {k} at window {n}", exc) from exc
     if timing is not None:
-        for key, value in zip(("t_lift", "t_kin", "t_proj", "t_fluid"), stage_max):
+        for key, value in zip(("t_lift", "t_kin", "t_proj"), stage_max):
             timing[key] = max(timing.get(key, 0.0), value)
 
 
@@ -221,22 +222,25 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
                           fluid: FluidParams) -> float:
     """Coarse sweep plus stored jumps from window k on; returns the error.
 
-    The error is the largest absolute componentwise change over all windows.
-    A correction that leaves the physical regime, a density or temperature
-    that is not a finite positive number or a velocity that is not finite,
-    aborts the run with the window and the first such cell: the jump data
-    cannot be trusted past that point. A SolverError in a coarse window is
-    raised again as a SolverError naming the iteration and the window,
-    chained from the cause.
+    Each window's coarse solve is kept in traj.coarse for the next
+    iteration's jumps. The error is the largest absolute componentwise
+    change over all windows. A correction that leaves the physical regime, a
+    density or temperature that is not a finite positive number or a
+    velocity that is not finite, aborts the run with the window and the
+    first such cell: the jump data cannot be trusted past that point. A
+    SolverError in a coarse window is raised again as a SolverError naming
+    the iteration and the window, chained from the cause.
     """
     old = traj.snapshots
     new = list(old)
+    coarse = list(traj.coarse)
     error = 0.0
     for n in range(k, disc.time.n_g + 1):
         try:
-            corrected = _coarse_window(n, new[n - 1], disc, fluid) + traj.jumps[n - 1]
+            coarse[n - 1] = _coarse_window(n, new[n - 1], disc, fluid)
         except SolverError as exc:
             raise _window_failed(f"iteration {k} correction at window {n}", exc) from exc
+        corrected = coarse[n - 1] + traj.jumps[n - 1]
         try:
             corrected.require_physical("corrected")
         except DegenerateStateError as exc:
@@ -245,7 +249,7 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
                 slice_index=n) from exc
         error = max(error, corrected.sup_distance(old[n]))
         new[n] = corrected
-    traj.snapshots = new
+    traj.snapshots, traj.coarse = new, coarse
     return error
 
 
@@ -295,7 +299,11 @@ def fine_moment_chain(U0: MomentField, disc: Discretization,
 def _window_cost(t_kin: float, t_fluid: float, t_lift: float, t_proj: float,
                  n_p: int) -> float:
     """Modeled wall time of one window per iteration: its share of the
-    parallel stage on n_p workers plus its serial coarse correction."""
+    parallel stage on n_p workers plus its serial coarse correction.
+
+    The parallel share charges a coarse solve that the pool does not run
+    (each jump takes the solve its window's last sweep stored), so the model
+    overstates the cost by t_fluid / n_p per window."""
     return (t_lift + t_proj + t_kin + t_fluid) / n_p + t_fluid
 
 
@@ -305,8 +313,10 @@ def parareal_cost(k: int, t_kin: float, t_fluid: float, t_lift: float,
 
     Every iteration is charged all n_g windows, although iteration j solves
     only the n_g - j + 1 windows it can still change: 414 windows rather
-    than 450 for n_g = 50 and k = 9. The model overstates the cost, so
-    estimate_k_opt's break-even count is a conservative, low estimate.
+    than 450 for n_g = 50 and k = 9. Each window is also charged a coarse
+    solve in the parallel stage that the pool does not run (_window_cost).
+    The model overstates the cost, so estimate_k_opt's break-even count is a
+    conservative, low estimate.
     """
     return t_fluid + n_g * k * _window_cost(t_kin, t_fluid, t_lift, t_proj, n_p)
 

@@ -4,6 +4,7 @@ Each test is self-contained and states its instance inline so a failure
 identifies the broken claim directly from the pytest -v line.
 """
 
+import json
 import math
 import os
 import time
@@ -263,7 +264,11 @@ def test_compare_writes_what_each_mode_writes(tmp_path):
     cfg = RunConfig(case="sod", x_min=0.0, x_max=2.0, n_x=20, v_max=5.0, n_vx=8,
                     n_vy=8, n_vz=8, epsilon=1e-2, bc="absorbing", t_final=0.1,
                     n_g=8, n_f=32, k_max=8, tol=1e-8, workers=2)
-    run_comparison(cfg, tmp_path / "compare")
+    report = run_comparison(cfg, tmp_path / "compare")
+    # the pool runs no coarse solve: t_fluid is the fluid mode's mean window
+    timing = json.loads((tmp_path / "compare" / "timing.json").read_text())
+    assert timing["t_fluid"] == report.t_fluid
+    assert 0.0 < timing["t_fluid"] <= timing["fluid_seconds"]
     for mode in ("fluid", "fine", "parareal"):
         alone = _artifacts(run_mode(replace(cfg, mode=mode), tmp_path / mode))
         assert len(alone[0]) == 9

@@ -117,7 +117,7 @@ def test_parallel_jumps_bitwise_equal_serial():
 
 def test_pool_has_no_more_processes_than_windows():
     # a forked pool starts all its processes at the first task, each holding
-    # a state and a block; with 2 windows, 2 of 4 workers would sit idle
+    # a window state; with 2 windows, 2 of 4 workers would sit idle
     disc = _tiny_disc(n_g=2, n_f=8)
     kinetic = KineticParams(epsilon=1e-2)
     fluid = FluidParams()
@@ -137,6 +137,47 @@ def test_pool_has_no_more_processes_than_windows():
         assert a.rho.tobytes() == b.rho.tobytes()
         assert a.u.tobytes() == b.u.tobytes()
         assert a.theta.tobytes() == b.theta.tobytes()
+
+
+def test_coarse_windows_are_solved_only_by_the_sweeps(monkeypatch):
+    # the jumps reuse the coarse solve of the sweep that moved each window's
+    # start: iteration 0 solves n_g windows, iteration k the n_g - k + 1 its
+    # correction moves, and compute_jumps none
+    disc = _tiny_disc(n_g=5, n_f=20)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return propagate_fluid(*args, **kwargs)
+
+    monkeypatch.setattr(parareal, "propagate_fluid", counted)
+    K, n_g = 3, disc.time.n_g
+    _, records = run_parareal(_sod_like(12), PararealConfig(k_max=K, tol=1e-300),
+                              disc, KineticParams(epsilon=1e-2), FluidParams())
+    assert len(records) == K
+    assert len(calls) == n_g + sum(n_g - k + 1 for k in range(1, K + 1))
+
+
+def _assert_coarse_is_fresh(traj, disc, fluid):
+    for n in range(1, disc.time.n_g + 1):
+        fresh = parareal._coarse_window(n, traj.snapshots[n - 1], disc, fluid)
+        assert traj.coarse[n - 1].rho.tobytes() == fresh.rho.tobytes()
+        assert traj.coarse[n - 1].u.tobytes() == fresh.u.tobytes()
+        assert traj.coarse[n - 1].theta.tobytes() == fresh.theta.tobytes()
+
+
+def test_stored_coarse_is_the_sweep_solve_of_each_window_start():
+    # coarse[n-1] is the Euler solve of window n from snapshots[n-1], bit for
+    # bit, after the coarse sweep and after every correction
+    disc = _tiny_disc()
+    kinetic = KineticParams(epsilon=1e-2)
+    fluid = FluidParams()
+    traj = initial_coarse_sweep(_sod_like(12), disc, fluid)
+    _assert_coarse_is_fresh(traj, disc, fluid)
+    for k in range(1, disc.time.n_g + 1):
+        compute_jumps(traj, k, disc, kinetic, fluid)
+        sequential_correction(traj, k, disc, fluid)
+        _assert_coarse_is_fresh(traj, disc, fluid)
 
 
 def test_frozen_prefix_reproduces_fine_chain():
