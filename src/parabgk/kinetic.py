@@ -5,24 +5,26 @@ explicitly. Transport is a conservative unsplit update: upwind fluxes in x
 (the only inhomogeneous direction) and, when an external field is present,
 central fluxes with max-speed dissipation along v_x. The x-upwind is split by
 the sign of v_x and takes the convex form f + c (f_upwind - f) with
-c = dt/dx |v_x|. The v_x flux through a face is the
-sum of two donor terms, one from each neighbouring cell, and each term is
-applied to both cells it joins. The relaxation toward the local Maxwellian is
-linear in f because the Maxwellian depends on f only through moments the
-collision operator conserves, so the implicit solve reduces to the blend
+c = dt/dx |v_x|. The v_x flux through a face is the sum of two donor terms,
+one from each neighbouring cell, formed once and applied to both cells it
+joins. The relaxation toward the local Maxwellian is linear in f because
+the Maxwellian depends on f only through moments the collision operator
+conserves, so the implicit solve reduces to the blend
 f / (1 + lam) + M lam / (1 + lam), the second weight folded into M.
 
 A distribution is a plain array f[i, jx, jy, jz] of shape
 (n_x, n_vx, n_vy, n_vz). Every call here advances the array it is given in
 place and returns it; a caller who wants to keep the input passes a copy.
-The transport sweeps the x rows in order, forming each row's upwind
-increment and v_x field fluxes in one-row scratches from old values before
-the row takes them, so all its operands are contiguous parts of rows. The
-relaxation works one block of x rows at a time, as many as fit in
-_BLOCK_BYTES, so that each block is reused while it is still cached: it
-blends in place and builds its Maxwellian in one block-sized array that
-each call allocates and frees, so the block and the transport's rows are
-never alive together.
+The transport sweeps the x rows in order. It forms each row's whole
+increment, the upwind difference plus the net v_x field flux, in a one-row
+scratch from old values, and the row takes it in one add. What enters past
+either end is the far row's old half when periodic and zero when absorbing,
+so both boundaries follow one inflow rule, and all its operands are
+contiguous parts of rows. The relaxation works one block of x rows at a
+time, as many as fit in _BLOCK_BYTES, so that each block is reused while it
+is still cached: it blends in place and builds its Maxwellian in one
+block-sized array that each call allocates and frees, so the block and the
+transport's rows are never alive together.
 
 Sign convention: f_t + v f_x + E f_vx = (M - f) / eps, so a positive field
 accelerates particles toward positive v_x.
@@ -86,15 +88,6 @@ def _block_rows(grid: PhaseGrid) -> int:
     return max(1, min(grid.space.n_x, _BLOCK_BYTES // row_bytes))
 
 
-def _upwind_difference(upwind: np.ndarray | None, row: np.ndarray,
-                       out: np.ndarray) -> None:
-    """out = upwind - row; None is the empty cell beyond an absorbing boundary."""
-    if upwind is None:
-        np.negative(row, out=out)
-    else:
-        np.subtract(upwind, row, out=out)
-
-
 def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
                      params: KineticParams, bc: BoundaryKind) -> np.ndarray:
     """One explicit transport step (no collisions), in place on f; returns f.
@@ -102,56 +95,57 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     Upwind in x in the convex form f + c (f_upwind - f), split by the sign of
     v_x; for absorbing boundaries no flux enters and outflow leaves freely. A
     v_x = 0 column has c = 0 and does not move. The field term advects along
-    v_x with zero flux through the cube faces, as two donor fluxes per
-    interior face.
+    v_x with zero flux through the cube faces; each interior face's flux is
+    the sum of two donor terms, formed once.
 
-    The step sweeps the x rows in ascending order. Each row's increment
-    c (f_upwind - f) and its field fluxes are formed in one-row scratches
-    from old values before the row takes them. The leftward half's upwind
-    row, the next one, is still old; the rightward half's, the previous one,
-    and, when periodic, the first row's leftward half, which the last row
-    reads, are kept as copies of their old values. A step allocates at
-    most about five x rows.
+    The step sweeps the x rows in ascending order. Each row's increment,
+    c (f_upwind - f) plus the net field flux into each cell, is formed in a
+    one-row scratch from old values, and the row then takes it in one add.
+    What enters past each end is behind, for the rightward half, and
+    beyond, for the leftward half: the far row's old half when periodic,
+    and zero when absorbing (a zero half row for behind, the scalar 0.0 for
+    beyond). The leftward half's upwind row, the next one, is still old, and
+    behind carries each row's old rightward half on to the next. A step
+    allocates at most about five x rows.
     """
     n_x, n_vx = f.shape[:2]
     cx = grid.velocity.centers[0]
+    # A full row, not a (n_vx, 1, 1) broadcast: the broadcast measured 2 to
+    # 11 % slower sod-converge windows.
     courant = np.broadcast_to((dt / grid.space.dx * np.abs(cx))[:, None, None],
                               f.shape[1:]).copy()
-    periodic = bc is BoundaryKind.PERIODIC
     # Centers ascend and are odd-symmetric: negative speeds first, then at
     # most one zero column, then positive speeds.
     neg = int(np.count_nonzero(cx < 0.0))
     left, right = f[:, :neg], f[:, neg:]
     inc = np.empty_like(f[0])
     inc_left, inc_right = inc[:neg], inc[neg:]
-    # the old rightward half of the row before; the last row's to begin with
-    previous = right[-1].copy()
-    first = left[0].copy() if periodic else None
+    if bc is BoundaryKind.PERIODIC:
+        behind, beyond = right[-1].copy(), left[0].copy()
+    else:
+        behind, beyond = np.zeros_like(right[0]), 0.0
     # The central flux with max-speed dissipation through the face between
     # v_x cells j and j+1 is a f_j + b f_{j+1}, with a = (E + E_max) / 2 and
-    # b = (E - E_max) / 2; each half leaves cell j and enters j+1. With one
-    # v_x cell there is no interior face, and the cube faces carry no flux.
+    # b = (E - E_max) / 2; it leaves cell j and enters j+1. With one v_x
+    # cell there is no interior face, and the cube faces carry no flux.
     e_max = _max_field(params) if n_vx > 1 else 0.0
     half_dtdv = 0.5 * dt / grid.velocity.dv[0]
     if e_max > 0.0:
-        fluxes = np.empty((2, n_vx - 1) + f.shape[2:])
-    for i in range(n_x):
-        _upwind_difference(previous if i > 0 or periodic else None, right[i],
-                           inc_right)
-        _upwind_difference(left[i + 1] if i + 1 < n_x else first, left[i],
-                           inc_left)
+        flux, donor = np.empty((2, n_vx - 1) + f.shape[2:])
+    for i, row in enumerate(f):
+        np.subtract(behind, right[i], out=inc_right)
+        np.subtract(left[i + 1] if i + 1 < n_x else beyond, left[i],
+                    out=inc_left)
         inc *= courant
-        np.copyto(previous, right[i])
-        row = f[i]
+        np.copyto(behind, right[i])
         if e_max > 0.0:
             field = params.force[i]
-            np.multiply(row[:-1], (field + e_max) * half_dtdv, out=fluxes[0])
-            np.multiply(row[1:], (field - e_max) * half_dtdv, out=fluxes[1])
+            np.multiply(row[:-1], (field + e_max) * half_dtdv, out=flux)
+            np.multiply(row[1:], (field - e_max) * half_dtdv, out=donor)
+            flux += donor
+            inc[:-1] -= flux
+            inc[1:] += flux
         row += inc
-        if e_max > 0.0:
-            for flux in fluxes:
-                row[:-1] -= flux
-                row[1:] += flux
     return f
 
 

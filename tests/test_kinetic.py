@@ -112,12 +112,14 @@ def test_field_term_conserves_mass():
     assert out.sum() == pytest.approx(f.sum(), rel=1e-14)
 
 
-@pytest.mark.parametrize("n_vx", [1, 5, 8])
+@pytest.mark.parametrize("n_vx", [1, 2, 5, 8])
 @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
 @pytest.mark.parametrize("with_field", [False, True])
 def test_transport_matches_scalar_oracle(n_vx, bc, with_field):
-    # odd n_vx keeps a v_x = 0 column; random data makes every donor cell,
-    # including those across the boundary, visible in the result
+    # odd n_vx keeps a v_x = 0 column; n_vx = 2 has one interior v_x face, so
+    # the two cells it joins take disjoint slices of the flux; random data
+    # makes every donor cell, including those across the boundary, visible
+    # in the result
     n_x = 6
     grid = PhaseGrid(build_spatial_grid(0.0, 2.0, n_x),
                      build_velocity_grid(8.0, (n_vx, 3, 2)))
@@ -272,7 +274,8 @@ def test_window_allocation_peak():
 @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.ABSORBING])
 def test_transport_allocation_peak(bc):
     # the transport sweeps the rows through one-row scratches: the increment,
-    # the Courant numbers, two v_x flux rows and two half-row copies
+    # the Courant numbers, the v_x flux and donor planes, and the inflow half
+    # rows (behind, and beyond when periodic)
     grid, params, f = _field_instance(n_x=100, n_v=(64, 16, 16))
     dt = stable_dt_kinetic(grid, params)
     peak = _traced_peak(lambda: transport_update(f, dt, grid, params, bc))
