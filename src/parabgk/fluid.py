@@ -56,22 +56,22 @@ def euler_flux(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _wave_speed(v: np.ndarray) -> np.ndarray:
+    # |u_x| + sqrt(theta) of packed states
+    return np.abs(v[..., 1] / v[..., 0]) + np.sqrt(_pressure(v) / v[..., 0])
+
+
 def rusanov_flux(vl: np.ndarray, vr: np.ndarray) -> np.ndarray:
     """Central flux with local max-speed dissipation between two states."""
     vl = np.asarray(vl, dtype=float)
     vr = np.asarray(vr, dtype=float)
-    speed_l = np.abs(vl[..., 1] / vl[..., 0]) + np.sqrt(_pressure(vl) / vl[..., 0])
-    speed_r = np.abs(vr[..., 1] / vr[..., 0]) + np.sqrt(_pressure(vr) / vr[..., 0])
-    s = np.maximum(speed_l, speed_r)
+    s = np.maximum(_wave_speed(vl), _wave_speed(vr))
     return 0.5 * (euler_flux(vl) + euler_flux(vr)) - 0.5 * s[..., None] * (vr - vl)
 
 
 def stable_dt_fluid(v: np.ndarray, grid: PhaseGrid) -> float:
     """Acoustic CFL bound 0.9 dx / max(|u_x| + sqrt(theta)) of packed states."""
-    ux = v[:, 1] / v[:, 0]
-    theta = _pressure(v) / v[:, 0]
-    rate = float(np.max(np.abs(ux) + np.sqrt(theta)))
-    return _CFL * grid.space.dx / rate
+    return _CFL * grid.space.dx / float(np.max(_wave_speed(v)))
 
 
 def _ghosted(v: np.ndarray, bc: BoundaryKind) -> np.ndarray:

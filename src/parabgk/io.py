@@ -1,13 +1,14 @@
 """CSV artifacts: moment snapshots, convergence log, timing report.
 
-Floats are written with repr, the shortest digit string that round-trips to
-the same double, so identical runs produce byte-identical files and readers
-recover the exact values.
+Both CSV files are comma-separated with one header line, every line ending
+in CR LF and no field quoted: each field is a number or a fixed column name.
+Floats are written with repr, Python's shortest digit string that round-trips
+to the same double, so identical runs produce byte-identical files and
+readers recover the exact values.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -47,62 +48,60 @@ class TimingReport:
     k_opt: int | None = None
 
 
+def _directory(out_dir: str | Path) -> Path:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _write_table(path: Path, header: list[str], rows) -> Path:
+    """Write the header and each row of formatted fields, comma-joined, one
+    line each ending in CR LF."""
+    text = "".join(",".join(row) + "\r\n" for row in [header, *rows])
+    path.write_text(text, newline="")
+    return path
+
+
+def _read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a file written by _write_table, split into fields."""
+    header, *rows = (line.split(",") for line in Path(path).read_text().splitlines())
+    return header, rows
+
+
+def _column(values: np.ndarray) -> list[str]:
+    return [repr(x) for x in np.asarray(values, dtype=float).tolist()]
+
+
 def write_snapshots(snapshots: list[MomentField], space: SpatialGrid,
                     out_dir: str | Path) -> list[Path]:
     """One snap_NNNNN.csv per coarse time, one row per cell."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for n, U in enumerate(snapshots):
-        path = out_dir / f"snap_{n:05d}.csv"
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(SNAPSHOT_HEADER)
-            for i in range(U.n_x):
-                writer.writerow([repr(float(space.centers[i])),
-                                 repr(float(U.rho[i])),
-                                 repr(float(U.u[i, 0])),
-                                 repr(float(U.u[i, 1])),
-                                 repr(float(U.u[i, 2])),
-                                 repr(float(U.theta[i]))])
-        paths.append(path)
-    return paths
+    out_dir = _directory(out_dir)
+    x = _column(space.centers)
+    return [_write_table(out_dir / f"snap_{n:05d}.csv", SNAPSHOT_HEADER,
+                         zip(x, *map(_column, (U.rho, *U.u.T, U.theta))))
+            for n, U in enumerate(snapshots)]
 
 
 def read_snapshot(path: str | Path) -> dict[str, np.ndarray]:
     """Columns of one snapshot file as float arrays keyed by header name."""
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader]
-    data = np.asarray(rows)
+    header, rows = _read_table(path)
+    data = np.asarray([[float(cell) for cell in row] for row in rows])
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
 def write_convergence(records: list[ConvergenceRecord],
                       out_dir: str | Path) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "convergence.csv"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CONVERGENCE_HEADER)
-        for rec in records:
-            writer.writerow([rec.k, repr(rec.error), repr(rec.seconds)])
-    return path
+    return _write_table(_directory(out_dir) / "convergence.csv", CONVERGENCE_HEADER,
+                        ([str(rec.k), repr(rec.error), repr(rec.seconds)]
+                         for rec in records))
 
 
 def read_convergence(path: str | Path) -> list[ConvergenceRecord]:
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        return [ConvergenceRecord(int(k), float(err), float(sec))
-                for k, err, sec in reader]
+    return [ConvergenceRecord(int(k), float(err), float(sec))
+            for k, err, sec in _read_table(path)[1]]
 
 
 def write_timing(report: TimingReport, out_dir: str | Path) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "timing.json"
+    path = _directory(out_dir) / "timing.json"
     path.write_text(json.dumps(asdict(report), indent=2) + "\n")
     return path

@@ -73,6 +73,25 @@ def test_convergence_round_trip(tmp_path):
     assert read_convergence(path) == records
 
 
+def test_artifact_bytes_are_pinned(tmp_path):
+    # comma-separated, one header line, CR LF line ends, no quoting, and
+    # every float as Python's shortest round-trip repr
+    space = build_spatial_grid(0.0, 1.0, 2)
+    U = MomentField(np.array([1.0, 0.1 + 0.2]),
+                    np.array([[-0.0, 1e-05, 2.0], [0.5, -1.5, 0.0]]),
+                    np.array([1e-05, 3.0]))
+    [snap] = write_snapshots([U], space, tmp_path)
+    assert snap.read_bytes() == (b"x,rho,ux,uy,uz,theta\r\n"
+                                 b"0.25,1.0,-0.0,1e-05,2.0,1e-05\r\n"
+                                 b"0.75,0.30000000000000004,0.5,-1.5,0.0,3.0\r\n")
+    records = [ConvergenceRecord(1, 0.1 + 0.2, 1e-05),
+               ConvergenceRecord(2, 1.7e-09, 0.5)]
+    log = write_convergence(records, tmp_path)
+    assert log.read_bytes() == (b"k,error,seconds\r\n"
+                                b"1,0.30000000000000004,1e-05\r\n"
+                                b"2,1.7e-09,0.5\r\n")
+
+
 def test_timing_report_fields(tmp_path):
     report = TimingReport(iterations=[0.5, 0.25], t_lift=0.01, t_kin=0.4,
                           t_proj=0.02, t_fluid=0.005, fine_seconds=3.0,
