@@ -15,8 +15,7 @@ from .moments import (MomentField, conserved_to_primitive,
 from .lifting import lift, maxwellian_marginals
 from .kinetic import (KineticParams, bgk_relax, propagate_kinetic,
                       stable_dt_kinetic, transport_update)
-from .fluid import (FluidParams, euler_flux, propagate_fluid, rusanov_flux,
-                    stable_dt_fluid)
+from .fluid import euler_flux, propagate_fluid, rusanov_flux, stable_dt_fluid
 from .parareal import (ConvergenceRecord, ParTrajectory, PararealConfig,
                        compute_jumps, estimate_k_opt, fine_moment_chain,
                        initial_coarse_sweep, parareal_cost, run_parareal,

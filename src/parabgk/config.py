@@ -14,7 +14,6 @@ from typing import get_type_hints
 
 from .cases import CASES, force_field
 from .errors import ConfigurationError
-from .fluid import FluidParams
 from .grid import (BoundaryKind, Discretization, PhaseGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
 from .kinetic import KineticParams
@@ -51,7 +50,6 @@ class RunConfig:
     workers: int = 1
     mode: str = "parareal"
     out_dir: str = "out"
-    preset: str | None = None
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -84,9 +82,10 @@ PRESETS = {
                        0.5, 200, 800, 80, 1e-8),
 }
 
-# Each key parses with its field's type: float, int, or else the raw string.
-_CASTS = {name: hint if hint in (float, int) else str
-          for name, hint in get_type_hints(RunConfig).items()}
+# Each key parses with its field's type: float, int, or else the raw string;
+# `preset`, the name of the PRESETS entry a config starts from, is a string.
+_CASTS = {"preset": str} | {name: hint if hint in (float, int) else str
+                            for name, hint in get_type_hints(RunConfig).items()}
 
 # Keys a presetless config must spell out; everything else has defaults.
 _REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
@@ -126,7 +125,7 @@ def parse_config(path: str | Path) -> RunConfig:
         if preset not in PRESETS:
             raise ConfigurationError(
                 f"unknown preset '{preset}', expected one of {sorted(PRESETS)}")
-        return replace(PRESETS[preset], preset=preset, **pairs)
+        return replace(PRESETS[preset], **pairs)
     missing = [key for key in _REQUIRED if key not in pairs]
     if missing:
         raise ConfigurationError(
@@ -141,6 +140,7 @@ def build_discretization(cfg: RunConfig) -> Discretization:
     return Discretization(phase, time, BoundaryKind(cfg.bc))
 
 
-def build_params(cfg: RunConfig, disc: Discretization) -> tuple[KineticParams, FluidParams]:
-    force = force_field(cfg.case, disc.phase.space)
-    return KineticParams(epsilon=cfg.epsilon, force=force), FluidParams(force=force)
+def build_params(cfg: RunConfig, disc: Discretization) -> KineticParams:
+    """The case's physics; its `force` is the field both propagators apply."""
+    return KineticParams(epsilon=cfg.epsilon,
+                         force=force_field(cfg.case, disc.phase.space))

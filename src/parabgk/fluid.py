@@ -3,14 +3,12 @@
 Conserved state per cell is (rho, rho u, E) with E = rho |u|^2 / 2
 + 3 rho theta / 2 and pressure p = rho theta (monoatomic closure). Interface
 fluxes are central with max-speed dissipation; the wave speed estimate is
-|u_x| + sqrt(theta) on each side. An external field enters as an explicit
-source on x-momentum and energy.
+|u_x| + sqrt(theta) on each side. The case's external field, the same
+per-cell array the kinetic solver applies, enters as an explicit source on
+x-momentum and energy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,7 +17,6 @@ from .moments import (MomentField, conserved_to_primitive, primitive_to_conserve
                       require_positive)
 
 __all__ = [
-    "FluidParams",
     "euler_flux",
     "rusanov_flux",
     "stable_dt_fluid",
@@ -27,13 +24,6 @@ __all__ = [
 ]
 
 _CFL = 0.9  # Courant number of the Euler step
-
-
-@dataclass
-class FluidParams:
-    """What the Euler solver needs to know of the physics."""
-
-    force: Optional[np.ndarray] = None  # per-cell E_i along x; None means 0
 
 
 def _pressure(v: np.ndarray) -> np.ndarray:
@@ -88,9 +78,12 @@ def _ghosted(v: np.ndarray, bc: BoundaryKind) -> np.ndarray:
 
 
 def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
-                    params: FluidParams, bc: BoundaryKind,
+                    force: np.ndarray | None, bc: BoundaryKind,
                     dt_max: float | None = None) -> MomentField:
     """Advance primitive moments from t0 to t1 on the conserved variables.
+
+    `force` is the per-cell field E_i along x (None means no field), the
+    kinetic solver's `KineticParams.force`.
 
     A step that leaves a density or pressure that is not a finite positive
     number raises BlowUpError naming the step and the cell; a non-finite
@@ -99,7 +92,6 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
     if t1 == t0:
         return U0
     dx = grid.space.dx
-    force = params.force
 
     def advance(v, dt):
         ext = _ghosted(v, bc)

@@ -11,6 +11,7 @@ the one stepping loop both propagators run inside a window.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -94,15 +95,25 @@ class Discretization:
     bc: BoundaryKind
 
 
+def _count(name: str, n) -> int:
+    """n as an int, or a ConfigurationError naming the count if it is not an
+    integer (a float such as 2.5 or 2.0 included)."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ConfigurationError(f"need an integer {name}, got {n!r}") from None
+
+
 def build_spatial_grid(x_min: float, x_max: float, n_x: int) -> SpatialGrid:
     """Uniform grid of n_x cells on [x_min, x_max]."""
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_max > x_min):
         raise ConfigurationError(f"need finite x_max > x_min, got [{x_min}, {x_max}]")
+    n_x = _count("n_x", n_x)
     if n_x < 2:
         raise ConfigurationError(f"need n_x >= 2, got {n_x}")
     dx = (x_max - x_min) / n_x
     centers = x_min + (np.arange(n_x) + 0.5) * dx
-    return SpatialGrid(float(x_min), float(x_max), int(n_x), dx, centers)
+    return SpatialGrid(float(x_min), float(x_max), n_x, dx, centers)
 
 
 def _axis_centers(v_max: float, n: int) -> np.ndarray:
@@ -115,10 +126,10 @@ def build_velocity_grid(v_max: float, n_v: int | tuple[int, int, int]) -> Veloci
     """Velocity cube with scalar or per-axis point counts."""
     if not (math.isfinite(v_max) and v_max > 0):
         raise ConfigurationError(f"need finite v_max > 0, got {v_max}")
-    counts = (n_v, n_v, n_v) if np.isscalar(n_v) else tuple(int(n) for n in n_v)
+    counts = (n_v, n_v, n_v) if np.isscalar(n_v) else tuple(n_v)
+    counts = tuple(_count("n_v", n) for n in counts)
     if len(counts) != 3 or any(n < 1 for n in counts):
         raise ConfigurationError(f"need three per-axis counts >= 1, got {n_v}")
-    counts = tuple(int(n) for n in counts)
     dv = tuple(2.0 * v_max / n for n in counts)
     centers = tuple(_axis_centers(v_max, n) for n in counts)
     return VelocityGrid(float(v_max), counts, dv, centers)
@@ -128,10 +139,11 @@ def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
     """Nested coarse/fine time levels over [0, t_final]."""
     if not (math.isfinite(t_final) and t_final > 0):
         raise ConfigurationError(f"need finite t_final > 0, got {t_final}")
+    n_g, n_f = _count("n_g", n_g), _count("n_f", n_f)
     if n_g < 1 or n_f < n_g:
         raise ConfigurationError(f"need n_f >= n_g >= 1, got n_g={n_g}, n_f={n_f}")
     coarse_times = np.linspace(0.0, t_final, n_g + 1)
-    return TimeGrids(float(t_final), int(n_g), int(n_f),
+    return TimeGrids(float(t_final), n_g, n_f,
                      t_final / n_g, t_final / n_f, coarse_times)
 
 

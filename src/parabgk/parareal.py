@@ -5,8 +5,9 @@ previous iterate, so they run as independent tasks on a worker pool that
 lifts, solves and projects. The cheap coarse solves stay sequential in the
 main process: each sweep solves every window it moves once and keeps the
 result, so a window's jump is its pooled fine result minus the coarse value
-the previous sweep stored. Jumps are formed in window order into each
-window's own slot, so they are bitwise identical for any worker count.
+the previous sweep stored. Both propagators apply the case's one field,
+`KineticParams.force`. Jumps are formed in window order into each window's
+own slot, so they are bitwise identical for any worker count.
 
 After iteration k the first k snapshots coincide with the window-wise fine
 chain (`fine_moment_chain`) and never change again, so both loops of
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, CorrectionOvershootError,
                      DegenerateStateError, SolverError)
-from .fluid import FluidParams, propagate_fluid
+from .fluid import propagate_fluid
 from .grid import Discretization
 from .kinetic import KineticParams, propagate_kinetic
 from .lifting import lift
@@ -93,11 +94,11 @@ def _zero_like(U: MomentField) -> MomentField:
 
 
 def _coarse_window(n: int, U: MomentField, disc: Discretization,
-                   fluid: FluidParams) -> MomentField:
-    """Euler solve of window n from U."""
+                   force: np.ndarray | None) -> MomentField:
+    """Euler solve of window n from U under the per-cell field `force`."""
     times = disc.time.coarse_times
     return propagate_fluid(U, float(times[n - 1]), float(times[n]), disc.phase,
-                           fluid, disc.bc, dt_max=disc.time.dt_g)
+                           force, disc.bc, dt_max=disc.time.dt_g)
 
 
 def _window_failed(prefix: str, exc: Exception) -> SolverError:
@@ -106,8 +107,8 @@ def _window_failed(prefix: str, exc: Exception) -> SolverError:
 
 
 def initial_coarse_sweep(U0: MomentField, disc: Discretization,
-                         fluid: FluidParams) -> ParTrajectory:
-    """Iteration 0: one serial coarse pass over all windows.
+                         force: np.ndarray | None) -> ParTrajectory:
+    """Iteration 0: one serial coarse pass over all windows under `force`.
 
     A SolverError in a window is raised again as a SolverError naming the
     window, chained from the cause.
@@ -115,7 +116,7 @@ def initial_coarse_sweep(U0: MomentField, disc: Discretization,
     snapshots = [U0.copy()]
     for n in range(1, disc.time.n_g + 1):
         try:
-            snapshots.append(_coarse_window(n, snapshots[-1], disc, fluid))
+            snapshots.append(_coarse_window(n, snapshots[-1], disc, force))
         except SolverError as exc:
             raise _window_failed(f"window {n}", exc) from exc
     jumps = [_zero_like(U0) for _ in range(disc.time.n_g)]
@@ -161,13 +162,13 @@ def _kinetic_window_remote(n: int, U: MomentField):
 
 
 def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
-                  fluid: FluidParams) -> Executor:
+                  force: np.ndarray | None) -> Executor:
     """Process pool whose workers carry the kinetic problem context.
 
     A forked pool starts all its processes at the first task, and each holds
     a state, so the pool has no more processes than windows. The workers run
-    no coarse solve, so `fluid` is unused; it stays for callers that pass it
-    positionally.
+    no coarse solve and apply `kinetic.force`, so `force` is unused; it stays
+    for callers that pass it positionally.
     """
     try:
         ctx = multiprocessing.get_context("fork")
@@ -179,7 +180,7 @@ def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
 
 
 def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
-                  kinetic: KineticParams, fluid: FluidParams,
+                  kinetic: KineticParams, force: np.ndarray | None,
                   executor: Executor | None = None,
                   timing: dict | None = None) -> None:
     """Set the jump slots of windows k..n_g from the previous iterate.
@@ -189,12 +190,12 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
     when one is given. Its jump is the fine result minus the coarse solve
     the previous sweep stored for that window, taken in window order either
     way, so the outcome does not depend on scheduling. `timing` collects the
-    per-stage maxima under t_lift, t_kin and t_proj. `fluid` is unused; it
-    stays for callers that pass it positionally. The
-    first failing window, whatever it raised (a SolverError or a dead
-    worker's broken pool included), surfaces as a SolverError naming the
-    iteration and the window, chained from the cause, and the windows still
-    queued on the pool are cancelled.
+    per-stage maxima under t_lift, t_kin and t_proj. The fine solves apply
+    `kinetic.force`, so `force` is unused; it stays for callers that pass it
+    positionally. The first failing window, whatever it raised (a SolverError
+    or a dead worker's broken pool included), surfaces as a SolverError
+    naming the iteration and the window, chained from the cause, and the
+    windows still queued on the pool are cancelled.
     """
     windows = range(k, disc.time.n_g + 1)
     starts = traj.snapshots[k - 1:-1]
@@ -219,8 +220,9 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
 
 
 def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
-                          fluid: FluidParams) -> float:
-    """Coarse sweep plus stored jumps from window k on; returns the error.
+                          force: np.ndarray | None) -> float:
+    """Coarse sweep under `force` plus stored jumps from window k on; returns
+    the error.
 
     Each window's coarse solve is kept in traj.coarse for the next
     iteration's jumps. The error is the largest absolute componentwise
@@ -237,7 +239,7 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
     error = 0.0
     for n in range(k, disc.time.n_g + 1):
         try:
-            coarse[n - 1] = _coarse_window(n, new[n - 1], disc, fluid)
+            coarse[n - 1] = _coarse_window(n, new[n - 1], disc, force)
         except SolverError as exc:
             raise _window_failed(f"iteration {k} correction at window {n}", exc) from exc
         corrected = coarse[n - 1] + traj.jumps[n - 1]
@@ -254,20 +256,23 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
 
 
 def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
-                 kinetic: KineticParams, fluid: FluidParams,
-                 timing: dict | None = None):
-    """Full outer iteration; returns the trajectory and convergence records."""
-    traj = initial_coarse_sweep(U0, disc, fluid)
+                 kinetic: KineticParams, timing: dict | None = None):
+    """Full outer iteration; returns the trajectory and convergence records.
+
+    The coarse sweeps apply `kinetic.force`, the field of the fine solves.
+    """
+    force = kinetic.force
+    traj = initial_coarse_sweep(U0, disc, force)
     records: list[ConvergenceRecord] = []
     executor = None
     if config.workers > 1:
-        executor = make_executor(config.workers, disc, kinetic, fluid)
+        executor = make_executor(config.workers, disc, kinetic, force)
     try:
         for k in range(1, config.k_max + 1):
             tic = time.perf_counter()
-            compute_jumps(traj, k, disc, kinetic, fluid, executor=executor,
+            compute_jumps(traj, k, disc, kinetic, force, executor=executor,
                           timing=timing)
-            error = sequential_correction(traj, k, disc, fluid)
+            error = sequential_correction(traj, k, disc, force)
             records.append(ConvergenceRecord(k, error, time.perf_counter() - tic))
             if error < config.tol:
                 break

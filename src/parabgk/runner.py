@@ -14,7 +14,6 @@ from pathlib import Path
 from .cases import initial_distribution, initial_moments
 from .config import RunConfig, build_discretization, build_params
 from .errors import SolverError
-from .fluid import FluidParams
 from .grid import Discretization, SpatialGrid
 from .io import TimingReport, write_convergence, write_snapshots, write_timing
 from .kinetic import KineticParams, propagate_kinetic
@@ -27,15 +26,18 @@ __all__ = ["prepare", "run_fine_mode", "solve", "write_artifacts", "run_mode",
 
 
 def prepare(cfg: RunConfig):
-    """Build discretization, solver parameters and the initial moments.
+    """Build the discretization, the solver parameters, the case's field and
+    the initial moments.
 
-    The moments come from the case's Maxwellian marginals
+    The field is `kinetic.force` itself, the one array the coarse and the
+    fine propagators apply; it is returned on its own for callers that hand
+    it to the sweeps. The moments come from the case's Maxwellian marginals
     (cases.initial_moments), so set-up builds no distribution, and neither
     does the main process of the fluid and parareal modes.
     """
     disc = build_discretization(cfg)
-    kinetic, fluid = build_params(cfg, disc)
-    return disc, kinetic, fluid, initial_moments(cfg.case, disc.phase)
+    kinetic = build_params(cfg, disc)
+    return disc, kinetic, kinetic.force, initial_moments(cfg.case, disc.phase)
 
 
 def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) -> list[MomentField]:
@@ -60,18 +62,19 @@ def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) 
 
 
 def solve(cfg: RunConfig, disc: Discretization, kinetic: KineticParams,
-          fluid: FluidParams, U0: MomentField, timing: dict | None = None
+          U0: MomentField, timing: dict | None = None
           ) -> tuple[list[MomentField], list[ConvergenceRecord] | None]:
     """Snapshots of cfg.mode and, for parareal, its convergence records.
 
-    `timing` collects parareal's per-stage maxima; the other modes ignore it.
+    Every mode applies the field `kinetic.force`. `timing` collects
+    parareal's per-stage maxima; the other modes ignore it.
     """
     if cfg.mode == "fluid":
-        return initial_coarse_sweep(U0, disc, fluid).snapshots, None
+        return initial_coarse_sweep(U0, disc, kinetic.force).snapshots, None
     if cfg.mode == "fine":
         return run_fine_mode(cfg, disc, kinetic), None
     par_cfg = PararealConfig(k_max=cfg.k_max, tol=cfg.tol, workers=cfg.workers)
-    traj, records = run_parareal(U0, par_cfg, disc, kinetic, fluid, timing=timing)
+    traj, records = run_parareal(U0, par_cfg, disc, kinetic, timing=timing)
     return traj.snapshots, records
 
 
@@ -96,9 +99,9 @@ def run_mode(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     RunConfig itself does not, and before the solve, so an unusable one
     fails at once and a bad config leaves none.
     """
-    disc, kinetic, fluid, U0 = prepare(cfg)
+    disc, kinetic, _, U0 = prepare(cfg)
     out = _output_dir(cfg, out_dir)
-    snapshots, records = solve(cfg, disc, kinetic, fluid, U0)
+    snapshots, records = solve(cfg, disc, kinetic, U0)
     write_artifacts(snapshots, records, disc.phase.space, out)
     return out
 
@@ -108,13 +111,13 @@ def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> TimingR
 
     The output directory is made as run_mode makes it.
     """
-    disc, kinetic, fluid, U0 = prepare(cfg)
+    disc, kinetic, _, U0 = prepare(cfg)
     out = _output_dir(cfg, out_dir)
     seconds: dict[str, float] = {}
     stage_timing: dict[str, float] = {}
     for mode in ("fluid", "fine", "parareal"):
         tic = time.perf_counter()
-        snapshots, records = solve(replace(cfg, mode=mode), disc, kinetic, fluid, U0,
+        snapshots, records = solve(replace(cfg, mode=mode), disc, kinetic, U0,
                                    timing=stage_timing)
         seconds[mode] = time.perf_counter() - tic
         write_artifacts(snapshots, records, disc.phase.space, out / mode)

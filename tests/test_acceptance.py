@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from oracles import relax_weight, riemann_density
 
-from parabgk import (BoundaryKind, Discretization, FluidParams, KineticParams,
+from parabgk import (BoundaryKind, Discretization, KineticParams,
                      MomentField, PhaseGrid, PararealConfig,
                      RunConfig, build_spatial_grid, build_time_grids,
                      build_velocity_grid, estimate_k_opt,
@@ -41,12 +41,10 @@ def test_criterion_01_parareal_reproduces_fine_chain():
     # moment round trip distorts theta enough to overshoot
     disc = _disc(20, 8, 0.1, 8, 32, v_max=5.0)
     kinetic = KineticParams(epsilon=1e-2)
-    fluid = FluidParams()
     U0 = sod_moments(disc.phase.space)
     tic = time.perf_counter()
     chain = fine_moment_chain(U0, disc, kinetic)
-    traj, _ = run_parareal(U0, PararealConfig(k_max=8, tol=1e-300),
-                           disc, kinetic, fluid)
+    traj, _ = run_parareal(U0, PararealConfig(k_max=8, tol=1e-300), disc, kinetic)
     elapsed = time.perf_counter() - tic
     assert _sup_gap(traj.snapshots, chain) <= 1e-10
     assert elapsed < 30.0
@@ -57,8 +55,7 @@ def test_criterion_02_exponential_convergence():
     kinetic = KineticParams(epsilon=1e-2)
     U0 = sod_moments(disc.phase.space)
     tic = time.perf_counter()
-    _, records = run_parareal(U0, PararealConfig(k_max=10, tol=1e-300),
-                              disc, kinetic, FluidParams())
+    _, records = run_parareal(U0, PararealConfig(k_max=10, tol=1e-300), disc, kinetic)
     elapsed = time.perf_counter() - tic
     errors = [rec.error for rec in records]
     assert len(errors) == 10
@@ -77,8 +74,7 @@ def test_criterion_03_first_iteration_corrects_first_window():
     disc = _disc(20, 8, 0.1, 8, 32, v_max=5.0)
     kinetic = KineticParams(epsilon=1e-2)
     U0 = sod_moments(disc.phase.space)
-    traj, _ = run_parareal(U0, PararealConfig(k_max=1, tol=1e-300),
-                           disc, kinetic, FluidParams())
+    traj, _ = run_parareal(U0, PararealConfig(k_max=1, tol=1e-300), disc, kinetic)
     f = lift(U0, disc.phase)
     f = propagate_kinetic(f, 0.0, float(disc.time.coarse_times[1]), disc.phase,
                           kinetic, disc.bc, dt_max=disc.time.dt_f)
@@ -148,7 +144,7 @@ def test_criterion_06_conservation_over_500_steps():
     # fluid: all five conserved densities, momentum drift scaled by the mass
     # because the initial momentum is zero
     space = disc.phase.space
-    V = propagate_fluid(U0, 0.0, 0.1, disc.phase, FluidParams(), disc.bc,
+    V = propagate_fluid(U0, 0.0, 0.1, disc.phase, None, disc.bc,
                         dt_max=0.1 / 500)
     dx = space.dx
     mass_a = float(U0.rho.sum()) * dx
@@ -169,7 +165,7 @@ def test_criterion_07_sod_density_matches_exact_riemann():
     phase = PhaseGrid(space, build_velocity_grid(8.0, 8))
     U0 = sod_moments(space)
     t = 0.1
-    U = propagate_fluid(U0, 0.0, t, phase, FluidParams(), BoundaryKind.ABSORBING)
+    U = propagate_fluid(U0, 0.0, t, phase, None, BoundaryKind.ABSORBING)
     exact = riemann_density((1.0, 0.0, 1.0), (0.125, 0.0, 0.1),
                             (space.centers - 1.0) / t)
     l1 = float(np.abs(U.rho - exact).sum() * space.dx)
@@ -187,7 +183,7 @@ def test_criterion_08_kinetic_approaches_fluid_as_epsilon_shrinks():
     u[:, 0] = 0.2 * np.sin(np.pi * space.centers)
     U0 = MomentField(np.ones(n_x), u, 2.0 * np.ones(n_x))
     t = 0.05
-    fluid_ref = propagate_fluid(U0, 0.0, t, phase, FluidParams(),
+    fluid_ref = propagate_fluid(U0, 0.0, t, phase, None,
                                 BoundaryKind.PERIODIC)
 
     def gap(epsilon):
@@ -210,15 +206,14 @@ def test_criterion_10_k_opt_example():
 def test_criterion_10_first_iteration_scales_with_workers():
     disc = _disc(50, 16, 0.1, 8, 160)
     kinetic = KineticParams(epsilon=1e-2)
-    fluid = FluidParams()
     U0 = sod_moments(disc.phase.space)
 
     def first_iteration_seconds(workers):
-        traj = initial_coarse_sweep(U0, disc, fluid)
-        executor = make_executor(workers, disc, kinetic, fluid) if workers > 1 else None
+        traj = initial_coarse_sweep(U0, disc, None)
+        executor = make_executor(workers, disc, kinetic, None) if workers > 1 else None
         try:
             tic = time.perf_counter()
-            compute_jumps(traj, 1, disc, kinetic, fluid, executor=executor)
+            compute_jumps(traj, 1, disc, kinetic, None, executor=executor)
             return time.perf_counter() - tic
         finally:
             if executor is not None:
@@ -283,11 +278,9 @@ def test_criterion_12_confined_beams_concentrate_and_converge():
                           BoundaryKind.PERIODIC)
     force = external_force(phase.space.centers)
     kinetic = KineticParams(epsilon=1e-3, force=force)
-    fluid = FluidParams(force=force)
     U0 = project(initial_distribution("beams", phase), phase)
     chain = fine_moment_chain(U0, disc, kinetic)
-    traj, _ = run_parareal(U0, PararealConfig(k_max=6, tol=1e-300),
-                           disc, kinetic, fluid)
+    traj, _ = run_parareal(U0, PararealConfig(k_max=6, tol=1e-300), disc, kinetic)
     assert _sup_gap(traj.snapshots, chain) <= 1e-4
     final = traj.snapshots[-1]
     peak_x = phase.space.centers[int(np.argmax(final.rho))]

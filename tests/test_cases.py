@@ -25,8 +25,7 @@ def test_preset_table():
     beams = PRESETS["beams"]
     assert beams.epsilon == 1e-5 and beams.bc == "periodic"
     assert (beams.n_vx, beams.n_vy, beams.n_vz) == (256, 16, 16)
-    assert all(preset.case == name and preset.preset is None
-               for name, preset in PRESETS.items())
+    assert all(preset.case == name for name, preset in PRESETS.items())
 
 
 def test_sod_moments_classify_cells_by_center():

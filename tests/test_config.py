@@ -39,7 +39,7 @@ def _write(tmp_path, text, name="run.cfg"):
 
 def test_parse_explicit_config(tmp_path):
     cfg = parse_config(_write(tmp_path, FULL))
-    assert cfg.case == "sod" and cfg.preset is None
+    assert cfg.case == "sod"
     assert (cfg.n_x, cfg.v_max, cfg.n_vx) == (40, 8.0, 16)
     assert cfg.epsilon == 1e-2 and cfg.bc == "absorbing"
     assert (cfg.n_g, cfg.n_f, cfg.k_max, cfg.tol) == (10, 40, 5, 1e-8)
@@ -49,20 +49,20 @@ def test_parse_explicit_config(tmp_path):
 
 
 def test_every_field_round_trips(tmp_path):
-    # every RunConfig field set away from its default, the preset included
+    # every RunConfig field set away from its default, over a preset whose
+    # every value they replace
     expected = RunConfig(case="blast", x_min=-1.0, x_max=3.0, n_x=30, v_max=6.5,
                          n_vx=12, n_vy=10, n_vz=8, epsilon=3e-3, bc="periodic",
                          t_final=0.15, n_g=6, n_f=24, k_max=3, tol=1e-6,
-                         workers=3, mode="fine", out_dir="results/blast",
-                         preset="sod")
-    text = "".join(f"{f.name} = {getattr(expected, f.name)}\n"
-                   for f in fields(RunConfig))
+                         workers=3, mode="fine", out_dir="results/blast")
+    text = "preset = sod\n" + "".join(f"{f.name} = {getattr(expected, f.name)}\n"
+                                      for f in fields(RunConfig))
     assert parse_config(_write(tmp_path, text)) == expected
 
 
 def test_preset_expansion_and_override(tmp_path):
     cfg = parse_config(_write(tmp_path, "preset = sod\nn_x = 50\nmode = fluid\n"))
-    assert cfg.preset == "sod" and cfg.case == "sod"
+    assert cfg.case == "sod"
     assert cfg.n_x == 50  # override wins
     assert cfg.n_g == 200 and cfg.n_f == 800 and cfg.k_max == 80
     assert cfg.v_max == 8.0 and cfg.bc == "absorbing"
@@ -75,11 +75,10 @@ def test_preset_expansion_and_override(tmp_path):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_parses_and_builds(tmp_path, name):
     cfg = parse_config(_write(tmp_path, f"preset = {name}\n"))
-    assert cfg == replace(PRESETS[name], preset=name)
+    assert cfg == PRESETS[name]
     disc = build_discretization(cfg)
     assert disc.phase.space.n_x == cfg.n_x and disc.time.n_g == cfg.n_g
-    kinetic, fluid = build_params(cfg, disc)
-    assert kinetic.epsilon == cfg.epsilon
+    assert build_params(cfg, disc).epsilon == cfg.epsilon
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -124,7 +123,7 @@ def test_every_key_is_documented_in_readme():
     blocks = readme.split("```")[1::2]
     documented = {m.group(1) for block in blocks
                   for m in re.finditer(r"^(\w+)\s*=", block, re.MULTILINE)}
-    assert documented == {f.name for f in fields(RunConfig)}
+    assert documented == {f.name for f in fields(RunConfig)} | {"preset"}
 
 
 def test_unknown_preset_and_missing_keys(tmp_path):
@@ -184,8 +183,8 @@ def test_build_discretization(tmp_path):
 def test_build_params_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, FULL))
     disc = build_discretization(cfg)
-    kinetic, fluid = build_params(cfg, disc)
-    assert kinetic.force is None and fluid.force is None
+    kinetic = build_params(cfg, disc)
+    assert kinetic.force is None
     assert kinetic.epsilon == 1e-2
 
 
@@ -193,8 +192,6 @@ def test_build_params_beams_force(tmp_path):
     text = "preset = beams\nn_x = 20\n"
     cfg = parse_config(_write(tmp_path, text))
     disc = build_discretization(cfg)
-    kinetic, fluid = build_params(cfg, disc)
+    kinetic = build_params(cfg, disc)
     assert kinetic.epsilon == 1e-5
-    expected = external_force(disc.phase.space.centers)
-    assert np.array_equal(kinetic.force, expected)
-    assert np.array_equal(fluid.force, expected)
+    assert np.array_equal(kinetic.force, external_force(disc.phase.space.centers))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parabgk import (BlowUpError, BoundaryKind, ConfigurationError, FluidParams,
-                     MomentField, PhaseGrid, build_spatial_grid,
+from parabgk import (BlowUpError, BoundaryKind, ConfigurationError, MomentField,
+                     PhaseGrid, build_spatial_grid,
                      build_velocity_grid, conserved_to_primitive, euler_flux,
                      primitive_to_conserved, propagate_fluid, rusanov_flux,
                      stable_dt_fluid)
@@ -67,7 +67,7 @@ def test_constant_state_is_preserved():
     grid = _grid(n_x=16)
     U = MomentField(np.full(16, 0.7), np.tile([0.3, 0.0, 0.0], (16, 1)),
                     np.full(16, 1.2))
-    out = propagate_fluid(U, 0.0, 0.3, grid, FluidParams(), BoundaryKind.PERIODIC)
+    out = propagate_fluid(U, 0.0, 0.3, grid, None, BoundaryKind.PERIODIC)
     assert U.sup_distance(out) <= 1e-13
 
 
@@ -82,7 +82,7 @@ def test_mirror_symmetry():
     ux = 0.5 * (ux - ux[::-1])  # bitwise antisymmetric about x = 1
     U = MomentField(rho, np.stack([ux, np.zeros(40), np.zeros(40)], axis=1),
                     np.full(40, 1.0))
-    out = propagate_fluid(U, 0.0, 0.2, grid, FluidParams(), BoundaryKind.PERIODIC)
+    out = propagate_fluid(U, 0.0, 0.2, grid, None, BoundaryKind.PERIODIC)
     assert np.array_equal(out.rho, out.rho[::-1])
     assert np.array_equal(out.u[:, 0], -out.u[::-1, 0])
     assert np.array_equal(out.theta, out.theta[::-1])
@@ -96,7 +96,7 @@ def test_conservation_many_steps_periodic():
     V0 = primitive_to_conserved(U)
     mass0 = math.fsum(V0[:, 0])
     en0 = math.fsum(V0[:, 4])
-    out = propagate_fluid(U, 0.0, 1.0, grid, FluidParams(), BoundaryKind.PERIODIC,
+    out = propagate_fluid(U, 0.0, 1.0, grid, None, BoundaryKind.PERIODIC,
                           dt_max=2e-3)
     V1 = primitive_to_conserved(out)
     assert abs(math.fsum(V1[:, 0]) - mass0) <= 1e-13 * mass0
@@ -116,8 +116,7 @@ def test_force_source_accounting():
                     np.full(20, 1.0))
     V0 = primitive_to_conserved(U)
     dt = 1e-3
-    out = propagate_fluid(U, 0.0, dt, grid, FluidParams(force=force),
-                          BoundaryKind.PERIODIC)
+    out = propagate_fluid(U, 0.0, dt, grid, force, BoundaryKind.PERIODIC)
     V1 = primitive_to_conserved(out)
     dmom = math.fsum(V1[:, 1]) - math.fsum(V0[:, 1])
     den = math.fsum(V1[:, 4]) - math.fsum(V0[:, 4])
@@ -133,7 +132,7 @@ def test_sod_density_profile_against_exact_solution():
     U = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((200, 3)),
                     np.where(x < 1.0, 1.0, 0.8))
     t = 0.05
-    out = propagate_fluid(U, 0.0, t, grid, FluidParams(), BoundaryKind.ABSORBING)
+    out = propagate_fluid(U, 0.0, t, grid, None, BoundaryKind.ABSORBING)
     exact = riemann_density((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), (x - 1.0) / t)
     l1 = float(np.sum(np.abs(out.rho - exact)) * grid.space.dx)
     assert l1 <= 0.05
@@ -142,10 +141,10 @@ def test_sod_density_profile_against_exact_solution():
 def test_empty_interval_and_reversed_interval():
     grid = _grid(n_x=4)
     U = MomentField(np.ones(4), np.zeros((4, 3)), np.ones(4))
-    assert propagate_fluid(U, 0.5, 0.5, grid, FluidParams(),
+    assert propagate_fluid(U, 0.5, 0.5, grid, None,
                            BoundaryKind.PERIODIC) is U
     with pytest.raises(ConfigurationError):
-        propagate_fluid(U, 1.0, 0.5, grid, FluidParams(), BoundaryKind.PERIODIC)
+        propagate_fluid(U, 1.0, 0.5, grid, None, BoundaryKind.PERIODIC)
 
 
 def test_blow_up_reports_step():
@@ -156,7 +155,7 @@ def test_blow_up_reports_step():
     u[:, 0] = 1.0
     U = MomentField(np.ones(50), u, np.full(50, 1e-3))
     with pytest.raises(BlowUpError) as info:
-        propagate_fluid(U, 0.0, 1.0, grid, FluidParams(force=np.full(50, -1000.0)),
+        propagate_fluid(U, 0.0, 1.0, grid, np.full(50, -1000.0),
                         BoundaryKind.PERIODIC)
     assert info.value.step >= 1
     assert re.fullmatch(r"fluid (density|pressure) at cell \d+ is .* at step \d+",
@@ -171,10 +170,9 @@ def test_propagate_respects_adaptive_schedule():
     x = grid.space.centers
     U = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((40, 3)),
                     np.where(x < 1.0, 1.0, 0.8))
-    params = FluidParams()
     dt_max = 0.04
     span = 0.3
-    out = propagate_fluid(U, 0.0, span, grid, params, BoundaryKind.ABSORBING,
+    out = propagate_fluid(U, 0.0, span, grid, None, BoundaryKind.ABSORBING,
                           dt_max=dt_max)
     v = primitive_to_conserved(U)
     elapsed = 0.0

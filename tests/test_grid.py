@@ -103,6 +103,18 @@ def test_builders_reject_infinite_bounds(build, args, name):
         build(*args)
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (build_spatial_grid, (0.0, 2.0, 2.5), "n_x, got 2.5"),
+    (build_velocity_grid, (8.0, 6.5), "n_v, got 6.5"),
+    (build_time_grids, (1.0, 2.5, 5), "n_g, got 2.5"),
+], ids=["n_x", "n_v", "n_g"])
+def test_builders_reject_non_integer_counts(build, args, message):
+    # unchecked, 2.5 cells gave n_x = 2 with three centers, 6.5 velocity
+    # cells per axis gave 6, and 2.5 windows a bare TypeError from linspace
+    with pytest.raises(ConfigurationError, match=f"need an integer {message}$"):
+        build(*args)
+
+
 def test_boundary_kind_values():
     assert BoundaryKind("absorbing") is BoundaryKind.ABSORBING
     assert BoundaryKind("periodic") is BoundaryKind.PERIODIC

@@ -291,7 +291,7 @@ def test_fine_mode_holds_one_state(bc):
                     n_vx=64, n_vy=16, n_vz=16, epsilon=1e-2, bc=bc, t_final=0.01,
                     n_g=2, n_f=4, k_max=1, tol=1e-3, mode="fine")
     disc = build_discretization(cfg)
-    params, _ = build_params(cfg, disc)
+    params = build_params(cfg, disc)
     state_bytes = 8 * cfg.n_x * cfg.n_vx * cfg.n_vy * cfg.n_vz
     assert _traced_peak(lambda: run_fine_mode(cfg, disc, params)) <= 1.3 * state_bytes
 
@@ -506,7 +506,7 @@ def test_fine_mode_matches_reduced_velocity_oracle(case, bc):
                     n_vy=6, n_vz=4, epsilon=1e-2, bc=bc, t_final=0.08, n_g=4,
                     n_f=4, k_max=1, tol=1e-8, mode="fine")
     disc = build_discretization(cfg)
-    params, _ = build_params(cfg, disc)
+    params = build_params(cfg, disc)
     assert (params.force is not None) == (case == "beams")
     got = run_fine_mode(cfg, disc, params)
     phase = disc.phase
@@ -527,7 +527,7 @@ def test_fine_mode_names_the_failing_window(monkeypatch, window):
                     n_vy=6, n_vz=4, epsilon=1e-2, bc="absorbing", t_final=0.08,
                     n_g=4, n_f=4, k_max=1, tol=1e-8, mode="fine")
     disc = build_discretization(cfg)
-    params, _ = build_params(cfg, disc)
+    params = build_params(cfg, disc)
     t_fail = float(disc.time.coarse_times[window - 1])
     solved = []
 

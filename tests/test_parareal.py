@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import parabgk
-from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
-                     CorrectionOvershootError, Discretization, FluidParams,
-                     KineticParams, MomentField, PhaseGrid, PararealConfig,
+from parabgk import (PRESETS, BlowUpError, BoundaryKind, ConfigurationError,
+                     CorrectionOvershootError, Discretization, KineticParams,
+                     MomentField, PhaseGrid, PararealConfig,
                      SolverError, build_spatial_grid, build_time_grids,
                      build_velocity_grid, estimate_k_opt,
                      fine_moment_chain, initial_coarse_sweep, lift,
@@ -49,28 +50,27 @@ def _uniform(n_x, rho=1.0, theta=1.0):
 def test_coarse_sweep_matches_direct_fluid_composition():
     disc = _tiny_disc()
     U0 = _sod_like(12)
-    fluid = FluidParams()
-    traj = initial_coarse_sweep(U0, disc, fluid)
+    traj = initial_coarse_sweep(U0, disc, None)
     assert len(traj.snapshots) == disc.time.n_g + 1
     assert traj.snapshots[0].sup_distance(U0) == 0.0
     U = U0
     times = disc.time.coarse_times
     for n in range(1, disc.time.n_g + 1):
         U = propagate_fluid(U, float(times[n - 1]), float(times[n]), disc.phase,
-                            fluid, disc.bc, dt_max=disc.time.dt_g)
+                            None, disc.bc, dt_max=disc.time.dt_g)
         assert traj.snapshots[n].sup_distance(U) == 0.0
 
 
 def test_coarse_sweep_single_window():
     disc = _tiny_disc(n_g=1, n_f=4)
     U0 = _sod_like(12)
-    traj = initial_coarse_sweep(U0, disc, FluidParams())
+    traj = initial_coarse_sweep(U0, disc, None)
     assert len(traj.snapshots) == 2
 
 
 def test_coarse_sweep_preserves_equilibrium():
     disc = _tiny_disc(bc=BoundaryKind.PERIODIC)
-    traj = initial_coarse_sweep(_uniform(12), disc, FluidParams())
+    traj = initial_coarse_sweep(_uniform(12), disc, None)
     for snap in traj.snapshots:
         assert snap.sup_distance(_uniform(12)) <= 1e-13
 
@@ -80,8 +80,8 @@ def test_jumps_vanish_on_equilibrium():
     # defect is pure velocity-quadrature noise (dv = 0.5 at theta = 1)
     disc = _tiny_disc(bc=BoundaryKind.PERIODIC, n_v=32)
     kinetic = KineticParams(epsilon=1e-2)
-    traj = initial_coarse_sweep(_uniform(12), disc, FluidParams())
-    compute_jumps(traj, 1, disc, kinetic, FluidParams())
+    traj = initial_coarse_sweep(_uniform(12), disc, None)
+    compute_jumps(traj, 1, disc, kinetic, None)
     for jump in traj.jumps:
         assert abs(jump.rho).max() <= 1e-12
         assert abs(jump.u).max() <= 1e-12
@@ -91,8 +91,8 @@ def test_jumps_vanish_on_equilibrium():
 def test_compute_jumps_last_window_only():
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2)
-    traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
-    compute_jumps(traj, disc.time.n_g, disc, kinetic, FluidParams())
+    traj = initial_coarse_sweep(_sod_like(12), disc, None)
+    compute_jumps(traj, disc.time.n_g, disc, kinetic, None)
     touched = [np.any(j.rho != 0.0) for j in traj.jumps]
     assert touched == [False, False, False, True]
 
@@ -100,13 +100,12 @@ def test_compute_jumps_last_window_only():
 def test_parallel_jumps_bitwise_equal_serial():
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2)
-    fluid = FluidParams()
-    serial = initial_coarse_sweep(_sod_like(12), disc, fluid)
-    compute_jumps(serial, 1, disc, kinetic, fluid)
-    pooled = initial_coarse_sweep(_sod_like(12), disc, fluid)
-    executor = make_executor(2, disc, kinetic, fluid)
+    serial = initial_coarse_sweep(_sod_like(12), disc, None)
+    compute_jumps(serial, 1, disc, kinetic, None)
+    pooled = initial_coarse_sweep(_sod_like(12), disc, None)
+    executor = make_executor(2, disc, kinetic, None)
     try:
-        compute_jumps(pooled, 1, disc, kinetic, fluid, executor=executor)
+        compute_jumps(pooled, 1, disc, kinetic, None, executor=executor)
     finally:
         executor.shutdown()
     for a, b in zip(serial.jumps, pooled.jumps):
@@ -120,14 +119,13 @@ def test_pool_has_no_more_processes_than_windows():
     # a window state; with 2 windows, 2 of 4 workers would sit idle
     disc = _tiny_disc(n_g=2, n_f=8)
     kinetic = KineticParams(epsilon=1e-2)
-    fluid = FluidParams()
-    serial = initial_coarse_sweep(_sod_like(12), disc, fluid)
-    compute_jumps(serial, 1, disc, kinetic, fluid)
-    pooled = initial_coarse_sweep(_sod_like(12), disc, fluid)
+    serial = initial_coarse_sweep(_sod_like(12), disc, None)
+    compute_jumps(serial, 1, disc, kinetic, None)
+    pooled = initial_coarse_sweep(_sod_like(12), disc, None)
     before = {child.pid for child in multiprocessing.active_children()}
-    executor = make_executor(4, disc, kinetic, fluid)
+    executor = make_executor(4, disc, kinetic, None)
     try:
-        compute_jumps(pooled, 1, disc, kinetic, fluid, executor=executor)
+        compute_jumps(pooled, 1, disc, kinetic, None, executor=executor)
         started = [child for child in multiprocessing.active_children()
                    if child.pid not in before]
         assert len(started) == 2
@@ -153,14 +151,39 @@ def test_coarse_windows_are_solved_only_by_the_sweeps(monkeypatch):
     monkeypatch.setattr(parareal, "propagate_fluid", counted)
     K, n_g = 3, disc.time.n_g
     _, records = run_parareal(_sod_like(12), PararealConfig(k_max=K, tol=1e-300),
-                              disc, KineticParams(epsilon=1e-2), FluidParams())
+                              disc, KineticParams(epsilon=1e-2))
     assert len(records) == K
     assert len(calls) == n_g + sum(n_g - k + 1 for k in range(1, K + 1))
 
 
-def _assert_coarse_is_fresh(traj, disc, fluid):
+def test_one_field_reaches_both_propagators(monkeypatch):
+    # the coarse sweeps apply the kinetic solves' field object itself, and
+    # prepare hands out that same object, or None for a case without a field
+    cfg = replace(PRESETS["beams"], n_x=12, n_vx=16, n_vy=4, n_vz=4,
+                  t_final=0.05, n_g=3, n_f=6, k_max=2, tol=1e-300)
+    disc, kinetic, force, U0 = runner.prepare(cfg)
+    assert force is kinetic.force and force is not None
+    assert runner.prepare(replace(cfg, case="sod", bc="absorbing"))[2] is None
+    coarse_fields, fine_fields = [], []
+
+    def coarse(U, t0, t1, grid, force, *args, **kwargs):
+        coarse_fields.append(force)
+        return propagate_fluid(U, t0, t1, grid, force, *args, **kwargs)
+
+    def fine(f, t0, t1, grid, params, *args, **kwargs):
+        fine_fields.append(params.force)
+        return propagate_kinetic(f, t0, t1, grid, params, *args, **kwargs)
+
+    monkeypatch.setattr(parareal, "propagate_fluid", coarse)
+    monkeypatch.setattr(parareal, "propagate_kinetic", fine)
+    run_parareal(U0, PararealConfig(k_max=2, tol=1e-300, workers=1), disc, kinetic)
+    assert len(coarse_fields) == 3 + 3 + 2 and len(fine_fields) == 3 + 2
+    assert all(field is kinetic.force for field in coarse_fields + fine_fields)
+
+
+def _assert_coarse_is_fresh(traj, disc):
     for n in range(1, disc.time.n_g + 1):
-        fresh = parareal._coarse_window(n, traj.snapshots[n - 1], disc, fluid)
+        fresh = parareal._coarse_window(n, traj.snapshots[n - 1], disc, None)
         assert traj.coarse[n - 1].rho.tobytes() == fresh.rho.tobytes()
         assert traj.coarse[n - 1].u.tobytes() == fresh.u.tobytes()
         assert traj.coarse[n - 1].theta.tobytes() == fresh.theta.tobytes()
@@ -171,23 +194,21 @@ def test_stored_coarse_is_the_sweep_solve_of_each_window_start():
     # bit, after the coarse sweep and after every correction
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2)
-    fluid = FluidParams()
-    traj = initial_coarse_sweep(_sod_like(12), disc, fluid)
-    _assert_coarse_is_fresh(traj, disc, fluid)
+    traj = initial_coarse_sweep(_sod_like(12), disc, None)
+    _assert_coarse_is_fresh(traj, disc)
     for k in range(1, disc.time.n_g + 1):
-        compute_jumps(traj, k, disc, kinetic, fluid)
-        sequential_correction(traj, k, disc, fluid)
-        _assert_coarse_is_fresh(traj, disc, fluid)
+        compute_jumps(traj, k, disc, kinetic, None)
+        sequential_correction(traj, k, disc, None)
+        _assert_coarse_is_fresh(traj, disc)
 
 
 def test_frozen_prefix_reproduces_fine_chain():
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2)
-    fluid = FluidParams()
     U0 = _sod_like(12)
     chain = fine_moment_chain(U0, disc, kinetic)
     cfg = PararealConfig(k_max=3, tol=1e-300)
-    traj, _ = run_parareal(U0, cfg, disc, kinetic, fluid)
+    traj, _ = run_parareal(U0, cfg, disc, kinetic)
     for n in range(0, 4):  # snapshots 0..k are fine-exact after k iterations
         assert traj.snapshots[n].sup_distance(chain[n]) <= 1e-13
 
@@ -228,7 +249,7 @@ def test_fine_chain_reuses_its_pages():
     assert float(done.stdout) < 200
 
 
-def _full_sweep_parareal(U0, k_max, disc, kinetic, fluid):
+def _full_sweep_parareal(U0, k_max, disc, kinetic):
     """Textbook parareal: every iteration revisits all windows.
 
     U^k_n = G(U^k_{n-1}) + F(U^{k-1}_{n-1}) - G(U^{k-1}_{n-1}), with F the
@@ -238,7 +259,7 @@ def _full_sweep_parareal(U0, k_max, disc, kinetic, fluid):
 
     def coarse(U, n):
         return propagate_fluid(U, float(times[n - 1]), float(times[n]), disc.phase,
-                               fluid, disc.bc, dt_max=disc.time.dt_g)
+                               kinetic.force, disc.bc, dt_max=disc.time.dt_g)
 
     def fine(U, n):
         f = propagate_kinetic(lift(U, disc.phase), float(times[n - 1]),
@@ -264,12 +285,10 @@ def test_frozen_prefix_equivalent_to_full_sweep():
     # over all windows must agree with it to rounding at every iteration count
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2)
-    fluid = FluidParams()
     U0 = _sod_like(12)
     for k_max in (1, 2, 4):
-        a, _ = run_parareal(U0, PararealConfig(k_max=k_max, tol=1e-300),
-                            disc, kinetic, fluid)
-        b = _full_sweep_parareal(U0, k_max, disc, kinetic, fluid)
+        a, _ = run_parareal(U0, PararealConfig(k_max=k_max, tol=1e-300), disc, kinetic)
+        b = _full_sweep_parareal(U0, k_max, disc, kinetic)
         assert len(a.snapshots) == len(b)
         for x, y in zip(a.snapshots, b):
             assert x.sup_distance(y) <= 1e-12
@@ -313,14 +332,14 @@ def _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys, workers=2,
     with pytest.raises(SolverError, match=r"iteration 1 at window [1-4]\b") as info:
         run_parareal(_sod_like(12),
                      PararealConfig(k_max=2, tol=1e-300, workers=workers),
-                     disc, KineticParams(epsilon=epsilon), FluidParams())
+                     disc, KineticParams(epsilon=epsilon))
 
     build_params = config.build_params
 
     def failing_params(cfg, disc):
-        kinetic, fluid = build_params(cfg, disc)
+        kinetic = build_params(cfg, disc)
         kinetic.epsilon = epsilon
-        return kinetic, fluid
+        return kinetic
 
     monkeypatch.setattr(runner, "build_params", failing_params)
     path = _tiny_config(tmp_path)
@@ -343,14 +362,14 @@ def test_window_exception_surfaces_as_solver_error(tmp_path, monkeypatch, capsys
 
     # the serial path maps the same way, a SolverError from the window included
     disc = _tiny_disc()
-    traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
+    traj = initial_coarse_sweep(_sod_like(12), disc, None)
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("no room for the window")
 
     monkeypatch.setattr(kinetic_module, "bgk_relax", out_of_memory)
     with pytest.raises(SolverError, match=r"iteration 2 at window 2\b") as info:
-        compute_jumps(traj, 2, disc, KineticParams(epsilon=1e-2), FluidParams())
+        compute_jumps(traj, 2, disc, KineticParams(epsilon=1e-2), None)
     assert isinstance(info.value.__cause__, MemoryError)
 
     def solver_failure(*args, **kwargs):
@@ -359,7 +378,7 @@ def test_window_exception_surfaces_as_solver_error(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(kinetic_module, "bgk_relax", solver_failure)
     with pytest.raises(SolverError, match=r"^iteration 1 at window 1 failed: "
                        r"CorrectionOvershootError: own failure$") as info:
-        compute_jumps(traj, 1, disc, KineticParams(epsilon=1e-2), FluidParams())
+        compute_jumps(traj, 1, disc, KineticParams(epsilon=1e-2), None)
     assert isinstance(info.value.__cause__, CorrectionOvershootError)
     assert info.value.__cause__.slice_index == 3
 
@@ -395,7 +414,7 @@ def test_coarse_sweep_names_the_failing_window(monkeypatch):
     monkeypatch.setattr(parareal, "propagate_fluid",
                         _fail_on_third_call(propagate_fluid))
     with pytest.raises(SolverError, match=f"^window 3 {_PLANTED}$") as info:
-        initial_coarse_sweep(_sod_like(12), _tiny_disc(), FluidParams())
+        initial_coarse_sweep(_sod_like(12), _tiny_disc(), None)
     assert isinstance(info.value.__cause__, BlowUpError)
 
 
@@ -411,12 +430,12 @@ def test_correction_names_the_failing_window(monkeypatch):
     # a failing coarse solve inside the correction names the iteration and
     # the window; an overshoot keeps its own CorrectionOvershootError
     disc = _tiny_disc()
-    traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
+    traj = initial_coarse_sweep(_sod_like(12), disc, None)
     monkeypatch.setattr(parareal, "propagate_fluid",
                         _fail_on_third_call(propagate_fluid))
     with pytest.raises(SolverError, match="^iteration 1 correction at window 3 "
                        f"{_PLANTED}$") as info:
-        sequential_correction(traj, 1, disc, FluidParams())
+        sequential_correction(traj, 1, disc, None)
     assert type(info.value) is SolverError
     assert isinstance(info.value.__cause__, BlowUpError)
 
@@ -459,7 +478,7 @@ def test_failing_window_cancels_queued_windows(tmp_path, monkeypatch):
     with pytest.raises(SolverError, match=r"^iteration 1 at window 1 failed: "
                        r"MemoryError"):
         run_parareal(_sod_like(12), PararealConfig(k_max=1, tol=1e-300, workers=2),
-                     disc, KineticParams(epsilon=1e-2), FluidParams())
+                     disc, KineticParams(epsilon=1e-2))
     calls = relax.log.read_text().split()
     assert os.getpid() not in map(int, calls)  # every window ran in a worker
     # running every window takes 16 * 4 calls; only the few windows already
@@ -472,19 +491,18 @@ def test_immediate_stop_on_loose_tolerance():
     kinetic = KineticParams(epsilon=1e-2)
     _, records = run_parareal(_sod_like(12),
                               PararealConfig(k_max=5, tol=math.inf),
-                              disc, kinetic, FluidParams())
+                              disc, kinetic)
     assert len(records) == 1
 
 
 def test_worker_pool_run_is_deterministic():
     disc = _tiny_disc()
     kinetic = KineticParams(epsilon=1e-2)
-    fluid = FluidParams()
     U0 = _sod_like(12)
     solo, rec1 = run_parareal(U0, PararealConfig(k_max=3, tol=1e-300, workers=1),
-                              disc, kinetic, fluid)
+                              disc, kinetic)
     duo, rec2 = run_parareal(U0, PararealConfig(k_max=3, tol=1e-300, workers=2),
-                             disc, kinetic, fluid)
+                             disc, kinetic)
     assert [r.error for r in rec1] == [r.error for r in rec2]
     for a, b in zip(solo.snapshots, duo.snapshots):
         assert np.array_equal(a.rho, b.rho)
@@ -494,10 +512,10 @@ def test_worker_pool_run_is_deterministic():
 
 def test_correction_overshoot_aborts_with_slice_index():
     disc = _tiny_disc()
-    traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
+    traj = initial_coarse_sweep(_sod_like(12), disc, None)
     traj.jumps[2].rho[:] = -10.0  # drives density negative in window 3
     with pytest.raises(CorrectionOvershootError) as info:
-        sequential_correction(traj, 1, disc, FluidParams())
+        sequential_correction(traj, 1, disc, None)
     assert info.value.slice_index == 3
     assert "window 3" in str(info.value)
     assert "corrected density at cell 0 is " in str(info.value)
@@ -505,8 +523,8 @@ def test_correction_overshoot_aborts_with_slice_index():
 
 def test_zero_jumps_give_zero_error():
     disc = _tiny_disc()
-    traj = initial_coarse_sweep(_sod_like(12), disc, FluidParams())
-    assert sequential_correction(traj, 1, disc, FluidParams()) == 0.0
+    traj = initial_coarse_sweep(_sod_like(12), disc, None)
+    assert sequential_correction(traj, 1, disc, None) == 0.0
 
 
 def test_config_validation():

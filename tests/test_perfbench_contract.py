@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parabgk import (BoundaryKind, Discretization, FluidParams, KineticParams,
-                     MomentField, PhaseGrid, build_spatial_grid, build_time_grids,
+from parabgk import (BoundaryKind, Discretization, KineticParams, MomentField,
+                     PhaseGrid, RunConfig, build_spatial_grid, build_time_grids,
                      build_velocity_grid, external_force, initial_coarse_sweep,
-                     kinetic, lift, sequential_correction, stable_dt_kinetic)
+                     kinetic, lift, runner, sequential_correction,
+                     stable_dt_kinetic)
 from parabgk.parareal import compute_jumps
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -41,18 +42,17 @@ def test_traced_globals_exist_and_are_callable(harness):
 
 
 def test_compute_jumps_as_the_traced_pass_calls_it(harness):
+    # the pass unpacks prepare's four values and hands the third to the sweeps
+    # and to compute_jumps positionally
     _, tracer = harness
-    phase = PhaseGrid(build_spatial_grid(0.0, 2.0, 8), build_velocity_grid(8.0, 6))
-    disc = Discretization(phase, build_time_grids(0.05, 2, 4), BoundaryKind.ABSORBING)
-    x = phase.space.centers
-    U0 = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((8, 3)),
-                     np.where(x < 1.0, 1.0, 0.8))
-    fluid = FluidParams()
-    traj = initial_coarse_sweep(U0, disc, fluid)
+    cfg = RunConfig("sod", 0.0, 2.0, 8, 8.0, 6, 6, 6, 1e-2, "absorbing",
+                    0.05, 2, 4, 2, 1e-8)
+    disc, kinetic_params, force, U0 = runner.prepare(cfg)
+    traj = initial_coarse_sweep(U0, disc, force)
     timing: dict[str, float] = {}
     recorder = tracer.Tracer()
     with recorder.patched():
-        compute_jumps(traj, 1, disc, KineticParams(epsilon=1e-2), fluid,
+        compute_jumps(traj, 1, disc, kinetic_params, force,
                       executor=None, timing=timing)
     assert sorted(timing) == ["t_kin", "t_lift", "t_proj"]
     assert len(traj.jumps) == disc.time.n_g
@@ -69,12 +69,12 @@ def test_compute_jumps_as_the_traced_pass_calls_it(harness):
     assert "fluid.window" not in names
     sweeps = tracer.Tracer()
     with sweeps.patched():
-        sequential_correction(initial_coarse_sweep(U0, disc, fluid), 1, disc, fluid)
+        sequential_correction(initial_coarse_sweep(U0, disc, force), 1, disc, force)
     assert [span[0] for span in sweeps.spans] == ["fluid.window"] * (2 * disc.time.n_g)
     for k in (1, 2):
         recorder = tracer.Tracer()
         with recorder.patched():
-            compute_jumps(traj, k, disc, KineticParams(epsilon=1e-2), fluid)
+            compute_jumps(traj, k, disc, kinetic_params, force)
         top = Counter(name for name, _, _, parent in recorder.spans if parent is None)
         solved = disc.time.n_g - k + 1
         assert [top[name] for name in ("kinetic.window", "lifting.lift",
