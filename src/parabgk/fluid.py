@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .grid import BoundaryKind, PhaseGrid, march
 from .moments import (MomentField, conserved_to_primitive, primitive_to_conserved,
                       require_positive)
@@ -87,8 +88,12 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
 
     A step that leaves a density or pressure that is not a finite positive
     number raises BlowUpError naming the step and the cell; a non-finite
-    momentum or energy makes the pressure non-finite.
+    momentum or energy makes the pressure non-finite. A field whose length
+    is not the cell count is refused before any step.
     """
+    if force is not None and len(force) != grid.space.n_x:
+        raise ConfigurationError(f"the field has {len(force)} values "
+                                 f"for {grid.space.n_x} cells")
     if t1 == t0:
         return U0
     dx = grid.space.dx

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateStateError
+from .errors import ConfigurationError, DegenerateStateError
 from .grid import BoundaryKind, PhaseGrid, march
 from .lifting import lift
 from .moments import MomentField, project
@@ -60,11 +60,21 @@ class KineticParams:
 
     Collisions relax f toward M at rate 1/epsilon (epsilon = inf is the
     collisionless limit); force is the per-cell field E_i along x (None
-    means no field).
+    means no field), a 1-D array of finite values, kept as given.
     """
 
     epsilon: float
     force: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.force is None:
+            return
+        if np.ndim(self.force) != 1:
+            raise ConfigurationError("the field must hold one value per cell, "
+                                     f"got shape {np.shape(self.force)}")
+        bad = np.flatnonzero(~np.isfinite(self.force))
+        if bad.size:
+            raise ConfigurationError(f"the field is {self.force[bad[0]]} in cell {bad[0]}")
 
 
 def _max_field(params: KineticParams) -> float:
@@ -189,7 +199,11 @@ def propagate_kinetic(f: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
     one x row at a time and then relaxes it one block of x rows at a time,
     each kernel allocating and freeing its own scratch. A step fails only
     through bgk_relax's checks, which name the cell; march adds the step.
+    A field whose length is not the cell count is refused before any step.
     """
+    if params.force is not None and len(params.force) != grid.space.n_x:
+        raise ConfigurationError(f"the field has {len(params.force)} values "
+                                 f"for {grid.space.n_x} cells")
     cap = stable_dt_kinetic(grid, params)
 
     def advance(f, dt):

@@ -13,10 +13,17 @@ After iteration k the first k snapshots coincide with the window-wise fine
 chain (`fine_moment_chain`) and never change again, so both loops of
 iteration k start at window k. The classic sweep over all windows yields the
 same iterates to rounding at higher cost; the tests keep it as an oracle.
+
+The serial passes over all windows, U_{n+1} = P(U_n) with the coarse or the
+fine propagator as P (the initial coarse sweep, the window-wise fine chain
+and runner's fine mode), step through one window chain, which names the
+window a SolverError came from. A pool is shut down, waiting for its
+workers, however the iteration ends.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import time
@@ -106,19 +113,27 @@ def _window_failed(prefix: str, exc: Exception) -> SolverError:
     return SolverError(f"{prefix} failed: {type(exc).__name__}: {exc}")
 
 
-def initial_coarse_sweep(U0: MomentField, disc: Discretization,
-                         force: np.ndarray | None) -> ParTrajectory:
-    """Iteration 0: one serial coarse pass over all windows under `force`.
+def _window_chain(start, n_g: int, step) -> list:
+    """[start, step(1, start), step(2, ...), ...]: windows 1..n_g in turn.
 
-    A SolverError in a window is raised again as a SolverError naming the
+    A SolverError in window n is raised again as a SolverError naming the
     window, chained from the cause.
     """
-    snapshots = [U0.copy()]
-    for n in range(1, disc.time.n_g + 1):
+    chain = [start]
+    for n in range(1, n_g + 1):
         try:
-            snapshots.append(_coarse_window(n, snapshots[-1], disc, force))
+            chain.append(step(n, chain[-1]))
         except SolverError as exc:
             raise _window_failed(f"window {n}", exc) from exc
+    return chain
+
+
+def initial_coarse_sweep(U0: MomentField, disc: Discretization,
+                         force: np.ndarray | None) -> ParTrajectory:
+    """Iteration 0: one serial coarse pass over all windows under `force`,
+    a window chain (_window_chain)."""
+    snapshots = _window_chain(U0.copy(), disc.time.n_g,
+                              partial(_coarse_window, disc=disc, force=force))
     jumps = [_zero_like(U0) for _ in range(disc.time.n_g)]
     return ParTrajectory(snapshots, snapshots[1:], jumps)
 
@@ -190,16 +205,17 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
     when one is given. Its jump is the fine result minus the coarse solve
     the previous sweep stored for that window, taken in window order either
     way, so the outcome does not depend on scheduling. `timing` collects the
-    per-stage maxima under t_lift, t_kin and t_proj. The fine solves apply
-    `kinetic.force`, so `force` is unused; it stays for callers that pass it
-    positionally. The first failing window, whatever it raised (a SolverError
-    or a dead worker's broken pool included), surfaces as a SolverError
-    naming the iteration and the window, chained from the cause, and the
-    windows still queued on the pool are cancelled.
+    per-stage maxima under t_lift, t_kin and t_proj as the results arrive.
+    The fine solves apply `kinetic.force`, so `force` is unused; it stays
+    for callers that pass it positionally. The first failing window,
+    whatever it raised (a SolverError or a dead worker's broken pool
+    included), surfaces as a SolverError naming the iteration and the
+    window, chained from the cause, and the windows still queued on the
+    pool are cancelled.
     """
     windows = range(k, disc.time.n_g + 1)
     starts = traj.snapshots[k - 1:-1]
-    stage_max = [0.0, 0.0, 0.0]
+    timing = {} if timing is None else timing
     n = k  # the window whose result is awaited
     try:
         if executor is None:
@@ -210,13 +226,11 @@ def compute_jumps(traj: ParTrajectory, k: int, disc: Discretization,
             results = executor.map(_kinetic_window_remote, windows, starts)
         for fine, stages in results:
             traj.jumps[n - 1] = fine - traj.coarse[n - 1]
-            stage_max = [max(a, b) for a, b in zip(stage_max, stages)]
+            for key, value in zip(("t_lift", "t_kin", "t_proj"), stages):
+                timing[key] = max(timing.get(key, 0.0), value)
             n += 1
     except Exception as exc:
         raise _window_failed(f"iteration {k} at window {n}", exc) from exc
-    if timing is not None:
-        for key, value in zip(("t_lift", "t_kin", "t_proj"), stage_max):
-            timing[key] = max(timing.get(key, 0.0), value)
 
 
 def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
@@ -260,14 +274,15 @@ def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
     """Full outer iteration; returns the trajectory and convergence records.
 
     The coarse sweeps apply `kinetic.force`, the field of the fine solves.
+    With more than one worker the fine solves run on a process pool that is
+    shut down, waiting for its processes, however the iteration ends.
     """
     force = kinetic.force
     traj = initial_coarse_sweep(U0, disc, force)
     records: list[ConvergenceRecord] = []
-    executor = None
-    if config.workers > 1:
-        executor = make_executor(config.workers, disc, kinetic, force)
-    try:
+    pool = (make_executor(config.workers, disc, kinetic, force)
+            if config.workers > 1 else contextlib.nullcontext())
+    with pool as executor:
         for k in range(1, config.k_max + 1):
             tic = time.perf_counter()
             compute_jumps(traj, k, disc, kinetic, force, executor=executor,
@@ -276,9 +291,6 @@ def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
             records.append(ConvergenceRecord(k, error, time.perf_counter() - tic))
             if error < config.tol:
                 break
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return traj, records
 
 
@@ -288,17 +300,11 @@ def fine_moment_chain(U0: MomentField, disc: Discretization,
     all on one window state.
 
     This is the trajectory the outer iteration reproduces exactly once k
-    reaches the window count. A SolverError in a window is raised again as a
-    SolverError naming the window, chained from the cause.
+    reaches the window count. It is a window chain (_window_chain).
     """
     state = _window_state(disc)
-    out = [U0.copy()]
-    for n in range(1, disc.time.n_g + 1):
-        try:
-            out.append(_kinetic_window(n, out[-1], disc, kinetic, state)[0])
-        except SolverError as exc:
-            raise _window_failed(f"window {n}", exc) from exc
-    return out
+    return _window_chain(U0.copy(), disc.time.n_g,
+                         lambda n, U: _kinetic_window(n, U, disc, kinetic, state)[0])
 
 
 def _window_cost(t_kin: float, t_fluid: float, t_lift: float, t_proj: float,

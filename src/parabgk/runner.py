@@ -3,6 +3,8 @@
 Each mode produces moment snapshots at the coarse times so outputs stay
 directly comparable: `fluid` is the coarse sweep alone, `fine` integrates the
 kinetic equation straight through, `parareal` runs the corrected iteration.
+`fluid` and `fine` step through parareal's one window chain, so a failing
+window is named the same way in both.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from pathlib import Path
 
 from .cases import initial_distribution, initial_moments
 from .config import RunConfig, build_discretization, build_params
-from .errors import SolverError
 from .grid import Discretization, SpatialGrid
 from .io import TimingReport, write_convergence, write_snapshots, write_timing
 from .kinetic import KineticParams, propagate_kinetic
 from .moments import MomentField, project
-from .parareal import (ConvergenceRecord, PararealConfig, _window_failed,
+from .parareal import (ConvergenceRecord, PararealConfig, _window_chain,
                        estimate_k_opt, initial_coarse_sweep, run_parareal)
 
 __all__ = ["prepare", "run_fine_mode", "solve", "write_artifacts", "run_mode",
@@ -44,21 +45,19 @@ def run_fine_mode(cfg: RunConfig, disc: Discretization, kinetic: KineticParams) 
     """Serial kinetic reference: one distribution marched across all windows.
 
     The initial distribution, built here and nowhere else in the mode, is
-    the state every window advances in place. A SolverError raised in a
-    window is raised again as a SolverError naming the window, chained from
-    the cause.
+    the state every window advances in place; the snapshots are its
+    projections, a window chain (parareal._window_chain).
     """
     f = initial_distribution(cfg.case, disc.phase)
     times = disc.time.coarse_times
-    snapshots = [project(f, disc.phase)]
-    for n in range(1, disc.time.n_g + 1):
-        try:
-            f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
-                                  kinetic, disc.bc, dt_max=disc.time.dt_f)
-            snapshots.append(project(f, disc.phase))
-        except SolverError as exc:
-            raise _window_failed(f"window {n}", exc) from exc
-    return snapshots
+
+    def step(n: int, _: MomentField) -> MomentField:
+        nonlocal f
+        f = propagate_kinetic(f, float(times[n - 1]), float(times[n]), disc.phase,
+                              kinetic, disc.bc, dt_max=disc.time.dt_f)
+        return project(f, disc.phase)
+
+    return _window_chain(project(f, disc.phase), disc.time.n_g, step)
 
 
 def solve(cfg: RunConfig, disc: Discretization, kinetic: KineticParams,

@@ -5,7 +5,6 @@ identifies the broken claim directly from the pytest -v line.
 """
 
 import json
-import math
 import os
 import time
 from dataclasses import replace

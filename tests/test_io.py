@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import parabgk
 from parabgk import (ConvergenceRecord, MomentField, TimingReport,

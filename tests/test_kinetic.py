@@ -20,7 +20,7 @@ from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
                      PhaseGrid, RunConfig, bgk_relax, build_discretization,
                      build_params, build_spatial_grid, build_velocity_grid,
                      initial_distribution, lift, project,
-                     propagate_kinetic, stable_dt_kinetic,
+                     propagate_fluid, propagate_kinetic, stable_dt_kinetic,
                      SolverError, transport_update)
 from parabgk import kinetic, runner
 from parabgk.runner import run_fine_mode
@@ -465,6 +465,37 @@ def test_propagate_rejects_a_rate_outside_its_range(epsilon):
                           BoundaryKind.PERIODIC)
     assert info.value.step == 1
     assert isinstance(info.value.__cause__, DegenerateStateError)
+
+
+def _field_with(n, cell, value):
+    force = np.full(n, 0.5)
+    force[cell] = value
+    return force
+
+
+@pytest.mark.parametrize("force, message, mis_sized", [
+    (_field_with(8, 3, np.nan), r"^the field is nan in cell 3$", False),
+    (_field_with(8, 5, -np.inf), r"^the field is -inf in cell 5$", False),
+    (np.full((8, 1), 0.5), r"^the field must hold one value per cell, got "
+                           r"shape \(8, 1\)$", False),
+    (np.full(10, 0.5), r"^the field has 10 values for 8 cells$", True),
+    (np.full(6, 0.5), r"^the field has 6 values for 8 cells$", True),
+], ids=["nan", "inf", "2-D", "long", "short"])
+def test_a_field_not_one_finite_value_per_cell_is_refused(force, message, mis_sized):
+    # a NaN field once passed E_max = NaN > 0 as false and ran field-free; a
+    # long one sized the step from cells that do not exist, a short one
+    # failed with an IndexError
+    grid = _grid(n_x=8, n_v=6)
+    f = initial_distribution("sod", grid)
+    with pytest.raises(ConfigurationError, match=message):
+        propagate_kinetic(f, 0.0, 0.01, grid,
+                          KineticParams(epsilon=1e-2, force=force),
+                          BoundaryKind.ABSORBING)
+    if mis_sized:
+        # the Euler coarse refuses the same field before its first step
+        with pytest.raises(ConfigurationError, match=message):
+            propagate_fluid(project(f, grid), 0.0, 0.01, grid, force,
+                            BoundaryKind.ABSORBING)
 
 
 _ENTRIES = st.one_of(st.just(0.0),

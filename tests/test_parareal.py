@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 import parabgk
 from parabgk import (PRESETS, BlowUpError, BoundaryKind, ConfigurationError,
@@ -135,6 +134,26 @@ def test_pool_has_no_more_processes_than_windows():
         assert a.rho.tobytes() == b.rho.tobytes()
         assert a.u.tobytes() == b.u.tobytes()
         assert a.theta.tobytes() == b.theta.tobytes()
+
+
+def test_pool_processes_end_with_the_run(monkeypatch):
+    # the pool is shut down, waiting for its workers, whether the run
+    # returns or a window fails
+    before = {child.pid for child in multiprocessing.active_children()}
+
+    def run():
+        return run_parareal(_sod_like(12),
+                            PararealConfig(k_max=2, tol=1e-300, workers=2),
+                            _tiny_disc(), KineticParams(epsilon=1e-2))
+
+    _, records = run()
+    assert len(records) == 2
+    assert {child.pid for child in multiprocessing.active_children()} == before
+    monkeypatch.setattr(kinetic_module, "bgk_relax", _relax_failing_in_workers)
+    with pytest.raises(SolverError, match=r"^iteration 1 at window [1-4] failed: "
+                       r"MemoryError"):
+        run()
+    assert {child.pid for child in multiprocessing.active_children()} == before
 
 
 def test_coarse_windows_are_solved_only_by_the_sweeps(monkeypatch):
