@@ -18,16 +18,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="override the output directory")
 
 
-def _apply_overrides(cfg, args, mode=None):
-    if mode is not None:
-        cfg = replace(cfg, mode=mode)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="parabgk",
@@ -43,14 +33,16 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(cmp_p)
 
     args = parser.parse_args(argv)
+    # The flags given, by the RunConfig field each overrides; `compare` has no --mode.
+    flags = {"mode": getattr(args, "mode", None), "workers": args.workers,
+             "out_dir": args.out}
+    overrides = {field: value for field, value in flags.items() if value is not None}
     try:
-        cfg = parse_config(args.config)
+        cfg = replace(parse_config(args.config), **overrides)
         if args.command == "run":
-            cfg = _apply_overrides(cfg, args, mode=args.mode)
             out = run_mode(cfg)
             print(f"wrote {cfg.mode} artifacts to {out}")
         else:
-            cfg = _apply_overrides(cfg, args)
             report = run_comparison(cfg)
             print(f"speedup {report.speedup:.3f} over the serial fine run; "
                   f"suggested iteration bound {report.k_opt}")

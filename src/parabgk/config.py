@@ -25,11 +25,14 @@ __all__ = ["RunConfig", "PRESETS", "parse_config", "build_discretization",
 MODES = ("parareal", "fine", "fluid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """A run's settings, checked whenever one is made or replaced.
 
-    The grid builders check the remaining count and bound constraints.
+    Frozen, so dataclasses.replace, which checks again, is the one way to
+    change a setting. KineticParams checks epsilon and PararealConfig the
+    iteration controls; the grid builders check the remaining count and
+    bound constraints.
     """
 
     case: str
@@ -58,8 +61,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown bc '{self.bc}'")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode '{self.mode}', expected one of {MODES}")
-        if not self.epsilon > 0:
-            raise ConfigurationError(f"need epsilon > 0, got {self.epsilon}")
+        KineticParams(self.epsilon)
         # No kinetic step is longer than t_final / n_f, so a finite rate there
         # bounds every step's dt / epsilon; a t_final or n_f that is itself
         # invalid is left to the grid builders to report.

@@ -81,7 +81,8 @@ def _ghosted(v: np.ndarray, bc: BoundaryKind) -> np.ndarray:
 def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
                     force: np.ndarray | None, bc: BoundaryKind,
                     dt_max: float | None = None) -> MomentField:
-    """Advance primitive moments from t0 to t1 on the conserved variables.
+    """Advance primitive moments from t0 to t1 on the conserved variables;
+    the result is a new MomentField, a copy of U0 when t1 == t0.
 
     `force` is the per-cell field E_i along x (None means no field), the
     kinetic solver's `KineticParams.force`.
@@ -95,7 +96,7 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
         raise ConfigurationError(f"the field has {len(force)} values "
                                  f"for {grid.space.n_x} cells")
     if t1 == t0:
-        return U0
+        return U0.copy()
     dx = grid.space.dx
 
     def advance(v, dt):

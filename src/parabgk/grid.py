@@ -47,8 +47,6 @@ class BoundaryKind(Enum):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    x_min: float
-    x_max: float
     n_x: int
     dx: float
     centers: np.ndarray  # (n_x,), x_min + (i + 1/2) dx
@@ -72,9 +70,7 @@ class VelocityGrid:
 class TimeGrids:
     """Coarse windows [T^n, T^n+1] with a fine step cap inside each."""
 
-    t_final: float
     n_g: int
-    n_f: int
     dt_g: float
     dt_f: float
     coarse_times: np.ndarray  # (n_g + 1,), coarse_times[-1] == t_final exactly
@@ -113,7 +109,7 @@ def build_spatial_grid(x_min: float, x_max: float, n_x: int) -> SpatialGrid:
         raise ConfigurationError(f"need n_x >= 2, got {n_x}")
     dx = (x_max - x_min) / n_x
     centers = x_min + (np.arange(n_x) + 0.5) * dx
-    return SpatialGrid(float(x_min), float(x_max), n_x, dx, centers)
+    return SpatialGrid(n_x, dx, centers)
 
 
 def _axis_centers(v_max: float, n: int) -> np.ndarray:
@@ -143,8 +139,7 @@ def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
     if n_g < 1 or n_f < n_g:
         raise ConfigurationError(f"need n_f >= n_g >= 1, got n_g={n_g}, n_f={n_f}")
     coarse_times = np.linspace(0.0, t_final, n_g + 1)
-    return TimeGrids(float(t_final), n_g, n_f,
-                     t_final / n_g, t_final / n_f, coarse_times)
+    return TimeGrids(n_g, t_final / n_g, t_final / n_f, coarse_times)
 
 
 def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,

@@ -54,11 +54,14 @@ _BLOCK_BYTES = 1 << 21  # about one core's L2, so a block is reused while cached
 _CFL = 0.5  # Courant number of the explicit transport
 
 
-@dataclass
+@dataclass(frozen=True)
 class KineticParams:
-    """What the kinetic solver needs to know of the physics.
+    """What the kinetic solver needs to know of the physics, checked when
+    made; frozen, so dataclasses.replace, which checks again, is the one way
+    to change it.
 
-    Collisions relax f toward M at rate 1/epsilon (epsilon = inf is the
+    Collisions relax f toward M at rate 1/epsilon, with epsilon > 0 (a NaN,
+    zero or negative epsilon raises ConfigurationError; epsilon = inf is the
     collisionless limit); force is the per-cell field E_i along x (None
     means no field), a 1-D array of finite values, kept as given.
     """
@@ -67,6 +70,8 @@ class KineticParams:
     force: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not self.epsilon > 0:
+            raise ConfigurationError(f"need epsilon > 0, got {self.epsilon}")
         if self.force is None:
             return
         if np.ndim(self.force) != 1:
@@ -166,14 +171,15 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     f becomes (f + lam M) / (1 + lam), in place and returned, as
     f / (1 + lam) plus the Maxwellian with lam / (1 + lam) folded into its
     amplitude, where lam = dt / epsilon; lam = 0 leaves f unchanged, and a
-    lam outside [0, inf) (a NaN, zero or negative epsilon, or one so small
-    that dt / epsilon overflows) raises DegenerateStateError. The moments are
+    lam outside [0, inf) (a negative dt, or an epsilon so small that
+    dt / epsilon overflows; KineticParams refuses any epsilon that is not
+    > 0) raises DegenerateStateError. The moments are
     projected once, and project rejects a non-finite entry of f through the
     mass of its cell; lift builds the Maxwellian one block of x rows at a
     time, on that block's moments, in one array of _block_rows(grid) rows
     allocated for the call.
     """
-    lam = dt / params.epsilon if params.epsilon else np.inf
+    lam = dt / params.epsilon
     if not 0.0 <= lam < np.inf:
         raise DegenerateStateError(f"relaxation rate dt/epsilon is {lam} in every cell")
     rows = _block_rows(grid)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (ConfigurationError, CorrectionOvershootError,
                      DegenerateStateError, SolverError)
 from .fluid import propagate_fluid
-from .grid import Discretization
+from .grid import Discretization, _count
 from .kinetic import KineticParams, propagate_kinetic
 from .lifting import lift
 from .moments import MomentField, project
@@ -55,20 +55,25 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PararealConfig:
-    """Iteration controls; stop once k exceeds k_max or the error drops below tol."""
+    """Iteration controls; stop once k exceeds k_max or the error drops below tol.
+
+    Checked when made: k_max and workers are integers >= 1 and tol > 0.
+    Frozen, so dataclasses.replace, which checks again, is the one way to
+    change a control.
+    """
 
     k_max: int
     tol: float
     workers: int = 1
 
     def __post_init__(self):
-        if self.k_max < 1:
+        if _count("k_max", self.k_max) < 1:
             raise ConfigurationError(f"need k_max >= 1, got {self.k_max}")
         if not self.tol > 0.0:
             raise ConfigurationError(f"need tol > 0, got {self.tol}")
-        if self.workers < 1:
+        if _count("workers", self.workers) < 1:
             raise ConfigurationError(f"need workers >= 1, got {self.workers}")
 
 

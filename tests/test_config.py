@@ -1,15 +1,15 @@
 """Config file parsing, validation, and object construction."""
 
 import re
-from dataclasses import asdict, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parabgk import (PRESETS, BoundaryKind, ConfigurationError, RunConfig,
-                     build_discretization, build_params, external_force,
-                     parse_config)
+from parabgk import (PRESETS, BoundaryKind, ConfigurationError, KineticParams,
+                     PararealConfig, RunConfig, build_discretization,
+                     build_params, external_force, parse_config)
 
 FULL = """\
 # explicit setup, no preset
@@ -176,7 +176,7 @@ def test_build_discretization(tmp_path):
     disc = build_discretization(cfg)
     assert disc.phase.space.n_x == 40 and disc.phase.space.dx == 0.05
     assert disc.phase.velocity.n_v == (16, 16, 16)
-    assert disc.time.n_g == 10 and disc.time.n_f == 40
+    assert disc.time.n_g == 10 and disc.time.dt_f == 0.2 / 40
     assert disc.bc is BoundaryKind.ABSORBING
 
 
@@ -195,3 +195,19 @@ def test_build_params_beams_force(tmp_path):
     kinetic = build_params(cfg, disc)
     assert kinetic.epsilon == 1e-5
     assert np.array_equal(kinetic.force, external_force(disc.phase.space.centers))
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (lambda: KineticParams(epsilon=1e-2), "force", np.full(8, np.nan)),
+    (lambda: PRESETS["sod"], "n_x", 12),
+    (lambda: PararealConfig(k_max=2, tol=1e-3), "k_max", 0),
+], ids=["KineticParams", "RunConfig", "PararealConfig"])
+def test_settings_refuse_assignment(tmp_path, make, field, value):
+    # an assignment after construction would skip every check: a NaN field
+    # ran field-free, and a preset edit leaked into every later parse
+    settings = make()
+    before = getattr(settings, field)
+    with pytest.raises(FrozenInstanceError):
+        setattr(settings, field, value)
+    assert getattr(settings, field) is before
+    assert parse_config(_write(tmp_path, "preset = sod\n")).n_x == 200

@@ -141,8 +141,12 @@ def test_sod_density_profile_against_exact_solution():
 def test_empty_interval_and_reversed_interval():
     grid = _grid(n_x=4)
     U = MomentField(np.ones(4), np.zeros((4, 3)), np.ones(4))
-    assert propagate_fluid(U, 0.5, 0.5, grid, None,
-                           BoundaryKind.PERIODIC) is U
+    # an empty interval returns a new field that shares no array with U
+    same = propagate_fluid(U, 0.5, 0.5, grid, None, BoundaryKind.PERIODIC)
+    assert same is not U
+    assert not any(np.shares_memory(a, b) for a, b in
+                   zip((same.rho, same.u, same.theta), (U.rho, U.u, U.theta)))
+    assert same.sup_distance(U) == 0.0
     with pytest.raises(ConfigurationError):
         propagate_fluid(U, 1.0, 0.5, grid, None, BoundaryKind.PERIODIC)
 

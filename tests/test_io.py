@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -12,7 +14,7 @@ import parabgk
 from parabgk import (ConvergenceRecord, MomentField, TimingReport,
                      build_spatial_grid, read_convergence, read_snapshot,
                      write_convergence, write_snapshots, write_timing)
-from parabgk import runner
+from parabgk import cli, config, runner
 from parabgk.cli import main
 
 MICRO = """\
@@ -175,6 +177,35 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "epsilon = 5e-324" in err
         assert not out.exists()
+
+
+def test_cli_overrides_make_one_config(tmp_path, monkeypatch):
+    # the flags given replace the file's settings in one checked step
+    path = tmp_path / "run.cfg"
+    path.write_text(MICRO)
+    given = []
+    monkeypatch.setattr(cli, "run_mode", lambda cfg: given.append(cfg) or "X")
+    monkeypatch.setattr(cli, "run_comparison",
+                        lambda cfg: given.append(cfg) or SimpleNamespace(speedup=1.0, k_opt=1))
+    checks = []
+    check = config.RunConfig.__post_init__
+    monkeypatch.setattr(config.RunConfig, "__post_init__",
+                        lambda self: checks.append(None) or check(self))
+    file_cfg = config.parse_config(path)
+    cases = [
+        (["run"], file_cfg),
+        (["run", "--mode", "fluid", "--workers", "3", "--out", "X"],
+         replace(file_cfg, mode="fluid", workers=3, out_dir="X")),
+        (["compare", "--workers", "2"], replace(file_cfg, workers=2)),
+    ]
+    for command, expected in cases:
+        given.clear()
+        checks.clear()
+        assert main(command[:1] + ["--config", str(path)] + command[1:]) == 0
+        assert given == [expected]
+        # the file's config and the overridden one, whatever the flag count
+        assert len(checks) == 2
+    assert given[0].mode == "parareal"  # compare keeps the file's mode
 
 
 def test_cli_reports_missing_config(tmp_path, capsys):

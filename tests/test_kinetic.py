@@ -8,6 +8,7 @@ the vectorized kernels.
 import math
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -452,10 +453,20 @@ def test_propagate_reports_blow_up_step():
                                "finite positive number at step 1")
 
 
-@pytest.mark.parametrize("epsilon", [math.nan, -0.5, 5e-324, 0.0])
+@pytest.mark.parametrize("epsilon", [math.nan, -0.5, 0.0])
+def test_kinetic_params_refuses_an_epsilon_not_positive(epsilon):
+    # a NaN, negative or zero epsilon is refused where it is made, not at the
+    # first relaxation step; a negative rate would otherwise blend to a finite
+    # but meaningless state
+    with pytest.raises(ConfigurationError, match=rf"^need epsilon > 0, got {epsilon}$"):
+        KineticParams(epsilon=epsilon)
+    with pytest.raises(ConfigurationError, match=r"^need epsilon > 0"):
+        replace(KineticParams(epsilon=1e-2), epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [5e-324])
 def test_propagate_rejects_a_rate_outside_its_range(epsilon):
-    # dt/epsilon is NaN, negative, overflows to inf or divides by zero; a
-    # negative rate would otherwise blend to a finite but meaningless state
+    # a positive epsilon so small that dt/epsilon overflows to inf
     grid = _grid(n_x=4, n_v=8)
     f = lift(_uniform(4, 1.0, (0, 0, 0), 1.0), grid)
     with pytest.raises(BlowUpError,
@@ -465,6 +476,13 @@ def test_propagate_rejects_a_rate_outside_its_range(epsilon):
                           BoundaryKind.PERIODIC)
     assert info.value.step == 1
     assert isinstance(info.value.__cause__, DegenerateStateError)
+
+
+def test_replace_checks_the_field_again():
+    # replace is the one way to change a KineticParams, and it checks the
+    # new field as construction does
+    with pytest.raises(ConfigurationError, match=r"^the field is nan in cell 0$"):
+        replace(KineticParams(epsilon=1e-2), force=np.full(8, np.nan))
 
 
 def _field_with(n, cell, value):

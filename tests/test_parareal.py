@@ -330,6 +330,20 @@ def _relax_failing_in_workers(*args, **kwargs):
     return _relax(*args, **kwargs)
 
 
+@pytest.mark.parametrize("k_max, workers, name", [
+    (2.5, 1, "k_max"), (math.nan, 1, "k_max"), (2, 1.5, "workers"),
+])
+def test_iteration_counts_must_be_integers(k_max, workers, name):
+    # a float count once passed the checks, and run_mode died on it with a
+    # bare TypeError from range()
+    bad = k_max if name == "k_max" else workers
+    message = rf"^need an integer {name}, got {bad!r}$"
+    with pytest.raises(ConfigurationError, match=message):
+        PararealConfig(k_max=k_max, tol=1e-3, workers=workers)
+    with pytest.raises(ConfigurationError, match=message):
+        replace(PRESETS["sod"], k_max=k_max, workers=workers)
+
+
 def _tiny_config(tmp_path):
     """A config file of the _tiny_disc() problem with sod data."""
     path = tmp_path / "run.cfg"
@@ -356,9 +370,7 @@ def _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys, workers=2,
     build_params = config.build_params
 
     def failing_params(cfg, disc):
-        kinetic = build_params(cfg, disc)
-        kinetic.epsilon = epsilon
-        return kinetic
+        return replace(build_params(cfg, disc), epsilon=epsilon)
 
     monkeypatch.setattr(runner, "build_params", failing_params)
     path = _tiny_config(tmp_path)
@@ -405,9 +417,9 @@ def test_window_exception_surfaces_as_solver_error(tmp_path, monkeypatch, capsys
 def test_window_blow_up_names_iteration_and_window(tmp_path, monkeypatch, capsys):
     for workers in (1, 2):
         error = _assert_window_failure_exits_2(tmp_path, monkeypatch, capsys,
-                                               workers=workers, epsilon=math.nan)
+                                               workers=workers, epsilon=5e-324)
         assert str(error) == ("iteration 1 at window 1 failed: BlowUpError: "
-                              "relaxation rate dt/epsilon is nan in every cell "
+                              "relaxation rate dt/epsilon is inf in every cell "
                               "at step 1")
         assert isinstance(error.__cause__, BlowUpError)
         assert error.__cause__.step == 1
