@@ -10,12 +10,12 @@ from .errors import (BlowUpError, ConfigurationError, CorrectionOvershootError,
 from .grid import (BoundaryKind, Discretization, PhaseGrid, SpatialGrid,
                    TimeGrids, VelocityGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
-from .moments import (MomentField, conserved_to_primitive,
-                      moments_of_marginals, primitive_to_conserved, project)
+from .moments import MomentField, moments_of_marginals, project
 from .lifting import lift, maxwellian_marginals
 from .kinetic import (KineticParams, bgk_relax, propagate_kinetic,
                       stable_dt_kinetic, transport_update)
-from .fluid import euler_flux, propagate_fluid, rusanov_flux, stable_dt_fluid
+from .fluid import (conserved_to_primitive, euler_flux, primitive_to_conserved,
+                    propagate_fluid, rusanov_flux, stable_dt_fluid)
 from .parareal import (ConvergenceRecord, ParTrajectory, PararealConfig,
                        compute_jumps, estimate_k_opt, fine_moment_chain,
                        initial_coarse_sweep, parareal_cost, run_parareal,

@@ -1,11 +1,15 @@
 """Coarse propagator: first-order finite-volume compressible Euler solver.
 
-Conserved state per cell is (rho, rho u, E) with E = rho |u|^2 / 2
-+ 3 rho theta / 2 and pressure p = rho theta (monoatomic closure). Interface
-fluxes are central with max-speed dissipation; the wave speed estimate is
-|u_x| + sqrt(theta) on each side. The case's external field, the same
-per-cell array the kinetic solver applies, enters as an explicit source on
-x-momentum and energy.
+The solver needs only the spatial grid. Its conserved state per cell is
+(rho, rho u, E) with E = rho |u|^2 / 2 + 3 rho theta / 2, packed per cell
+into an (n_x, 5) array, and pressure p = rho theta (monoatomic closure).
+This module alone reads and writes that layout, and converts it to and from
+the primitive moments (rho, u, theta) that the rest of the package uses.
+
+Interface fluxes are central with max-speed dissipation; the wave speed
+estimate is |u_x| + sqrt(theta) on each side. The case's external field,
+the same per-cell array the kinetic solver applies, enters as an explicit
+source on x-momentum and energy.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import BoundaryKind, PhaseGrid, march
-from .moments import (MomentField, conserved_to_primitive, primitive_to_conserved,
-                      require_positive)
+from .grid import BoundaryKind, SpatialGrid, march
+from .moments import MomentField, require_positive
 
 __all__ = [
+    "primitive_to_conserved",
+    "conserved_to_primitive",
     "euler_flux",
     "rusanov_flux",
     "stable_dt_fluid",
@@ -25,6 +30,28 @@ __all__ = [
 ]
 
 _CFL = 0.9  # Courant number of the Euler step
+
+
+def primitive_to_conserved(U: MomentField) -> np.ndarray:
+    """Packed conserved states (rho, rho u, E) of shape (n_x, 5)."""
+    v = np.empty((U.n_x, 5))
+    v[:, 0] = U.rho
+    v[:, 1:4] = U.rho[:, None] * U.u
+    kinetic = 0.5 * U.rho * np.einsum("ij,ij->i", U.u, U.u)
+    v[:, 4] = kinetic + 1.5 * U.rho * U.theta
+    return v
+
+
+def conserved_to_primitive(v: np.ndarray) -> MomentField:
+    """Primitive moments of packed conserved states (n_x, 5)."""
+    rho = v[:, 0].copy()
+    require_positive(rho, "density in conserved state")
+    mom = v[:, 1:4]
+    u = mom / rho[:, None]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check refuses
+        internal = v[:, 4] - 0.5 * np.einsum("ij,ij->i", mom, u)
+    require_positive(internal, "internal energy in conserved state")
+    return MomentField(rho, u, internal / (1.5 * rho))
 
 
 def _pressure(v: np.ndarray) -> np.ndarray:
@@ -60,47 +87,43 @@ def rusanov_flux(vl: np.ndarray, vr: np.ndarray) -> np.ndarray:
     return 0.5 * (euler_flux(vl) + euler_flux(vr)) - 0.5 * s[..., None] * (vr - vl)
 
 
-def stable_dt_fluid(v: np.ndarray, grid: PhaseGrid) -> float:
-    """Acoustic CFL bound 0.9 dx / max(|u_x| + sqrt(theta)) of packed states."""
-    return _CFL * grid.space.dx / float(np.max(_wave_speed(v)))
+def stable_dt_fluid(v: np.ndarray, space: SpatialGrid) -> float:
+    """Acoustic CFL bound 0.9 dx / max(|u_x| + sqrt(theta)) of packed states
+    on the SpatialGrid `space`."""
+    return _CFL * space.dx / float(np.max(_wave_speed(v)))
 
 
-def _ghosted(v: np.ndarray, bc: BoundaryKind) -> np.ndarray:
-    ext = np.empty((v.shape[0] + 2, 5))
-    ext[1:-1] = v
-    if bc is BoundaryKind.PERIODIC:
-        ext[0] = v[-1]
-        ext[-1] = v[0]
-    else:
-        # transmissive: copy the boundary cell so gradients vanish at the edge
-        ext[0] = v[0]
-        ext[-1] = v[-1]
-    return ext
-
-
-def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
+def propagate_fluid(U0: MomentField, t0: float, t1: float, space: SpatialGrid,
                     force: np.ndarray | None, bc: BoundaryKind,
                     dt_max: float | None = None) -> MomentField:
-    """Advance primitive moments from t0 to t1 on the conserved variables;
-    the result is a new MomentField, a copy of U0 when t1 == t0.
+    """Advance primitive moments from t0 to t1 on the conserved variables of
+    the SpatialGrid `space`; the result is a new MomentField, a copy of U0
+    when t1 == t0.
 
     `force` is the per-cell field E_i along x (None means no field), the
     kinetic solver's `KineticParams.force`.
 
-    A step that leaves a density or pressure that is not a finite positive
-    number raises BlowUpError naming the step and the cell; a non-finite
-    momentum or energy makes the pressure non-finite. A field whose length
-    is not the cell count is refused before any step.
+    A field whose length is not the cell count is refused with a
+    ConfigurationError, and a start state that is not physical (see
+    MomentField.require_physical) with a DegenerateStateError, before any
+    step. A step that leaves a density or pressure that is not a finite
+    positive number raises BlowUpError naming the step and the cell; a
+    non-finite momentum or energy makes the pressure non-finite.
     """
-    if force is not None and len(force) != grid.space.n_x:
+    if force is not None and len(force) != space.n_x:
         raise ConfigurationError(f"the field has {len(force)} values "
-                                 f"for {grid.space.n_x} cells")
+                                 f"for {space.n_x} cells")
+    U0.require_physical("fluid's initial")
     if t1 == t0:
         return U0.copy()
-    dx = grid.space.dx
+    dx = space.dx
+    periodic = bc is BoundaryKind.PERIODIC
 
     def advance(v, dt):
-        ext = _ghosted(v, bc)
+        # ghost cells: the wrapped neighbour, or a copy of the boundary cell
+        # (transmissive) so gradients vanish at the edge
+        lo, hi = (v[-1:], v[:1]) if periodic else (v[:1], v[-1:])
+        ext = np.concatenate((lo, v, hi))
         face = rusanov_flux(ext[:-1], ext[1:])
         new = v - (dt / dx) * (face[1:] - face[:-1])
         if force is not None:
@@ -111,5 +134,5 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, grid: PhaseGrid,
         return new
 
     v = march(primitive_to_conserved(U0), t0, t1,
-              lambda v: stable_dt_fluid(v, grid), advance, dt_max)
+              lambda v: stable_dt_fluid(v, space), advance, dt_max)
     return conserved_to_primitive(v)

@@ -1,9 +1,7 @@
-"""Velocity moments and the fluid-state algebra built on them.
+"""Velocity moments of distributions.
 
 The moment triple (rho, u, theta) is the primitive description shared by the
-coarse solver and the outer iteration; (rho, rho u, E) with
-E = rho |u|^2 / 2 + 3 rho theta / 2, packed per cell into an (n_x, 5) array,
-is the conserved form used by the flux update. Projection uses plain midpoint
+coarse solver and the outer iteration. Projection uses plain midpoint
 quadrature on the velocity cube, and every moment it takes is a moment of
 one of the cube's three 1D marginals: project sums the cube down to them and
 moments_of_marginals does the rest, so a distribution known only through its
@@ -25,8 +23,6 @@ __all__ = [
     "MomentField",
     "project",
     "moments_of_marginals",
-    "primitive_to_conserved",
-    "conserved_to_primitive",
 ]
 
 
@@ -44,8 +40,9 @@ class MomentField:
 
     def require_physical(self, what: str) -> None:
         """Raise DegenerateStateError naming the first cell whose rho or theta
-        is not a finite positive number or whose u is not finite; each
-        quantity is named as what followed by its own name."""
+        is not a finite positive number or whose u is not finite, or saying
+        that the state has no cells; each quantity is named as what followed
+        by its own name."""
         require_positive(self.rho, f"{what} density")
         require_positive(self.theta, f"{what} temperature")
         _require(np.isfinite(self.u), self.u, f"{what} velocity", "finite")
@@ -70,15 +67,18 @@ class MomentField:
 
 def _require(ok: np.ndarray, values: np.ndarray, what: str, wanted: str) -> None:
     # a cell fails when any of its entries does; values[cell] is its row
-    bad = np.flatnonzero(~ok.reshape(ok.shape[0], -1).all(axis=1))
-    if bad.size:
-        raise DegenerateStateError(f"{what} at cell {bad[0]} is {values[bad[0]]}, "
-                                   f"not {wanted}")
+    if not len(ok):
+        raise DegenerateStateError(f"{what} has no cells")
+    if ok.all():
+        return
+    bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))[0]
+    raise DegenerateStateError(f"{what} at cell {bad} is {values[bad]}, not {wanted}")
 
 
 def require_positive(values: np.ndarray, what: str) -> None:
     """Raise DegenerateStateError naming the first cell whose value is not a
-    finite positive number; NaN and inf fail too."""
+    finite positive number, or saying that there are no cells; NaN and inf
+    fail too."""
     _require(np.isfinite(values) & (values > 0.0), values, what,
              "a finite positive number")
 
@@ -127,24 +127,3 @@ def moments_of_marginals(margs, grid: PhaseGrid) -> MomentField:
         e2 += np.einsum("ij,ij->i", shifted, margs[axis])
     theta = e2 * dvol / (3.0 * rho)
     return MomentField(rho, u, theta)
-
-
-def primitive_to_conserved(U: MomentField) -> np.ndarray:
-    """Packed conserved states (rho, rho u, E) of shape (n_x, 5)."""
-    v = np.empty((U.n_x, 5))
-    v[:, 0] = U.rho
-    v[:, 1:4] = U.rho[:, None] * U.u
-    kinetic = 0.5 * U.rho * np.einsum("ij,ij->i", U.u, U.u)
-    v[:, 4] = kinetic + 1.5 * U.rho * U.theta
-    return v
-
-
-def conserved_to_primitive(v: np.ndarray) -> MomentField:
-    """Primitive moments of packed conserved states (n_x, 5)."""
-    rho = v[:, 0].copy()
-    require_positive(rho, "density in conserved state")
-    mom = v[:, 1:4]
-    u = mom / rho[:, None]
-    internal = v[:, 4] - 0.5 * np.einsum("ij,ij->i", mom, u)
-    require_positive(internal, "internal energy in conserved state")
-    return MomentField(rho, u, internal / (1.5 * rho))

@@ -109,8 +109,8 @@ def _coarse_window(n: int, U: MomentField, disc: Discretization,
                    force: np.ndarray | None) -> MomentField:
     """Euler solve of window n from U under the per-cell field `force`."""
     times = disc.time.coarse_times
-    return propagate_fluid(U, float(times[n - 1]), float(times[n]), disc.phase,
-                           force, disc.bc, dt_max=disc.time.dt_g)
+    return propagate_fluid(U, float(times[n - 1]), float(times[n]),
+                           disc.phase.space, force, disc.bc, dt_max=disc.time.dt_g)
 
 
 def _window_failed(prefix: str, exc: Exception) -> SolverError:

@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parabgk import (BlowUpError, BoundaryKind, ConfigurationError, MomentField,
-                     PhaseGrid, build_spatial_grid,
-                     build_velocity_grid, conserved_to_primitive, euler_flux,
-                     primitive_to_conserved, propagate_fluid, rusanov_flux,
-                     stable_dt_fluid)
+from parabgk import (BlowUpError, BoundaryKind, ConfigurationError,
+                     DegenerateStateError, MomentField, build_spatial_grid,
+                     conserved_to_primitive, euler_flux, primitive_to_conserved,
+                     propagate_fluid, rusanov_flux, stable_dt_fluid)
 
 
 def _grid(n_x=50, x_max=2.0):
-    # the velocity cube is irrelevant to the fluid path but PhaseGrid carries it
-    return PhaseGrid(build_spatial_grid(0.0, x_max, n_x),
-                     build_velocity_grid(8.0, 4))
+    # the Euler layer needs only the spatial grid
+    return build_spatial_grid(0.0, x_max, n_x)
 
 
 def _packed(rho, ux, theta):
@@ -51,7 +49,7 @@ def test_rusanov_mirrored_states_have_zero_mass_flux():
 
 def test_stable_dt_examples():
     grid = _grid(n_x=200)
-    x = grid.space.centers
+    x = grid.centers
     sod = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((200, 3)),
                       np.where(x < 1.0, 1.0, 0.8))
     dt = stable_dt_fluid(primitive_to_conserved(sod), grid)
@@ -75,7 +73,7 @@ def test_mirror_symmetry():
     # reflecting x and u_x commutes with the update: evolve data that equals
     # its own reflection and check the symmetry survives many steps exactly
     grid = _grid(n_x=40)
-    x = grid.space.centers
+    x = grid.centers
     rho = 1.0 + 0.5 * np.exp(-8.0 * (x - 1.0) ** 2)
     rho = 0.5 * (rho + rho[::-1])  # bitwise symmetric despite inexact centers
     ux = np.sin(np.pi * x)
@@ -90,7 +88,7 @@ def test_mirror_symmetry():
 
 def test_conservation_many_steps_periodic():
     grid = _grid()
-    x = grid.space.centers
+    x = grid.centers
     U = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((50, 3)),
                     np.where(x < 1.0, 1.0, 0.8))
     V0 = primitive_to_conserved(U)
@@ -108,7 +106,7 @@ def test_force_source_accounting():
     # one explicit step: momentum gains dt * sum(rho E) and energy gains
     # dt * sum(rho u_x E); fluxes telescope away under periodic wrap
     grid = _grid(n_x=20)
-    x = grid.space.centers
+    x = grid.centers
     force = -5.0 * x ** 4 * (x - 2.0) ** 4 * (x - 1.0)
     rho = np.full(20, 2.0)
     ux = 0.1 * np.sin(np.pi * x)
@@ -128,13 +126,13 @@ def test_force_source_accounting():
 def test_sod_density_profile_against_exact_solution():
     from oracles import riemann_density
     grid = _grid(n_x=200)
-    x = grid.space.centers
+    x = grid.centers
     U = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((200, 3)),
                     np.where(x < 1.0, 1.0, 0.8))
     t = 0.05
     out = propagate_fluid(U, 0.0, t, grid, None, BoundaryKind.ABSORBING)
     exact = riemann_density((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), (x - 1.0) / t)
-    l1 = float(np.sum(np.abs(out.rho - exact)) * grid.space.dx)
+    l1 = float(np.sum(np.abs(out.rho - exact)) * grid.dx)
     assert l1 <= 0.05
 
 
@@ -149,6 +147,22 @@ def test_empty_interval_and_reversed_interval():
     assert same.sup_distance(U) == 0.0
     with pytest.raises(ConfigurationError):
         propagate_fluid(U, 1.0, 0.5, grid, None, BoundaryKind.PERIODIC)
+
+
+@pytest.mark.parametrize("theta, message", [
+    (0.0, r"^fluid's initial temperature at cell 0 is 0\.0, not a finite positive"),
+    (-1.0, r"^fluid's initial temperature at cell 0 is -1\.0, not a finite positive"),
+    (None, r"^fluid's initial density has no cells$"),
+], ids=["cold-at-rest", "negative-theta", "no-cells"])
+def test_a_start_state_that_is_not_physical_is_refused(theta, message):
+    # cells at rest at theta = 0 once divided by a zero wave speed, theta = -1
+    # blamed a density of nan after a numpy warning, and no cells failed in a
+    # numpy reduction; each is now refused before the first step
+    n_x = 0 if theta is None else 4
+    U = MomentField(np.ones(n_x), np.zeros((n_x, 3)), np.full(n_x, theta))
+    for bc in BoundaryKind:
+        with pytest.raises(DegenerateStateError, match=message):
+            propagate_fluid(U, 0.0, 0.1, _grid(n_x=4), None, bc)
 
 
 def test_blow_up_reports_step():
@@ -171,7 +185,7 @@ def test_propagate_respects_adaptive_schedule():
     # conserved state; a manual replay of that schedule must land on the
     # identical state, with both the cap and the CFL bound taking turns
     grid = _grid(n_x=40)
-    x = grid.space.centers
+    x = grid.centers
     U = MomentField(np.where(x < 1.0, 1.0, 0.125), np.zeros((40, 3)),
                     np.where(x < 1.0, 1.0, 0.8))
     dt_max = 0.04
@@ -187,7 +201,7 @@ def test_propagate_respects_adaptive_schedule():
         binding.add("cfl" if dt == stable else "cap" if dt == dt_max else "rest")
         ext = np.concatenate([v[:1], v, v[-1:]])
         face = rusanov_flux(ext[:-1], ext[1:])
-        v = v - (dt / grid.space.dx) * (face[1:] - face[:-1])
+        v = v - (dt / grid.dx) * (face[1:] - face[:-1])
         elapsed += dt
     assert binding == {"cfl", "cap", "rest"}
     want = conserved_to_primitive(v)

@@ -512,7 +512,7 @@ def test_a_field_not_one_finite_value_per_cell_is_refused(force, message, mis_si
     if mis_sized:
         # the Euler coarse refuses the same field before its first step
         with pytest.raises(ConfigurationError, match=message):
-            propagate_fluid(project(f, grid), 0.0, 0.01, grid, force,
+            propagate_fluid(project(f, grid), 0.0, 0.01, grid.space, force,
                             BoundaryKind.ABSORBING)
 
 

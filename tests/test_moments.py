@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from parabgk import (DegenerateStateError, MomentField, PhaseGrid,
                      build_spatial_grid, build_velocity_grid,
-                     conserved_to_primitive, lift, primitive_to_conserved,
-                     project)
+                     conserved_to_primitive, lift, maxwellian_marginals,
+                     primitive_to_conserved, project)
 from oracles import gauss_moments
 
 
@@ -107,6 +107,21 @@ def test_conserved_to_primitive_rejects_degenerate():
         v = np.array([[1.0, 0.0, 0.0, 0.0, 1.5], bad])
         with pytest.raises(DegenerateStateError, match=r"at cell 1 is "):
             conserved_to_primitive(v)
+
+
+def test_a_state_with_no_cells_is_refused():
+    # the checks once failed inside numpy, reshaping an empty array
+    grid = _grid(n_v=4)
+    empty = _uniform(0, 1.0, (0.0, 0.0, 0.0), 1.0)
+    for call, what in ((lambda: empty.require_physical("state"), "state density"),
+                       (lambda: lift(empty, grid), "lift's density"),
+                       (lambda: maxwellian_marginals(empty, grid), "lift's density"),
+                       (lambda: project(np.empty((0, 4, 4, 4)), grid),
+                        "density in projection"),
+                       (lambda: conserved_to_primitive(np.empty((0, 5))),
+                        "density in conserved state")):
+        with pytest.raises(DegenerateStateError, match=f"^{what} has no cells$"):
+            call()
 
 
 def test_round_trip_on_random_states():

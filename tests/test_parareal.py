@@ -55,8 +55,8 @@ def test_coarse_sweep_matches_direct_fluid_composition():
     U = U0
     times = disc.time.coarse_times
     for n in range(1, disc.time.n_g + 1):
-        U = propagate_fluid(U, float(times[n - 1]), float(times[n]), disc.phase,
-                            None, disc.bc, dt_max=disc.time.dt_g)
+        U = propagate_fluid(U, float(times[n - 1]), float(times[n]),
+                            disc.phase.space, None, disc.bc, dt_max=disc.time.dt_g)
         assert traj.snapshots[n].sup_distance(U) == 0.0
 
 
@@ -176,17 +176,19 @@ def test_coarse_windows_are_solved_only_by_the_sweeps(monkeypatch):
 
 
 def test_one_field_reaches_both_propagators(monkeypatch):
-    # the coarse sweeps apply the kinetic solves' field object itself, and
-    # prepare hands out that same object, or None for a case without a field
+    # the coarse sweeps apply the kinetic solves' field object itself on the
+    # run's spatial grid, and prepare hands out that same field object, or
+    # None for a case without a field
     cfg = replace(PRESETS["beams"], n_x=12, n_vx=16, n_vy=4, n_vz=4,
                   t_final=0.05, n_g=3, n_f=6, k_max=2, tol=1e-300)
     disc, kinetic, force, U0 = runner.prepare(cfg)
     assert force is kinetic.force and force is not None
     assert runner.prepare(replace(cfg, case="sod", bc="absorbing"))[2] is None
-    coarse_fields, fine_fields = [], []
+    coarse_fields, fine_fields, coarse_grids = [], [], []
 
     def coarse(U, t0, t1, grid, force, *args, **kwargs):
         coarse_fields.append(force)
+        coarse_grids.append(grid)
         return propagate_fluid(U, t0, t1, grid, force, *args, **kwargs)
 
     def fine(f, t0, t1, grid, params, *args, **kwargs):
@@ -198,6 +200,7 @@ def test_one_field_reaches_both_propagators(monkeypatch):
     run_parareal(U0, PararealConfig(k_max=2, tol=1e-300, workers=1), disc, kinetic)
     assert len(coarse_fields) == 3 + 3 + 2 and len(fine_fields) == 3 + 2
     assert all(field is kinetic.force for field in coarse_fields + fine_fields)
+    assert all(grid is disc.phase.space for grid in coarse_grids)
 
 
 def _assert_coarse_is_fresh(traj, disc):
@@ -277,8 +280,9 @@ def _full_sweep_parareal(U0, k_max, disc, kinetic):
     times = disc.time.coarse_times
 
     def coarse(U, n):
-        return propagate_fluid(U, float(times[n - 1]), float(times[n]), disc.phase,
-                               kinetic.force, disc.bc, dt_max=disc.time.dt_g)
+        return propagate_fluid(U, float(times[n - 1]), float(times[n]),
+                               disc.phase.space, kinetic.force, disc.bc,
+                               dt_max=disc.time.dt_g)
 
     def fine(U, n):
         f = propagate_kinetic(lift(U, disc.phase), float(times[n - 1]),
