@@ -10,8 +10,8 @@ from .errors import (BlowUpError, ConfigurationError, CorrectionOvershootError,
 from .grid import (BoundaryKind, Discretization, PhaseGrid, SpatialGrid,
                    TimeGrids, VelocityGrid, build_spatial_grid,
                    build_time_grids, build_velocity_grid)
-from .moments import MomentField, moments_of_marginals, project
-from .lifting import lift, maxwellian_marginals
+from .moments import (MomentField, lift, maxwellian_marginals,
+                      moments_of_marginals, project)
 from .kinetic import (KineticParams, bgk_relax, propagate_kinetic,
                       stable_dt_kinetic, transport_update)
 from .fluid import (conserved_to_primitive, euler_flux, primitive_to_conserved,

@@ -16,8 +16,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import PhaseGrid, SpatialGrid
 from .kinetic import _block_rows
-from .lifting import lift, maxwellian_marginals
-from .moments import MomentField, moments_of_marginals
+from .moments import MomentField, lift, maxwellian_marginals, moments_of_marginals
 
 __all__ = [
     "CASES",

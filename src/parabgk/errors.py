@@ -12,8 +12,8 @@ class ConfigurationError(SolverError):
 class DegenerateStateError(SolverError):
     """A state a step, a lift or a correction cannot use: a density,
     temperature, pressure, amplitude or internal energy that is not a finite
-    positive number, a velocity that is not finite, or a relaxation rate
-    outside [0, inf)."""
+    positive number, a velocity that is not finite, or a relaxation rate or
+    transport step outside [0, inf)."""
 
 
 class BlowUpError(SolverError):

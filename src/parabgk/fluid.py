@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateStateError
 from .grid import BoundaryKind, SpatialGrid, march
 from .moments import MomentField, require_positive
 
@@ -89,8 +89,13 @@ def rusanov_flux(vl: np.ndarray, vr: np.ndarray) -> np.ndarray:
 
 def stable_dt_fluid(v: np.ndarray, space: SpatialGrid) -> float:
     """Acoustic CFL bound 0.9 dx / max(|u_x| + sqrt(theta)) of packed states
-    on the SpatialGrid `space`."""
-    return _CFL * space.dx / float(np.max(_wave_speed(v)))
+    on the SpatialGrid `space`; DegenerateStateError if that largest wave
+    speed is not a finite positive number (every cell at rest with theta = 0)."""
+    speed = float(np.max(_wave_speed(v)))
+    if not 0.0 < speed < np.inf:
+        raise DegenerateStateError(f"the largest wave speed is {speed}, "
+                                   "not a finite positive number")
+    return _CFL * space.dx / speed
 
 
 def propagate_fluid(U0: MomentField, t0: float, t1: float, space: SpatialGrid,

@@ -146,22 +146,30 @@ def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,
           dt_max: float | None = None):
     """Advance state from t0 to t1 with steps min(stable_dt, dt_max, remaining).
 
-    advance(state, dt) returns the next state, or raises DegenerateStateError
-    naming the cell where it meets a state it cannot use. That is the one way
-    a step fails: march re-raises it as a BlowUpError with the 1-based step.
+    t0 <= t1 must be finite and dt_max, when given, > 0, else a
+    ConfigurationError is raised before any step. stable_dt(state) returns
+    the stability cap, or raises DegenerateStateError on a state it cannot
+    bound; advance(state, dt) returns the next state, or raises
+    DegenerateStateError naming the cell where it meets a state it cannot
+    use. Either, or a step whose size is not > 0 (a cap that is 0 or NaN),
+    fails the step: march raises a BlowUpError with the 1-based step.
     """
-    if t1 < t0:
-        raise ConfigurationError(f"need t1 >= t0, got [{t0}, {t1}]")
     span = t1 - t0
+    if not 0.0 <= span < math.inf:
+        raise ConfigurationError(f"need finite t1 >= t0, got [{t0}, {t1}]")
+    if dt_max is not None and not dt_max > 0.0:
+        raise ConfigurationError(f"need dt_max > 0, got {dt_max}")
     elapsed = 0.0
     step = 0
     while span - elapsed > _SPAN_GUARD * span:
-        dt = stable_dt(state)
-        if dt_max is not None:
-            dt = min(dt, dt_max)
-        dt = min(dt, span - elapsed)
         step += 1
         try:
+            dt = stable_dt(state)
+            if dt_max is not None:
+                dt = min(dt, dt_max)
+            dt = min(dt, span - elapsed)
+            if not dt > 0.0:
+                raise DegenerateStateError(f"step size is {dt}, not > 0")
             state = advance(state, dt)
         except DegenerateStateError as exc:
             raise BlowUpError(f"{exc} at step {step}", step=step) from exc

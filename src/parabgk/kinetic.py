@@ -39,8 +39,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateStateError
 from .grid import BoundaryKind, PhaseGrid, march
-from .lifting import lift
-from .moments import MomentField, project
+from .moments import MomentField, lift, project
 
 __all__ = [
     "KineticParams",
@@ -63,7 +62,7 @@ class KineticParams:
     Collisions relax f toward M at rate 1/epsilon, with epsilon > 0 (a NaN,
     zero or negative epsilon raises ConfigurationError; epsilon = inf is the
     collisionless limit); force is the per-cell field E_i along x (None
-    means no field), a 1-D array of finite values, kept as given.
+    means no field), a 1-D array of at least one finite value, kept as given.
     """
 
     epsilon: float
@@ -74,7 +73,7 @@ class KineticParams:
             raise ConfigurationError(f"need epsilon > 0, got {self.epsilon}")
         if self.force is None:
             return
-        if np.ndim(self.force) != 1:
+        if np.ndim(self.force) != 1 or not np.size(self.force):
             raise ConfigurationError("the field must hold one value per cell, "
                                      f"got shape {np.shape(self.force)}")
         bad = np.flatnonzero(~np.isfinite(self.force))
@@ -95,6 +94,14 @@ def stable_dt_kinetic(grid: PhaseGrid, params: KineticParams) -> float:
     if e_max > 0.0:
         rate += e_max / grid.velocity.dv[0]
     return _CFL / rate
+
+
+def _require_shape(f: np.ndarray, grid: PhaseGrid, what: str) -> None:
+    """ConfigurationError unless f has the grid's shape (n_x,) + n_v, n_x >= 1."""
+    want = (grid.space.n_x,) + grid.velocity.n_v
+    if np.shape(f) != want or not want[0]:
+        raise ConfigurationError(f"{what} needs f of shape {want} with n_x >= 1, "
+                                 f"got {np.shape(f)}")
 
 
 def _block_rows(grid: PhaseGrid) -> int:
@@ -122,7 +129,17 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     beyond). The leftward half's upwind row, the next one, is still old, and
     behind carries each row's old rightward half on to the next. A step
     allocates at most about five x rows.
+
+    f of another shape than the grid's, or of no cells, raises
+    ConfigurationError, and a dt outside [0, inf), or so large that the
+    Courant number dt v_max / dx overflows, DegenerateStateError. The
+    entries of f are not scanned: a non-finite one is left, without a numpy
+    warning, to the relaxation's projection.
     """
+    _require_shape(f, grid, "transport")
+    if not 0.0 <= dt * grid.velocity.v_max / grid.space.dx < np.inf:
+        raise DegenerateStateError(f"transport step dt is {dt}, not in [0, inf) "
+                                   "with a finite Courant number")
     n_x, n_vx = f.shape[:2]
     cx = grid.velocity.centers[0]
     # A full row, not a (n_vx, 1, 1) broadcast: the broadcast measured 2 to
@@ -147,20 +164,24 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     half_dtdv = 0.5 * dt / grid.velocity.dv[0]
     if e_max > 0.0:
         flux, donor = np.empty((2, n_vx - 1) + f.shape[2:])
-    for i, row in enumerate(f):
-        np.subtract(behind, right[i], out=inc_right)
-        np.subtract(left[i + 1] if i + 1 < n_x else beyond, left[i],
-                    out=inc_left)
-        inc *= courant
-        np.copyto(behind, right[i])
-        if e_max > 0.0:
-            field = params.force[i]
-            np.multiply(row[:-1], (field + e_max) * half_dtdv, out=flux)
-            np.multiply(row[1:], (field - e_max) * half_dtdv, out=donor)
-            flux += donor
-            inc[:-1] -= flux
-            inc[1:] += flux
-        row += inc
+    # A NaN or inf entry is not scanned for: it makes its cell's mass
+    # non-finite and the relaxation's projection refuses the cell, so the
+    # warnings inf - inf or an overflow would raise on the way are silenced.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, row in enumerate(f):
+            np.subtract(behind, right[i], out=inc_right)
+            np.subtract(left[i + 1] if i + 1 < n_x else beyond, left[i],
+                        out=inc_left)
+            inc *= courant
+            np.copyto(behind, right[i])
+            if e_max > 0.0:
+                field = params.force[i]
+                np.multiply(row[:-1], (field + e_max) * half_dtdv, out=flux)
+                np.multiply(row[1:], (field - e_max) * half_dtdv, out=donor)
+                flux += donor
+                inc[:-1] -= flux
+                inc[1:] += flux
+            row += inc
     return f
 
 
@@ -177,8 +198,10 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     projected once, and project rejects a non-finite entry of f through the
     mass of its cell; lift builds the Maxwellian one block of x rows at a
     time, on that block's moments, in one array of _block_rows(grid) rows
-    allocated for the call.
+    allocated for the call. f of another shape than the grid's, or of no
+    cells, raises ConfigurationError.
     """
+    _require_shape(f, grid, "relaxation")
     lam = dt / params.epsilon
     if not 0.0 <= lam < np.inf:
         raise DegenerateStateError(f"relaxation rate dt/epsilon is {lam} in every cell")
@@ -205,8 +228,10 @@ def propagate_kinetic(f: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
     one x row at a time and then relaxes it one block of x rows at a time,
     each kernel allocating and freeing its own scratch. A step fails only
     through bgk_relax's checks, which name the cell; march adds the step.
-    A field whose length is not the cell count is refused before any step.
+    An f of another shape than the grid's, or of no cells, and a field
+    whose length is not the cell count are refused before any step.
     """
+    _require_shape(f, grid, "kinetic propagation")
     if params.force is not None and len(params.force) != grid.space.n_x:
         raise ConfigurationError(f"the field has {len(params.force)} values "
                                  f"for {grid.space.n_x} cells")

@@ -1,13 +1,31 @@
-"""Velocity moments of distributions.
+"""Velocity moments of distributions and the Maxwellians that lift them back.
 
 The moment triple (rho, u, theta) is the primitive description shared by the
 coarse solver and the outer iteration. Projection uses plain midpoint
 quadrature on the velocity cube, and every moment it takes is a moment of
 one of the cube's three 1D marginals: project sums the cube down to them and
 moments_of_marginals does the rest, so a distribution known only through its
-marginals (lifting.maxwellian_marginals) has its moments without a cube. The
-temperature is taken around the already-computed discrete mean, so a point
-mass projects to theta = 0 instead of a rounding residue.
+marginals has its moments without a cube. The temperature is taken around
+the already-computed discrete mean, so a point mass projects to theta = 0
+instead of a rounding residue.
+
+The way back is a cell's Maxwellian, which factorizes over the velocity
+axes, so it starts from three small 1D exponential tables per cell and an
+amplitude. lift fills the cube from them; maxwellian_marginals gives the
+cube's three 1D marginals without building it, since a separable cube's
+marginal along an axis is that axis's table times the amplitude and the
+other two tables' sums. Both directions share one marginal convention: the
+cube summed over the other two velocity axes, with no cell-volume factor.
+
+The cube is filled with np.einsum as one outer product per cell of g_x and
+the flattened (v_y, v_z) plane. The 4-D broadcast multiply
+g_x[:, :, None, None] * g_yz[:, None] computes the same products, bit for
+bit, but its broadcast operands have runs far shorter than half of numpy's
+ufunc buffer (8192 elements by default), so numpy copies them through that
+buffer, and at the default size it takes about twice as long as einsum,
+whose loops do not use the buffer. The fill changes no numpy state, so it
+serves the window lift, the relaxation's Maxwellian and the initial data at
+whatever buffer size the caller has set.
 """
 
 from __future__ import annotations
@@ -23,6 +41,8 @@ __all__ = [
     "MomentField",
     "project",
     "moments_of_marginals",
+    "lift",
+    "maxwellian_marginals",
 ]
 
 
@@ -100,9 +120,12 @@ def project(f: np.ndarray, grid: PhaseGrid) -> MomentField:
     The three 1D marginals take two passes over the cube: the v_x marginal
     directly, and the v_y and v_z marginals from the (v_y, v_z) plane sums.
     """
-    plane = f.sum(axis=1)
-    return moments_of_marginals((f.sum(axis=(2, 3)), plane.sum(axis=2),
-                                 plane.sum(axis=1)), grid)
+    # +inf and -inf in one cell, or a sum past the float range, would warn
+    # here; the density check of moments_of_marginals refuses that cell
+    with np.errstate(invalid="ignore", over="ignore"):
+        plane = f.sum(axis=1)
+        margs = (f.sum(axis=(2, 3)), plane.sum(axis=2), plane.sum(axis=1))
+    return moments_of_marginals(margs, grid)
 
 
 def moments_of_marginals(margs, grid: PhaseGrid) -> MomentField:
@@ -115,7 +138,8 @@ def moments_of_marginals(margs, grid: PhaseGrid) -> MomentField:
     """
     v = grid.velocity
     dvol = v.cell_volume
-    rho = margs[0].sum(axis=1) * dvol
+    with np.errstate(invalid="ignore", over="ignore"):  # the check decides
+        rho = margs[0].sum(axis=1) * dvol
     require_positive(rho, "density in projection")
     mom = np.stack([_folded_first_moment(m, c) for m, c in zip(margs, v.centers)],
                    axis=1) * dvol
@@ -127,3 +151,73 @@ def moments_of_marginals(margs, grid: PhaseGrid) -> MomentField:
         e2 += np.einsum("ij,ij->i", shifted, margs[axis])
     theta = e2 * dvol / (3.0 * rho)
     return MomentField(rho, u, theta)
+
+
+def _tables(U: MomentField, grid: PhaseGrid, normalize_mass: bool):
+    """Each cell's three 1D exponential tables, their sums and its amplitude,
+    after lift's checks. A subnormal theta or a huge |u| can overflow a table
+    or the amplitude on the way; numpy's warnings are silenced there, because
+    the checks on the input and on the amplitude are what decide.
+    """
+    U.require_physical("lift's")
+    v = grid.velocity
+    with np.errstate(all="ignore"):
+        inv2t = 1.0 / (2.0 * U.theta)
+        tables = []
+        for axis in range(3):
+            g = v.centers[axis][None, :] - U.u[:, axis, None]
+            g *= g
+            np.negative(g, out=g)
+            g *= inv2t[:, None]
+            tables.append(np.exp(g, out=g))
+        sums = [g.sum(axis=1) for g in tables]
+        if normalize_mass:
+            amp = U.rho / (sums[0] * sums[1] * sums[2] * v.cell_volume)
+        else:
+            amp = U.rho / (2.0 * np.pi * U.theta) ** 1.5
+    require_positive(amp, "lift's amplitude")
+    return tables, sums, amp
+
+
+def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
+         out: np.ndarray | None = None,
+         weight: float = 1.0) -> np.ndarray:
+    """Cell-local Maxwellians f[i, jx, jy, jz] evaluated at the velocity centers.
+
+    rho and theta must be finite and positive in every cell and u finite, and
+    so must the amplitude the cell's Maxwellian is scaled to, else a
+    DegenerateStateError names the first cell that is not. The cube is filled
+    as one outer product per cell, g_x times the flattened (v_y, v_z) plane
+    g_y g_z, into out when it is given; out must be C-contiguous. The
+    amplitude of every cell is scaled by the one weight, which may be zero.
+    With normalize_mass the discrete mass matches rho exactly rather than up
+    to quadrature error: the mass of a separable product is the product of
+    the three 1D sums.
+    """
+    (gx, gy, gz), _, amp = _tables(U, grid, normalize_mass)
+    gx *= (amp * weight)[:, None]
+    gyz = gy[:, :, None] * gz[:, None, :]
+    n, n_vx = gx.shape
+    if out is None:
+        out = np.empty((n,) + grid.velocity.n_v)
+    elif not out.flags.c_contiguous:
+        # reshape would hand einsum a copy and out would stay unwritten
+        raise ValueError("lift needs a C-contiguous out")
+    np.einsum("ij,ik->ijk", gx, gyz.reshape(n, -1), out=out.reshape(n, n_vx, -1))
+    return out
+
+
+def maxwellian_marginals(U: MomentField, grid: PhaseGrid) -> list[np.ndarray]:
+    """The three 1D marginals of lift(U, grid), without the cube.
+
+    Marginal a is an (n_x, n_v[a]) array: the sum of the cube over the other
+    two velocity axes, with no cell-volume factor, as project forms it. It
+    is table a scaled by the amplitude and the other two tables' sums, so
+    it equals the cube's axis sum to rounding, and a table symmetric about
+    v = 0 gives a marginal symmetric bit for bit. The checks are lift's.
+    """
+    tables, sums, amp = _tables(U, grid, normalize_mass=False)
+    for axis, g in enumerate(tables):
+        b, c = (s for other, s in enumerate(sums) if other != axis)
+        g *= (amp * b * c)[:, None]
+    return tables

@@ -38,8 +38,7 @@ from .errors import (ConfigurationError, CorrectionOvershootError,
 from .fluid import propagate_fluid
 from .grid import Discretization, _count
 from .kinetic import KineticParams, propagate_kinetic
-from .lifting import lift
-from .moments import MomentField, project
+from .moments import MomentField, lift, project
 
 __all__ = [
     "PararealConfig",

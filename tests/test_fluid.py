@@ -61,6 +61,25 @@ def test_stable_dt_examples():
     assert dt2 == pytest.approx(0.45, rel=1e-14)
 
 
+def test_stable_dt_refuses_a_state_with_no_wave_speed():
+    # every cell at rest with theta = 0 once divided by zero
+    cold = MomentField(np.ones(4), np.zeros((4, 3)), np.zeros(4))
+    with pytest.raises(DegenerateStateError,
+                       match=r"^the largest wave speed is 0\.0, not a finite "
+                             r"positive number$"):
+        stable_dt_fluid(primitive_to_conserved(cold), _grid(n_x=4))
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (0.0, math.inf),
+                                    (math.nan, 0.1)])
+def test_propagate_refuses_an_end_that_is_not_finite(t0, t1):
+    # a NaN or infinite end once returned the start state after zero steps
+    grid = _grid(n_x=4)
+    U = MomentField(np.ones(4), np.zeros((4, 3)), np.ones(4))
+    with pytest.raises(ConfigurationError, match=r"^need finite t1 >= t0"):
+        propagate_fluid(U, t0, t1, grid, None, BoundaryKind.PERIODIC)
+
+
 def test_constant_state_is_preserved():
     grid = _grid(n_x=16)
     U = MomentField(np.full(16, 0.7), np.tile([0.3, 0.0, 0.0], (16, 1)),

@@ -152,3 +152,61 @@ def test_march_schedule_and_guards():
         march(0.0, 0.0, 1.0, lambda t: 0.1, degenerate_advance)
     assert info.value.step == 2
     assert isinstance(info.value.__cause__, DegenerateStateError)
+
+
+def _stepper(limit=1000):
+    """An advance that counts its calls and fails after limit of them, so a
+    march that would never end stops with an AssertionError instead."""
+    calls = []
+
+    def advance(state, dt):
+        calls.append(dt)
+        if len(calls) > limit:
+            raise AssertionError(f"march took {limit} steps of {calls[-1]}")
+        return state
+
+    return advance, calls
+
+
+@pytest.mark.parametrize("t0, t1, dt_max, message", [
+    (0.0, 1.0, 0.0, r"^need dt_max > 0, got 0\.0$"),
+    (0.0, 1.0, -1e-3, r"^need dt_max > 0, got -0\.001$"),
+    (0.0, 1.0, math.nan, r"^need dt_max > 0, got nan$"),
+    (0.0, math.nan, None, r"^need finite t1 >= t0, got \[0\.0, nan\]$"),
+    (0.0, math.inf, None, r"^need finite t1 >= t0, got \[0\.0, inf\]$"),
+    (math.nan, 1.0, None, r"^need finite t1 >= t0, got \[nan, 1\.0\]$"),
+    (-math.inf, 0.0, None, r"^need finite t1 >= t0, got \[-inf, 0\.0\]$"),
+    (-1e308, 1e308, None, r"^need finite t1 >= t0"),
+])
+def test_march_refuses_a_span_or_cap_it_cannot_step(t0, t1, dt_max, message):
+    # a cap that is not > 0 once stepped forever, and a non-finite end
+    # returned the state after zero steps; both are refused before a step
+    advance, calls = _stepper()
+    with pytest.raises(ConfigurationError, match=message):
+        march(0.0, t0, t1, lambda t: 0.1, advance, dt_max)
+    assert calls == []
+
+
+@pytest.mark.parametrize("stable", [0.0, -0.1, math.nan])
+def test_march_fails_a_step_whose_size_is_not_positive(stable):
+    # a stability cap that underflowed to 0, or came out negative or NaN,
+    # once stepped forever or ended the span at once; it fails step 1
+    advance, calls = _stepper()
+    with pytest.raises(BlowUpError,
+                       match=rf"^step size is {stable}, not > 0 at step 1$") as info:
+        march(0.0, 0.0, 1.0, lambda t: stable, advance)
+    assert info.value.step == 1
+    assert calls == []
+
+
+def test_march_names_the_step_whose_cap_fails():
+    # a stable_dt that meets a state it cannot bound fails that step
+    def stable(t):
+        if t > 0.25:
+            raise DegenerateStateError("the largest wave speed is 0.0")
+        return 0.1
+
+    with pytest.raises(BlowUpError, match=r"^the largest wave speed is 0\.0 "
+                                          r"at step 4$") as info:
+        march(0.0, 0.0, 1.0, stable, lambda t, dt: t + dt)
+    assert info.value.step == 4

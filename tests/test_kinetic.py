@@ -387,6 +387,17 @@ def test_propagate_rejects_reversed_interval():
                           BoundaryKind.PERIODIC)
 
 
+@pytest.mark.parametrize("t0, t1, dt_max", [(math.nan, 0.1, None), (0.0, math.inf, None),
+                                            (0.0, 0.1, math.nan)])
+def test_propagate_refuses_an_end_or_cap_it_cannot_step(t0, t1, dt_max):
+    # each once returned f after zero steps, or ignored the NaN cap
+    grid = _grid(n_x=2, n_v=8)
+    f = lift(_uniform(2, 1.0, (0, 0, 0), 1.0), grid)
+    with pytest.raises(ConfigurationError, match=r"^need (finite t1 >= t0|dt_max > 0)"):
+        propagate_kinetic(f, t0, t1, grid, KineticParams(epsilon=1.0),
+                          BoundaryKind.PERIODIC, dt_max)
+
+
 def test_propagate_respects_dt_cap():
     # span = 3.5 caps: four steps, the last a partial one; the manual replay
     # of the same schedule must land on the identical state
@@ -496,9 +507,11 @@ def _field_with(n, cell, value):
     (_field_with(8, 5, -np.inf), r"^the field is -inf in cell 5$", False),
     (np.full((8, 1), 0.5), r"^the field must hold one value per cell, got "
                            r"shape \(8, 1\)$", False),
+    (np.empty(0), r"^the field must hold one value per cell, got shape \(0,\)$",
+     False),
     (np.full(10, 0.5), r"^the field has 10 values for 8 cells$", True),
     (np.full(6, 0.5), r"^the field has 6 values for 8 cells$", True),
-], ids=["nan", "inf", "2-D", "long", "short"])
+], ids=["nan", "inf", "2-D", "empty", "long", "short"])
 def test_a_field_not_one_finite_value_per_cell_is_refused(force, message, mis_sized):
     # a NaN field once passed E_max = NaN > 0 as false and ran field-free; a
     # long one sized the step from cells that do not exist, a short one
