@@ -24,8 +24,8 @@ from .cases import (beams_components, blast_moments, external_force, force_field
                     initial_distribution, initial_moments, sod_moments)
 from .config import (PRESETS, RunConfig, build_discretization, build_params,
                      parse_config)
-from .io import (TimingReport, read_convergence, read_snapshot,
-                 write_convergence, write_snapshots, write_timing)
+from .io import (read_convergence, read_snapshot, write_convergence,
+                 write_snapshots, write_timing)
 from .runner import run_comparison, run_mode
 
 __version__ = "0.1.0"

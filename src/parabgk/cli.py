@@ -44,8 +44,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {cfg.mode} artifacts to {out}")
         else:
             report = run_comparison(cfg)
-            print(f"speedup {report.speedup:.3f} over the serial fine run; "
-                  f"suggested iteration bound {report.k_opt}")
+            print(f"speedup {report['speedup']:.3f} over the serial fine run; "
+                  f"suggested iteration bound {report['k_opt']}")
     except (SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

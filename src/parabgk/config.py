@@ -14,8 +14,8 @@ from typing import get_type_hints
 
 from .cases import CASES, force_field
 from .errors import ConfigurationError
-from .grid import (BoundaryKind, Discretization, PhaseGrid, build_spatial_grid,
-                   build_time_grids, build_velocity_grid)
+from .grid import (BoundaryKind, Discretization, PhaseGrid, _count, _real,
+                   build_spatial_grid, build_time_grids, build_velocity_grid)
 from .kinetic import KineticParams
 from .parareal import PararealConfig
 
@@ -31,8 +31,9 @@ class RunConfig:
 
     Frozen, so dataclasses.replace, which checks again, is the one way to
     change a setting. KineticParams checks epsilon and PararealConfig the
-    iteration controls; the grid builders check the remaining count and
-    bound constraints.
+    iteration controls; the relaxation rate guard needs t_final and n_f to
+    be numbers; the grid builders check the remaining count and bound
+    constraints.
     """
 
     case: str
@@ -55,18 +56,19 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise ConfigurationError(f"unknown case '{self.case}'")
+        if not isinstance(self.case, str) or self.case not in CASES:
+            raise ConfigurationError(f"unknown case {self.case!r}")
         if self.bc not in (kind.value for kind in BoundaryKind):
             raise ConfigurationError(f"unknown bc '{self.bc}'")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode '{self.mode}', expected one of {MODES}")
         KineticParams(self.epsilon)
         # No kinetic step is longer than t_final / n_f, so a finite rate there
-        # bounds every step's dt / epsilon; a t_final or n_f that is itself
-        # invalid is left to the grid builders to report.
-        if math.isfinite(self.t_final) and self.t_final > 0 and self.n_f >= 1:
-            rate = self.t_final / self.n_f / self.epsilon
+        # bounds every step's dt / epsilon; a t_final or n_f that is a number
+        # but not a valid time or count is left to the grid builders to report.
+        t_final, n_f = _real("t_final", self.t_final), _count("n_f", self.n_f)
+        if math.isfinite(t_final) and t_final > 0 and n_f >= 1:
+            rate = t_final / n_f / self.epsilon
             if not math.isfinite(rate):
                 raise ConfigurationError(
                     f"need a finite relaxation rate t_final/n_f/epsilon, got {rate} "

@@ -103,23 +103,24 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, space: SpatialGrid,
                     dt_max: float | None = None) -> MomentField:
     """Advance primitive moments from t0 to t1 on the conserved variables of
     the SpatialGrid `space`; the result is a new MomentField, a copy of U0
-    when t1 == t0.
+    when t1 == t0 is finite.
 
     `force` is the per-cell field E_i along x (None means no field), the
     kinetic solver's `KineticParams.force`.
 
-    A field whose length is not the cell count is refused with a
-    ConfigurationError, and a start state that is not physical (see
-    MomentField.require_physical) with a DegenerateStateError, before any
-    step. A step that leaves a density or pressure that is not a finite
-    positive number raises BlowUpError naming the step and the cell; a
-    non-finite momentum or energy makes the pressure non-finite.
+    A field whose length is not the cell count, and a t0 or t1 that is not
+    finite (march's check), are refused with a ConfigurationError, and a
+    start state that is not physical (see MomentField.require_physical)
+    with a DegenerateStateError, before any step. A step that leaves a
+    density or pressure that is not a finite positive number raises
+    BlowUpError naming the step and the cell; a non-finite momentum or
+    energy makes the pressure non-finite.
     """
     if force is not None and len(force) != space.n_x:
         raise ConfigurationError(f"the field has {len(force)} values "
                                  f"for {space.n_x} cells")
     U0.require_physical("fluid's initial")
-    if t1 == t0:
+    if t1 == t0 and np.isfinite(t0):
         return U0.copy()
     dx = space.dx
     periodic = bc is BoundaryKind.PERIODIC

@@ -11,6 +11,7 @@ the one stepping loop both propagators run inside a window.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -100,9 +101,21 @@ def _count(name: str, n) -> int:
         raise ConfigurationError(f"need an integer {name}, got {n!r}") from None
 
 
+def _real(name: str, x) -> float:
+    """x as a float, or a ConfigurationError naming the value if it is not a
+    real number (a string, None or an int too large for a float included)."""
+    try:
+        if isinstance(x, numbers.Real):
+            return float(x)
+    except OverflowError:
+        pass
+    raise ConfigurationError(f"need a real number {name}, got {x!r}")
+
+
 def build_spatial_grid(x_min: float, x_max: float, n_x: int) -> SpatialGrid:
     """Uniform grid of n_x cells on [x_min, x_max]."""
-    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_max > x_min):
+    x_min, x_max = _real("x_min", x_min), _real("x_max", x_max)
+    if not (math.isfinite(x_max - x_min) and x_max > x_min):
         raise ConfigurationError(f"need finite x_max > x_min, got [{x_min}, {x_max}]")
     n_x = _count("n_x", n_x)
     if n_x < 2:
@@ -120,19 +133,26 @@ def _axis_centers(v_max: float, n: int) -> np.ndarray:
 
 def build_velocity_grid(v_max: float, n_v: int | tuple[int, int, int]) -> VelocityGrid:
     """Velocity cube with scalar or per-axis point counts."""
-    if not (math.isfinite(v_max) and v_max > 0):
+    v_max = _real("v_max", v_max)
+    # the cube's width 2 v_max, and so its spacing, must be finite too
+    if not (math.isfinite(2.0 * v_max) and v_max > 0):
         raise ConfigurationError(f"need finite v_max > 0, got {v_max}")
-    counts = (n_v, n_v, n_v) if np.isscalar(n_v) else tuple(n_v)
+    try:
+        counts = (n_v, n_v, n_v) if np.isscalar(n_v) else tuple(n_v)
+    except TypeError:
+        raise ConfigurationError(
+            f"need a count or three counts n_v, got {n_v!r}") from None
     counts = tuple(_count("n_v", n) for n in counts)
     if len(counts) != 3 or any(n < 1 for n in counts):
         raise ConfigurationError(f"need three per-axis counts >= 1, got {n_v}")
     dv = tuple(2.0 * v_max / n for n in counts)
     centers = tuple(_axis_centers(v_max, n) for n in counts)
-    return VelocityGrid(float(v_max), counts, dv, centers)
+    return VelocityGrid(v_max, counts, dv, centers)
 
 
 def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
     """Nested coarse/fine time levels over [0, t_final]."""
+    t_final = _real("t_final", t_final)
     if not (math.isfinite(t_final) and t_final > 0):
         raise ConfigurationError(f"need finite t_final > 0, got {t_final}")
     n_g, n_f = _count("n_g", n_g), _count("n_f", n_f)

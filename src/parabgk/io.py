@@ -1,16 +1,15 @@
-"""CSV artifacts: moment snapshots, convergence log, timing report.
+"""Run artifacts: snapshots and convergence log as CSV, timing report as JSON.
 
 Both CSV files are comma-separated with one header line, every line ending
 in CR LF and no field quoted: each field is a number or a fixed column name.
 Floats are written with repr, Python's shortest digit string that round-trips
-to the same double, so identical runs produce byte-identical files and
-readers recover the exact values.
+to the same double, so the same values give the same bytes and readers
+recover the exact values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ from .moments import MomentField
 from .parareal import ConvergenceRecord
 
 __all__ = [
-    "TimingReport",
     "write_snapshots",
     "read_snapshot",
     "write_convergence",
@@ -30,22 +28,6 @@ __all__ = [
 
 SNAPSHOT_HEADER = ["x", "rho", "ux", "uy", "uz", "theta"]
 CONVERGENCE_HEADER = ["k", "error", "seconds"]
-
-
-@dataclass
-class TimingReport:
-    """Measured costs of one comparison run, all in seconds."""
-
-    iterations: list[float] = field(default_factory=list)
-    t_lift: float = 0.0
-    t_kin: float = 0.0
-    t_proj: float = 0.0
-    t_fluid: float = 0.0
-    fine_seconds: float | None = None
-    fluid_seconds: float | None = None
-    parareal_seconds: float | None = None
-    speedup: float | None = None
-    k_opt: int | None = None
 
 
 def _directory(out_dir: str | Path) -> Path:
@@ -101,7 +83,8 @@ def read_convergence(path: str | Path) -> list[ConvergenceRecord]:
             for k, err, sec in _read_table(path)[1]]
 
 
-def write_timing(report: TimingReport, out_dir: str | Path) -> Path:
+def write_timing(report: dict, out_dir: str | Path) -> Path:
+    """timing.json: the report as it is, its keys in order, two-space indent."""
     path = _directory(out_dir) / "timing.json"
-    path.write_text(json.dumps(asdict(report), indent=2) + "\n")
+    path.write_text(json.dumps(report, indent=2) + "\n")
     return path

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateStateError
-from .grid import BoundaryKind, PhaseGrid, march
+from .grid import BoundaryKind, PhaseGrid, _real, march
 from .moments import MomentField, lift, project
 
 __all__ = [
@@ -59,17 +59,18 @@ class KineticParams:
     made; frozen, so dataclasses.replace, which checks again, is the one way
     to change it.
 
-    Collisions relax f toward M at rate 1/epsilon, with epsilon > 0 (a NaN,
-    zero or negative epsilon raises ConfigurationError; epsilon = inf is the
-    collisionless limit); force is the per-cell field E_i along x (None
-    means no field), a 1-D array of at least one finite value, kept as given.
+    Collisions relax f toward M at rate 1/epsilon, with epsilon a real
+    number > 0 (any other epsilon, NaN, zero, negative or not a number,
+    raises ConfigurationError; epsilon = inf is the collisionless limit);
+    force is the per-cell field E_i along x (None means no field), a 1-D
+    array of at least one finite value, kept as given.
     """
 
     epsilon: float
     force: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
+        if not _real("epsilon", self.epsilon) > 0:
             raise ConfigurationError(f"need epsilon > 0, got {self.epsilon}")
         if self.force is None:
             return

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (ConfigurationError, CorrectionOvershootError,
                      DegenerateStateError, SolverError)
 from .fluid import propagate_fluid
-from .grid import Discretization, _count
+from .grid import Discretization, _count, _real
 from .kinetic import KineticParams, propagate_kinetic
 from .moments import MomentField, lift, project
 
@@ -58,7 +58,8 @@ __all__ = [
 class PararealConfig:
     """Iteration controls; stop once k exceeds k_max or the error drops below tol.
 
-    Checked when made: k_max and workers are integers >= 1 and tol > 0.
+    Checked when made: k_max and workers are integers >= 1 and tol is a real
+    number > 0.
     Frozen, so dataclasses.replace, which checks again, is the one way to
     change a control.
     """
@@ -70,7 +71,7 @@ class PararealConfig:
     def __post_init__(self):
         if _count("k_max", self.k_max) < 1:
             raise ConfigurationError(f"need k_max >= 1, got {self.k_max}")
-        if not self.tol > 0.0:
+        if not _real("tol", self.tol) > 0.0:
             raise ConfigurationError(f"need tol > 0, got {self.tol}")
         if _count("workers", self.workers) < 1:
             raise ConfigurationError(f"need workers >= 1, got {self.workers}")

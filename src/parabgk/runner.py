@@ -16,7 +16,7 @@ from pathlib import Path
 from .cases import initial_distribution, initial_moments
 from .config import RunConfig, build_discretization, build_params
 from .grid import Discretization, SpatialGrid
-from .io import TimingReport, write_convergence, write_snapshots, write_timing
+from .io import write_convergence, write_snapshots, write_timing
 from .kinetic import KineticParams, propagate_kinetic
 from .moments import MomentField, project
 from .parareal import (ConvergenceRecord, PararealConfig, _window_chain,
@@ -105,8 +105,11 @@ def run_mode(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     return out
 
 
-def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> TimingReport:
-    """Run all three modes, write artifacts per mode, report costs and speedup.
+def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
+    """Run all three modes, write artifacts per mode, and write and return
+    the timing report, timing.json's dict: `iterations` (parareal's seconds
+    per iteration), the stage costs `t_lift`, `t_kin`, `t_proj`, `t_fluid`,
+    each mode's wall time, `speedup` (fine over parareal) and `k_opt`.
 
     The output directory is made as run_mode makes it.
     """
@@ -124,14 +127,14 @@ def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> TimingR
     stage_timing["t_fluid"] = seconds["fluid"] / disc.time.n_g
 
     # records are parareal's, the last mode solved
-    report = TimingReport(
-        iterations=[rec.seconds for rec in records],
+    report = {
+        "iterations": [rec.seconds for rec in records],
         **stage_timing,
-        fine_seconds=seconds["fine"],
-        fluid_seconds=seconds["fluid"],
-        parareal_seconds=seconds["parareal"],
-        speedup=seconds["fine"] / seconds["parareal"],
-        k_opt=estimate_k_opt(**stage_timing, n_g=disc.time.n_g, n_p=cfg.workers),
-    )
+        "fine_seconds": seconds["fine"],
+        "fluid_seconds": seconds["fluid"],
+        "parareal_seconds": seconds["parareal"],
+        "speedup": seconds["fine"] / seconds["parareal"],
+        "k_opt": estimate_k_opt(**stage_timing, n_g=disc.time.n_g, n_p=cfg.workers),
+    }
     write_timing(report, out)
     return report

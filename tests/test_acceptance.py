@@ -260,7 +260,7 @@ def test_compare_writes_what_each_mode_writes(tmp_path):
     report = run_comparison(cfg, tmp_path / "compare")
     # the pool runs no coarse solve: t_fluid is the fluid mode's mean window
     timing = json.loads((tmp_path / "compare" / "timing.json").read_text())
-    assert timing["t_fluid"] == report.t_fluid
+    assert timing == report  # timing.json holds the report
     assert 0.0 < timing["t_fluid"] <= timing["fluid_seconds"]
     for mode in ("fluid", "fine", "parareal"):
         alone = _artifacts(run_mode(replace(cfg, mode=mode), tmp_path / mode))

@@ -160,6 +160,21 @@ def test_semantic_validation(tmp_path):
             RunConfig(**{**asdict(base), key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_f", "x", "need an integer n_f, got 'x'"),
+    ("t_final", "x", "need a real number t_final, got 'x'"),
+    ("t_final", None, "need a real number t_final, got None"),
+    ("epsilon", "x", "need a real number epsilon, got 'x'"),
+    ("tol", "x", "need a real number tol, got 'x'"),
+    ("case", [], r"unknown case \[\]"),
+], ids=["n_f", "t_final-str", "t_final-None", "epsilon", "tol", "case"])
+def test_a_setting_that_is_not_a_number_is_refused(key, value, message):
+    # a library caller's setting of the wrong kind once raised a bare
+    # TypeError from a comparison, math.isfinite or a dict lookup
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        replace(PRESETS["sod"], **{key: value})
+
+
 @pytest.mark.parametrize("key, value", [("t_final", float("nan")),
                                         ("t_final", -1.0), ("n_f", 0)])
 def test_epsilon_rate_check_leaves_bad_times_to_the_grid(tmp_path, key, value):

@@ -71,9 +71,11 @@ def test_stable_dt_refuses_a_state_with_no_wave_speed():
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (0.0, math.inf),
-                                    (math.nan, 0.1)])
+                                    (math.nan, 0.1), (math.inf, math.inf),
+                                    (-math.inf, -math.inf)])
 def test_propagate_refuses_an_end_that_is_not_finite(t0, t1):
-    # a NaN or infinite end once returned the start state after zero steps
+    # a NaN or infinite end once returned the start state after zero steps,
+    # and two equal infinite ends a copy of it
     grid = _grid(n_x=4)
     U = MomentField(np.ones(4), np.zeros((4, 3)), np.ones(4))
     with pytest.raises(ConfigurationError, match=r"^need finite t1 >= t0"):

@@ -96,9 +96,13 @@ def test_time_grids_rejects_bad_input():
     (build_spatial_grid, (0.0, math.inf, 10), "x_max"),
     (build_velocity_grid, (math.inf, 8), "v_max"),
     (build_time_grids, (math.inf, 10, 20), "t_final"),
-], ids=["x_max", "v_max", "t_final"])
+    (build_spatial_grid, (-1e308, 1e308, 10), "x_max"),
+    (build_velocity_grid, (1e308, 8), "v_max"),
+], ids=["x_max", "v_max", "t_final", "x-span", "v-width"])
 def test_builders_reject_infinite_bounds(build, args, name):
-    # an infinite bound would otherwise run on NaN cell widths or window times
+    # an infinite bound would otherwise run on NaN cell widths or window
+    # times; finite bounds whose span overflows gave infinite cell widths
+    # (and, in velocity, a NaN center with a numpy warning)
     with pytest.raises(ConfigurationError, match=f"need finite {name}"):
         build(*args)
 
@@ -112,6 +116,20 @@ def test_builders_reject_non_integer_counts(build, args, message):
     # unchecked, 2.5 cells gave n_x = 2 with three centers, 6.5 velocity
     # cells per axis gave 6, and 2.5 windows a bare TypeError from linspace
     with pytest.raises(ConfigurationError, match=f"need an integer {message}$"):
+        build(*args)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (build_spatial_grid, (0.0, "2", 4), "a real number x_max, got '2'"),
+    (build_velocity_grid, ("8", 4), "a real number v_max, got '8'"),
+    (build_velocity_grid, (8.0, None), "a count or three counts n_v, got None"),
+    (build_time_grids, ("1", 2, 4), "a real number t_final, got '1'"),
+    (build_time_grids, (10**400, 2, 4), "a real number t_final, got 1000"),
+], ids=["x_max", "v_max", "n_v", "t_final", "huge-t_final"])
+def test_builders_reject_a_setting_that_is_not_a_number(build, args, message):
+    # these raised a bare TypeError (or, for an int past the float range,
+    # OverflowError) from math.isfinite or tuple()
+    with pytest.raises(ConfigurationError, match=f"^need {message}"):
         build(*args)
 
 

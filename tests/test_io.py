@@ -6,14 +6,13 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 import parabgk
-from parabgk import (ConvergenceRecord, MomentField, TimingReport,
-                     build_spatial_grid, read_convergence, read_snapshot,
-                     write_convergence, write_snapshots, write_timing)
+from parabgk import (ConvergenceRecord, MomentField, build_spatial_grid,
+                     read_convergence, read_snapshot, write_convergence,
+                     write_snapshots, write_timing)
 from parabgk import cli, config, runner
 from parabgk.cli import main
 
@@ -94,17 +93,12 @@ def test_artifact_bytes_are_pinned(tmp_path):
 
 
 def test_timing_report_fields(tmp_path):
-    report = TimingReport(iterations=[0.5, 0.25], t_lift=0.01, t_kin=0.4,
-                          t_proj=0.02, t_fluid=0.005, fine_seconds=3.0,
-                          fluid_seconds=0.1, parareal_seconds=1.5,
-                          speedup=2.0, k_opt=4)
+    report = dict(iterations=[0.5, 0.25], t_lift=0.01, t_kin=0.4, t_proj=0.02,
+                  t_fluid=0.005, fine_seconds=3.0, fluid_seconds=0.1,
+                  parareal_seconds=1.5, speedup=2.0, k_opt=4)
     path = write_timing(report, tmp_path)
-    data = json.loads(path.read_text())
-    assert data["iterations"] == [0.5, 0.25]
-    assert data["speedup"] == 2.0 and data["k_opt"] == 4
-    assert set(data) == {"iterations", "t_lift", "t_kin", "t_proj", "t_fluid",
-                         "fine_seconds", "fluid_seconds", "parareal_seconds",
-                         "speedup", "k_opt"}
+    # the report as given, its keys in order
+    assert list(json.loads(path.read_text()).items()) == list(report.items())
 
 
 def test_cli_run_fluid_mode(tmp_path, capsys):
@@ -120,17 +114,22 @@ def test_cli_run_fluid_mode(tmp_path, capsys):
     assert not (out / "convergence.csv").exists()
 
 
+def _python_m_parabgk(*args):
+    """`python -m parabgk args` from a source checkout, its output captured."""
+    src = str(Path(parabgk.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "parabgk", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     # `python -m parabgk` from a source checkout writes what cli.main writes
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MICRO)
-    src = str(Path(parabgk.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     by_module, by_main = tmp_path / "module", tmp_path / "main"
-    done = subprocess.run([sys.executable, "-m", "parabgk", "run", "--config", str(cfg),
-                           "--mode", "fine", "--out", str(by_module)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _python_m_parabgk("run", "--config", cfg, "--mode", "fine",
+                             "--out", by_module)
     assert done.returncode == 0, done.stderr
     assert "wrote fine artifacts" in done.stdout
     assert main(["run", "--config", str(cfg), "--mode", "fine", "--out", str(by_main)]) == 0
@@ -139,6 +138,30 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert len(names) == 3
     for name in names:
         assert (by_module / name).read_bytes() == (by_main / name).read_bytes()
+
+
+def test_module_entry_point_end_to_end(tmp_path):
+    # each command through `python -m parabgk`: its exit code, its output
+    # and the files it writes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MICRO)
+    fluid = tmp_path / "fluid"
+    done = _python_m_parabgk("run", "--config", cfg, "--mode", "fluid", "--out", fluid)
+    assert done.returncode == 0, done.stderr
+    assert len(list(fluid.glob("snap_*.csv"))) == 3  # n_g + 1
+    cmp = tmp_path / "cmp"
+    done = _python_m_parabgk("compare", "--config", cfg, "--workers", 1, "--out", cmp)
+    assert done.returncode == 0, done.stderr
+    assert "speedup" in done.stdout
+    timing = json.loads((cmp / "timing.json").read_text())
+    assert list(timing) == ["iterations", "t_lift", "t_kin", "t_proj", "t_fluid",
+                            "fine_seconds", "fluid_seconds", "parareal_seconds",
+                            "speedup", "k_opt"]
+    cfg.write_text(MICRO + "colour = red\n")
+    done = _python_m_parabgk("run", "--config", cfg, "--out", tmp_path / "bad")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "unknown key 'colour'" in done.stderr
+    assert "Traceback" not in done.stderr and not (tmp_path / "bad").exists()
 
 
 def test_cli_run_parareal_writes_convergence(tmp_path):
@@ -186,7 +209,7 @@ def test_cli_overrides_make_one_config(tmp_path, monkeypatch):
     given = []
     monkeypatch.setattr(cli, "run_mode", lambda cfg: given.append(cfg) or "X")
     monkeypatch.setattr(cli, "run_comparison",
-                        lambda cfg: given.append(cfg) or SimpleNamespace(speedup=1.0, k_opt=1))
+                        lambda cfg: given.append(cfg) or {"speedup": 1.0, "k_opt": 1})
     checks = []
     check = config.RunConfig.__post_init__
     monkeypatch.setattr(config.RunConfig, "__post_init__",

@@ -1,18 +1,22 @@
 """Loud inputs in the moment, Euler and kinetic layers: a state over 0, 1,
 2 or 5 cells whose entries are positive, zero, negative, NaN or infinite
-gives a finite result or a SolverError, never another exception. Tier-1
-turns a numpy RuntimeWarning into an error, so a warning fails these tests
-too."""
+gives a finite result or a SolverError, never another exception. Likewise a
+run's settings: RunConfig, the grid builders and the parameter classes take
+any value or refuse it with a SolverError. Tier-1 turns a numpy
+RuntimeWarning into an error, so a warning fails these tests too."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parabgk import (BoundaryKind, KineticParams, MomentField, PhaseGrid,
-                     SolverError, SpatialGrid, bgk_relax, build_velocity_grid,
+from parabgk import (PRESETS, BoundaryKind, KineticParams, MomentField,
+                     PararealConfig, PhaseGrid, RunConfig, SolverError,
+                     SpatialGrid, bgk_relax, build_discretization, build_params,
+                     build_spatial_grid, build_time_grids, build_velocity_grid,
                      conserved_to_primitive, lift, maxwellian_marginals, project,
                      propagate_fluid, propagate_kinetic, transport_update)
 
@@ -208,3 +212,69 @@ def test_relaxation_and_propagation_take_any_distribution(cells, mismatch, dt, b
             assert np.array_equal(call(), f, equal_nan=True)
         else:
             _finite_or_refused(call)
+
+
+# A setting is an int, a float (NaN, +-inf, 0 and negative ones included), a
+# string, None, a bool or a list. Drawn ints are at most 64, and list entries
+# at most 4, because a count sizes the grid's arrays.
+_SETTINGS = st.one_of(st.integers(-3, 64), st.floats(),
+                      st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+                      st.text(max_size=3), st.none(), st.booleans(),
+                      st.lists(st.integers(-1, 4), max_size=4))
+
+
+def _made_or_refused(make):
+    """make's result, or None when it raises a SolverError."""
+    try:
+        return make()
+    except SolverError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from([f.name for f in fields(RunConfig)]), value=_SETTINGS)
+@example(name="n_f", value="x")
+@example(name="t_final", value="x")
+@example(name="t_final", value=None)
+@example(name="t_final", value=10**400)
+@example(name="epsilon", value="x")
+@example(name="tol", value="x")
+@example(name="case", value=[])
+def test_run_config_takes_any_setting(name, value):
+    """A sod preset with one setting replaced is refused, or is a RunConfig
+    whose grids and parameters are built or refused."""
+    cfg = _made_or_refused(lambda: replace(PRESETS["sod"], **{name: value}))
+    if cfg is not None:
+        disc = _made_or_refused(lambda: build_discretization(cfg))
+        if disc is not None:
+            assert isinstance(build_params(cfg, disc), KineticParams)
+
+
+# each builder with valid arguments, of which the test replaces one
+_BUILDERS = {
+    "spatial": (build_spatial_grid, (0.0, 2.0, 4)),
+    "velocity": (build_velocity_grid, (8.0, 4)),
+    "time": (build_time_grids, (1.0, 2, 4)),
+    "kinetic": (KineticParams, (1e-2,)),
+    "parareal": (PararealConfig, (2, 1e-8)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(builder=st.sampled_from(sorted(_BUILDERS)), slot=st.integers(0, 2),
+       value=_SETTINGS)
+@example(builder="velocity", slot=1, value=None)
+@example(builder="velocity", slot=0, value="8")
+@example(builder="velocity", slot=0, value=1e308)
+@example(builder="spatial", slot=1, value="2")
+@example(builder="time", slot=0, value="1")
+@example(builder="kinetic", slot=0, value="x")
+@example(builder="parareal", slot=1, value="x")
+def test_builders_take_any_setting(builder, slot, value):
+    """A builder given one argument of any kind returns or raises a
+    SolverError; the slot wraps round the builder's argument count. The
+    cube [-1e308, 1e308]^3 has finite bounds but not a finite width."""
+    make, args = _BUILDERS[builder]
+    args = list(args)
+    args[slot % len(args)] = value
+    _made_or_refused(lambda: make(*args))
