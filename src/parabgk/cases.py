@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import PhaseGrid, SpatialGrid
-from .kinetic import _block_rows
 from .moments import MomentField, lift, maxwellian_marginals, moments_of_marginals
 
 __all__ = [
@@ -94,19 +93,17 @@ def initial_distribution(case: str, grid: PhaseGrid) -> np.ndarray:
     """The sum of the case's Maxwellian components on the phase grid.
 
     The first component is lifted into the result and each further one is
-    added one block of x rows at a time, as many as the relaxation's blocks
-    hold, so the only array besides the result is one block.
+    added one x row at a time, so the only array besides the result is one
+    row.
     """
     components, _ = _case(case)
     first, *rest = components(grid.space)
     f = lift(first, grid)
-    n_x, rows = grid.space.n_x, _block_rows(grid)
-    block = np.empty((rows,) + grid.velocity.n_v) if rest else None
+    row = np.empty((1,) + grid.velocity.n_v)
     for U in rest:
-        for a in range(0, n_x, rows):
-            b = min(a + rows, n_x)
-            part = MomentField(U.rho[a:b], U.u[a:b], U.theta[a:b])
-            f[a:b] += lift(part, grid, out=block[:b - a])
+        for i in range(grid.space.n_x):
+            part = MomentField(U.rho[i:i + 1], U.u[i:i + 1], U.theta[i:i + 1])
+            f[i:i + 1] += lift(part, grid, out=row)
     return f
 
 

@@ -8,6 +8,7 @@ for the initial data.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -32,8 +33,8 @@ class RunConfig:
     Frozen, so dataclasses.replace, which checks again, is the one way to
     change a setting. KineticParams checks epsilon and PararealConfig the
     iteration controls; the relaxation rate guard needs t_final and n_f to
-    be numbers; the grid builders check the remaining count and bound
-    constraints.
+    be numbers; out_dir must be a str or an os.PathLike; the grid builders
+    check the remaining count, bound and spacing constraints.
     """
 
     case: str
@@ -62,6 +63,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown bc '{self.bc}'")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode '{self.mode}', expected one of {MODES}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigurationError(f"need a path out_dir, got {self.out_dir!r}")
         KineticParams(self.epsilon)
         # No kinetic step is longer than t_final / n_f, so a finite rate there
         # bounds every step's dt / epsilon; a t_final or n_f that is a number

@@ -94,11 +94,17 @@ class Discretization:
 
 def _count(name: str, n) -> int:
     """n as an int, or a ConfigurationError naming the count if it is not an
-    integer (a float such as 2.5 or 2.0 included)."""
+    integer (a float such as 2.5 or 2.0 included) or is past the float range,
+    where no spacing could be divided by it."""
     try:
-        return operator.index(n)
+        n = operator.index(n)
+        float(n)
     except TypeError:
         raise ConfigurationError(f"need an integer {name}, got {n!r}") from None
+    except OverflowError:
+        raise ConfigurationError(f"need {name} within the float range, got an "
+                                 f"integer of {n.bit_length()} bits") from None
+    return n
 
 
 def _real(name: str, x) -> float:
@@ -112,6 +118,14 @@ def _real(name: str, x) -> float:
     raise ConfigurationError(f"need a real number {name}, got {x!r}")
 
 
+def _spacing(name: str, width: float) -> float:
+    """width, or a ConfigurationError naming it if it is not > 0, as when the
+    span over the count underflows to zero."""
+    if not width > 0.0:
+        raise ConfigurationError(f"need {name} > 0, got {width}")
+    return width
+
+
 def build_spatial_grid(x_min: float, x_max: float, n_x: int) -> SpatialGrid:
     """Uniform grid of n_x cells on [x_min, x_max]."""
     x_min, x_max = _real("x_min", x_min), _real("x_max", x_max)
@@ -120,7 +134,7 @@ def build_spatial_grid(x_min: float, x_max: float, n_x: int) -> SpatialGrid:
     n_x = _count("n_x", n_x)
     if n_x < 2:
         raise ConfigurationError(f"need n_x >= 2, got {n_x}")
-    dx = (x_max - x_min) / n_x
+    dx = _spacing("dx", (x_max - x_min) / n_x)
     centers = x_min + (np.arange(n_x) + 0.5) * dx
     return SpatialGrid(n_x, dx, centers)
 
@@ -145,7 +159,7 @@ def build_velocity_grid(v_max: float, n_v: int | tuple[int, int, int]) -> Veloci
     counts = tuple(_count("n_v", n) for n in counts)
     if len(counts) != 3 or any(n < 1 for n in counts):
         raise ConfigurationError(f"need three per-axis counts >= 1, got {n_v}")
-    dv = tuple(2.0 * v_max / n for n in counts)
+    dv = tuple(_spacing("dv", 2.0 * v_max / n) for n in counts)
     centers = tuple(_axis_centers(v_max, n) for n in counts)
     return VelocityGrid(v_max, counts, dv, centers)
 
@@ -158,8 +172,10 @@ def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
     n_g, n_f = _count("n_g", n_g), _count("n_f", n_f)
     if n_g < 1 or n_f < n_g:
         raise ConfigurationError(f"need n_f >= n_g >= 1, got n_g={n_g}, n_f={n_f}")
+    # dt_f is the smaller step, so a dt_f > 0 bounds dt_g too
+    dt_f = _spacing("dt_f", t_final / n_f)
     coarse_times = np.linspace(0.0, t_final, n_g + 1)
-    return TimeGrids(n_g, t_final / n_g, t_final / n_f, coarse_times)
+    return TimeGrids(n_g, t_final / n_g, dt_f, coarse_times)
 
 
 def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,

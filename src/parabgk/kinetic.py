@@ -97,12 +97,17 @@ def stable_dt_kinetic(grid: PhaseGrid, params: KineticParams) -> float:
     return _CFL / rate
 
 
-def _require_shape(f: np.ndarray, grid: PhaseGrid, what: str) -> None:
-    """ConfigurationError unless f has the grid's shape (n_x,) + n_v, n_x >= 1."""
+def _require_shape(f: np.ndarray, grid: PhaseGrid, params: KineticParams,
+                   what: str) -> None:
+    """ConfigurationError unless f has the grid's shape (n_x,) + n_v, n_x >= 1,
+    and the field, when there is one, one value per cell."""
     want = (grid.space.n_x,) + grid.velocity.n_v
     if np.shape(f) != want or not want[0]:
         raise ConfigurationError(f"{what} needs f of shape {want} with n_x >= 1, "
                                  f"got {np.shape(f)}")
+    if params.force is not None and len(params.force) != want[0]:
+        raise ConfigurationError(f"the field has {len(params.force)} values "
+                                 f"for {want[0]} cells")
 
 
 def _block_rows(grid: PhaseGrid) -> int:
@@ -131,13 +136,13 @@ def transport_update(f: np.ndarray, dt: float, grid: PhaseGrid,
     behind carries each row's old rightward half on to the next. A step
     allocates at most about five x rows.
 
-    f of another shape than the grid's, or of no cells, raises
-    ConfigurationError, and a dt outside [0, inf), or so large that the
-    Courant number dt v_max / dx overflows, DegenerateStateError. The
-    entries of f are not scanned: a non-finite one is left, without a numpy
-    warning, to the relaxation's projection.
+    f of another shape than the grid's, or of no cells, and a field whose
+    length is not the cell count raise ConfigurationError, and a dt outside
+    [0, inf), or so large that the Courant number dt v_max / dx overflows,
+    DegenerateStateError. The entries of f are not scanned: a non-finite one
+    is left, without a numpy warning, to the relaxation's projection.
     """
-    _require_shape(f, grid, "transport")
+    _require_shape(f, grid, params, "transport")
     if not 0.0 <= dt * grid.velocity.v_max / grid.space.dx < np.inf:
         raise DegenerateStateError(f"transport step dt is {dt}, not in [0, inf) "
                                    "with a finite Courant number")
@@ -200,9 +205,10 @@ def bgk_relax(f: np.ndarray, dt: float, grid: PhaseGrid,
     mass of its cell; lift builds the Maxwellian one block of x rows at a
     time, on that block's moments, in one array of _block_rows(grid) rows
     allocated for the call. f of another shape than the grid's, or of no
-    cells, raises ConfigurationError.
+    cells, and a field whose length is not the cell count raise
+    ConfigurationError.
     """
-    _require_shape(f, grid, "relaxation")
+    _require_shape(f, grid, params, "relaxation")
     lam = dt / params.epsilon
     if not 0.0 <= lam < np.inf:
         raise DegenerateStateError(f"relaxation rate dt/epsilon is {lam} in every cell")
@@ -232,10 +238,7 @@ def propagate_kinetic(f: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
     An f of another shape than the grid's, or of no cells, and a field
     whose length is not the cell count are refused before any step.
     """
-    _require_shape(f, grid, "kinetic propagation")
-    if params.force is not None and len(params.force) != grid.space.n_x:
-        raise ConfigurationError(f"the field has {len(params.force)} values "
-                                 f"for {grid.space.n_x} cells")
+    _require_shape(f, grid, params, "kinetic propagation")
     cap = stable_dt_kinetic(grid, params)
 
     def advance(f, dt):

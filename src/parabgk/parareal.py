@@ -266,8 +266,8 @@ def sequential_correction(traj: ParTrajectory, k: int, disc: Discretization,
             corrected.require_physical("corrected")
         except DegenerateStateError as exc:
             raise CorrectionOvershootError(
-                f"correction left the physical regime in window {n}: {exc}",
-                slice_index=n) from exc
+                f"iteration {k} correction at window {n} left the physical "
+                f"regime: {exc}", slice_index=n) from exc
         error = max(error, corrected.sup_distance(old[n]))
         new[n] = corrected
     traj.snapshots, traj.coarse = new, coarse

@@ -109,32 +109,50 @@ def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
     """Run all three modes, write artifacts per mode, and write and return
     the timing report, timing.json's dict: `iterations` (parareal's seconds
     per iteration), the stage costs `t_lift`, `t_kin`, `t_proj`, `t_fluid`,
-    each mode's wall time, `speedup` (fine over parareal) and `k_opt`.
+    each mode's wall time, `speedup` (fine over parareal), `k_opt`, and how
+    the speedup compares with what the pool of n_p = min(workers, n_g)
+    processes could give after K iterations: `windows_solved`
+    (K n_g - K (K - 1) / 2 fine windows), `ceiling` (n_p n_g over those),
+    `efficiency` (speedup / n_p), `ceiling_frac` (speedup / ceiling) and
+    `gap_fine`, the largest sup-norm distance between matching parareal and
+    fine snapshots.
 
     The output directory is made as run_mode makes it.
     """
     disc, kinetic, _, U0 = prepare(cfg)
     out = _output_dir(cfg, out_dir)
+    n_g = disc.time.n_g
     seconds: dict[str, float] = {}
+    snapshots: dict[str, list[MomentField]] = {}
     stage_timing: dict[str, float] = {}
     for mode in ("fluid", "fine", "parareal"):
         tic = time.perf_counter()
-        snapshots, records = solve(replace(cfg, mode=mode), disc, kinetic, U0,
-                                   timing=stage_timing)
+        snapshots[mode], records = solve(replace(cfg, mode=mode), disc, kinetic,
+                                         U0, timing=stage_timing)
         seconds[mode] = time.perf_counter() - tic
-        write_artifacts(snapshots, records, disc.phase.space, out / mode)
+        write_artifacts(snapshots[mode], records, disc.phase.space, out / mode)
     # the pool runs no coarse solve: charge the fluid mode's mean window
-    stage_timing["t_fluid"] = seconds["fluid"] / disc.time.n_g
+    stage_timing["t_fluid"] = seconds["fluid"] / n_g
 
     # records are parareal's, the last mode solved
+    K, n_p = len(records), min(cfg.workers, n_g)
+    speedup = seconds["fine"] / seconds["parareal"]
+    windows_solved = K * n_g - K * (K - 1) // 2
+    ceiling = n_p * n_g / windows_solved
     report = {
         "iterations": [rec.seconds for rec in records],
         **stage_timing,
         "fine_seconds": seconds["fine"],
         "fluid_seconds": seconds["fluid"],
         "parareal_seconds": seconds["parareal"],
-        "speedup": seconds["fine"] / seconds["parareal"],
-        "k_opt": estimate_k_opt(**stage_timing, n_g=disc.time.n_g, n_p=cfg.workers),
+        "speedup": speedup,
+        "k_opt": estimate_k_opt(**stage_timing, n_g=n_g, n_p=cfg.workers),
+        "windows_solved": windows_solved,
+        "ceiling": ceiling,
+        "efficiency": speedup / n_p,
+        "ceiling_frac": speedup / ceiling,
+        "gap_fine": max(par.sup_distance(fine) for par, fine
+                        in zip(snapshots["parareal"], snapshots["fine"])),
     }
     write_timing(report, out)
     return report

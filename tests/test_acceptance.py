@@ -19,7 +19,8 @@ from parabgk import (BoundaryKind, Discretization, KineticParams,
                      build_velocity_grid, estimate_k_opt,
                      external_force, fine_moment_chain, initial_coarse_sweep,
                      initial_distribution, lift, project, propagate_fluid,
-                     propagate_kinetic, read_convergence, run_comparison,
+                     propagate_kinetic, read_convergence, read_snapshot,
+                     run_comparison,
                      run_mode, run_parareal, sod_moments)
 from parabgk.parareal import compute_jumps, make_executor
 
@@ -257,16 +258,31 @@ def test_compare_writes_what_each_mode_writes(tmp_path):
     cfg = RunConfig(case="sod", x_min=0.0, x_max=2.0, n_x=20, v_max=5.0, n_vx=8,
                     n_vy=8, n_vz=8, epsilon=1e-2, bc="absorbing", t_final=0.1,
                     n_g=8, n_f=32, k_max=8, tol=1e-8, workers=2)
-    report = run_comparison(cfg, tmp_path / "compare")
+    cmp = tmp_path / "compare"
+    report = run_comparison(cfg, cmp)
     # the pool runs no coarse solve: t_fluid is the fluid mode's mean window
-    timing = json.loads((tmp_path / "compare" / "timing.json").read_text())
+    timing = json.loads((cmp / "timing.json").read_text())
     assert timing == report  # timing.json holds the report
     assert 0.0 < timing["t_fluid"] <= timing["fluid_seconds"]
+    # the efficiency keys follow from the report's own fields: K iterations
+    # solve K n_g - K (K - 1) / 2 of the n_g = 8 windows, on n_p = 2 processes
+    K, n_p = len(timing["iterations"]), 2
+    assert len(read_convergence(cmp / "parareal" / "convergence.csv")) == K
+    assert timing["windows_solved"] == K * 8 - K * (K - 1) // 2
+    assert timing["ceiling"] == n_p * 8 / timing["windows_solved"]
+    assert timing["efficiency"] == timing["speedup"] / n_p
+    assert timing["ceiling_frac"] == timing["speedup"] / timing["ceiling"]
+    # gap_fine is the sup-norm gap between the snapshots the two runs wrote
+    par, fine = ([read_snapshot(path) for path in sorted((cmp / mode).glob("snap_*.csv"))]
+                 for mode in ("parareal", "fine"))
+    gaps = [np.abs(a[key] - b[key]).max() for a, b in zip(par, fine)
+            for key in ("rho", "ux", "uy", "uz", "theta")]
+    assert len(gaps) == 9 * 5 and timing["gap_fine"] == max(gaps) > 0.0
     for mode in ("fluid", "fine", "parareal"):
         alone = _artifacts(run_mode(replace(cfg, mode=mode), tmp_path / mode))
         assert len(alone[0]) == 9
         assert (alone[1] is not None) == (mode == "parareal")
-        assert _artifacts(tmp_path / "compare" / mode) == alone
+        assert _artifacts(cmp / mode) == alone
 
 
 def test_criterion_12_confined_beams_concentrate_and_converge():

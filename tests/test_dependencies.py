@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency: the package imports nothing else,
-and neither the package nor its tests import a name they do not use."""
+neither the package nor its tests import a name they do not use, and a
+package module imports another's private names only where listed."""
 
 import ast
 import sys
@@ -55,3 +56,31 @@ def test_no_unused_imports():
     assert len(sources) > 20
     unused = sorted((path.name, name) for path in sources for name in _unused_imports(path))
     assert unused == [], f"imported and never used: {unused}"
+
+
+# (module, private name) pairs that other package modules may import: the
+# grid's number checks, and the window chain that runner's fine mode steps
+PRIVATE_IMPORTS = {("grid", "_count"), ("grid", "_real"), ("parareal", "_window_chain")}
+
+
+def _private_imports(path):
+    """(module, name) of each private name one source file imports from
+    another module of the package, relatively or by its absolute name."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            package, _, module = (node.module or "").rpartition(".")
+            if node.level == 1 or package == "parabgk":
+                yield from ((module, alias.name) for alias in node.names
+                            if alias.name.startswith("_"))
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # a private name is its module's own decision: another module that
+    # reads it depends on how that module works inside
+    sources = sorted(Path(parabgk.__path__[0]).glob("*.py"))
+    imports = {(path.name, pair) for path in sources for pair in _private_imports(path)}
+    stray = sorted((name, f"{module}.{private}") for name, (module, private) in imports
+                   if (module, private) not in PRIVATE_IMPORTS)
+    assert stray == [], f"private names imported from another module: {stray}"
+    # and the list holds no pair that is no longer imported
+    assert {pair for _, pair in imports} == PRIVATE_IMPORTS

@@ -95,7 +95,9 @@ def test_artifact_bytes_are_pinned(tmp_path):
 def test_timing_report_fields(tmp_path):
     report = dict(iterations=[0.5, 0.25], t_lift=0.01, t_kin=0.4, t_proj=0.02,
                   t_fluid=0.005, fine_seconds=3.0, fluid_seconds=0.1,
-                  parareal_seconds=1.5, speedup=2.0, k_opt=4)
+                  parareal_seconds=1.5, speedup=2.0, k_opt=4, windows_solved=19,
+                  ceiling=20 / 19, efficiency=1.0, ceiling_frac=1.9,
+                  gap_fine=1e-3)
     path = write_timing(report, tmp_path)
     # the report as given, its keys in order
     assert list(json.loads(path.read_text()).items()) == list(report.items())
@@ -156,7 +158,8 @@ def test_module_entry_point_end_to_end(tmp_path):
     timing = json.loads((cmp / "timing.json").read_text())
     assert list(timing) == ["iterations", "t_lift", "t_kin", "t_proj", "t_fluid",
                             "fine_seconds", "fluid_seconds", "parareal_seconds",
-                            "speedup", "k_opt"]
+                            "speedup", "k_opt", "windows_solved", "ceiling",
+                            "efficiency", "ceiling_frac", "gap_fine"]
     cfg.write_text(MICRO + "colour = red\n")
     done = _python_m_parabgk("run", "--config", cfg, "--out", tmp_path / "bad")
     assert done.returncode == 2

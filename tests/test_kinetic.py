@@ -515,13 +515,18 @@ def _field_with(n, cell, value):
 def test_a_field_not_one_finite_value_per_cell_is_refused(force, message, mis_sized):
     # a NaN field once passed E_max = NaN > 0 as false and ran field-free; a
     # long one sized the step from cells that do not exist, a short one
-    # failed with an IndexError
+    # failed with an IndexError, and the transport step alone once took a
+    # long field's first values without a word
     grid = _grid(n_x=8, n_v=6)
     f = initial_distribution("sod", grid)
-    with pytest.raises(ConfigurationError, match=message):
-        propagate_kinetic(f, 0.0, 0.01, grid,
-                          KineticParams(epsilon=1e-2, force=force),
-                          BoundaryKind.ABSORBING)
+    params = lambda: KineticParams(epsilon=1e-2, force=force)  # noqa: E731
+    for call in (lambda: propagate_kinetic(f, 0.0, 0.01, grid, params(),
+                                           BoundaryKind.ABSORBING),
+                 lambda: transport_update(f, 0.01, grid, params(),
+                                          BoundaryKind.PERIODIC),
+                 lambda: bgk_relax(f, 0.01, grid, params())):
+        with pytest.raises(ConfigurationError, match=message):
+            call()
     if mis_sized:
         # the Euler coarse refuses the same field before its first step
         with pytest.raises(ConfigurationError, match=message):

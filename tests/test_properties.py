@@ -7,6 +7,7 @@ RuntimeWarning into an error, so a warning fails these tests too."""
 
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +232,13 @@ def _made_or_refused(make):
         return None
 
 
+def _require_spacings(*made):
+    """Every spacing dx, dv, dt_g and dt_f that a made grid holds is > 0."""
+    for grid in made:
+        for name in ("dx", "dv", "dt_g", "dt_f"):
+            assert np.all(np.asarray(getattr(grid, name, 1.0)) > 0.0), (name, grid)
+
+
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from([f.name for f in fields(RunConfig)]), value=_SETTINGS)
 @example(name="n_f", value="x")
@@ -240,13 +248,22 @@ def _made_or_refused(make):
 @example(name="epsilon", value="x")
 @example(name="tol", value="x")
 @example(name="case", value=[])
+@example(name="n_f", value=10**400)
+@example(name="out_dir", value=None)
+@example(name="out_dir", value=3)
+@example(name="x_max", value=5e-324)
+@example(name="v_max", value=5e-324)
+@example(name="t_final", value=5e-324)
 def test_run_config_takes_any_setting(name, value):
     """A sod preset with one setting replaced is refused, or is a RunConfig
-    whose grids and parameters are built or refused."""
+    whose output directory is a path and whose grids, of positive spacings,
+    and parameters are built or refused."""
     cfg = _made_or_refused(lambda: replace(PRESETS["sod"], **{name: value}))
     if cfg is not None:
+        Path(cfg.out_dir)
         disc = _made_or_refused(lambda: build_discretization(cfg))
         if disc is not None:
+            _require_spacings(disc.phase.space, disc.phase.velocity, disc.time)
             assert isinstance(build_params(cfg, disc), KineticParams)
 
 
@@ -270,11 +287,17 @@ _BUILDERS = {
 @example(builder="time", slot=0, value="1")
 @example(builder="kinetic", slot=0, value="x")
 @example(builder="parareal", slot=1, value="x")
+@example(builder="time", slot=2, value=10**400)
+@example(builder="spatial", slot=1, value=5e-324)
+@example(builder="velocity", slot=0, value=5e-324)
+@example(builder="time", slot=0, value=5e-324)
 def test_builders_take_any_setting(builder, slot, value):
-    """A builder given one argument of any kind returns or raises a
-    SolverError; the slot wraps round the builder's argument count. The
-    cube [-1e308, 1e308]^3 has finite bounds but not a finite width."""
+    """A builder given one argument of any kind returns, with every spacing
+    > 0, or raises a SolverError; the slot wraps round the builder's argument
+    count. The cube [-1e308, 1e308]^3 has finite bounds but not a finite
+    width, and a span of 5e-324 over a few cells has spacings that underflow
+    to zero."""
     make, args = _BUILDERS[builder]
     args = list(args)
     args[slot % len(args)] = value
-    _made_or_refused(lambda: make(*args))
+    _require_spacings(_made_or_refused(lambda: make(*args)))
