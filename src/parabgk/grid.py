@@ -72,7 +72,6 @@ class TimeGrids:
     """Coarse windows [T^n, T^n+1] with a fine step cap inside each."""
 
     n_g: int
-    dt_g: float
     dt_f: float
     coarse_times: np.ndarray  # (n_g + 1,), coarse_times[-1] == t_final exactly
 
@@ -172,10 +171,8 @@ def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
     n_g, n_f = _count("n_g", n_g), _count("n_f", n_f)
     if n_g < 1 or n_f < n_g:
         raise ConfigurationError(f"need n_f >= n_g >= 1, got n_g={n_g}, n_f={n_f}")
-    # dt_f is the smaller step, so a dt_f > 0 bounds dt_g too
     dt_f = _spacing("dt_f", t_final / n_f)
-    coarse_times = np.linspace(0.0, t_final, n_g + 1)
-    return TimeGrids(n_g, t_final / n_g, dt_f, coarse_times)
+    return TimeGrids(n_g, dt_f, np.linspace(0.0, t_final, n_g + 1))
 
 
 def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,

@@ -30,6 +30,8 @@ whatever buffer size the caller has set.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,11 +191,14 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
     DegenerateStateError names the first cell that is not. The cube is filled
     as one outer product per cell, g_x times the flattened (v_y, v_z) plane
     g_y g_z, into out when it is given; out must be C-contiguous. The
-    amplitude of every cell is scaled by the one weight, which may be zero.
-    With normalize_mass the discrete mass matches rho exactly rather than up
-    to quadrature error: the mass of a separable product is the product of
-    the three 1D sums.
+    amplitude of every cell is scaled by the one weight, a finite number
+    >= 0, else a DegenerateStateError names it. With normalize_mass the
+    discrete mass matches rho exactly rather than up to quadrature error:
+    the mass of a separable product is the product of the three 1D sums.
     """
+    if not (isinstance(weight, numbers.Real) and 0.0 <= weight < math.inf):
+        raise DegenerateStateError(f"lift's weight is {weight!r}, "
+                                   "not a finite number >= 0")
     (gx, gy, gz), _, amp = _tables(U, grid, normalize_mass)
     gx *= (amp * weight)[:, None]
     gyz = gy[:, :, None] * gz[:, None, :]

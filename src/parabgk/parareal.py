@@ -107,10 +107,11 @@ def _zero_like(U: MomentField) -> MomentField:
 
 def _coarse_window(n: int, U: MomentField, disc: Discretization,
                    force: np.ndarray | None) -> MomentField:
-    """Euler solve of window n from U under the per-cell field `force`."""
+    """Euler solve of window n from U under the per-cell field `force`, in
+    steps that the CFL bound alone caps, to the window's end."""
     times = disc.time.coarse_times
     return propagate_fluid(U, float(times[n - 1]), float(times[n]),
-                           disc.phase.space, force, disc.bc, dt_max=disc.time.dt_g)
+                           disc.phase.space, force, disc.bc)
 
 
 def _window_failed(prefix: str, exc: Exception) -> SolverError:
@@ -183,18 +184,19 @@ def _kinetic_window_remote(n: int, U: MomentField):
 
 def make_executor(workers: int, disc: Discretization, kinetic: KineticParams,
                   force: np.ndarray | None) -> Executor:
-    """Process pool whose workers carry the kinetic problem context.
+    """Process pool of `workers` processes that carry the kinetic problem
+    context.
 
     A forked pool starts all its processes at the first task, and each holds
-    a state, so the pool has no more processes than windows. The workers run
-    no coarse solve and apply `kinetic.force`, so `force` is unused; it stays
-    for callers that pass it positionally.
+    a state, so run_parareal asks for no more processes than windows. The
+    workers run no coarse solve and apply `kinetic.force`, so `force` is
+    unused; it stays for callers that pass it positionally.
     """
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-fork platforms
         ctx = multiprocessing.get_context()
-    return ProcessPoolExecutor(max_workers=min(workers, disc.time.n_g),
+    return ProcessPoolExecutor(max_workers=workers,
                                mp_context=ctx, initializer=_init_worker,
                                initargs=(disc, kinetic))
 
@@ -279,14 +281,16 @@ def run_parareal(U0: MomentField, config: PararealConfig, disc: Discretization,
     """Full outer iteration; returns the trajectory and convergence records.
 
     The coarse sweeps apply `kinetic.force`, the field of the fine solves.
-    With more than one worker the fine solves run on a process pool that is
-    shut down, waiting for its processes, however the iteration ends.
+    The fine solves run on a pool of n_p = min(workers, n_g) processes when
+    n_p > 1, and in this process otherwise; the pool is shut down, waiting
+    for its processes, however the iteration ends.
     """
     force = kinetic.force
     traj = initial_coarse_sweep(U0, disc, force)
     records: list[ConvergenceRecord] = []
-    pool = (make_executor(config.workers, disc, kinetic, force)
-            if config.workers > 1 else contextlib.nullcontext())
+    n_p = min(config.workers, disc.time.n_g)
+    pool = (make_executor(n_p, disc, kinetic, force)
+            if n_p > 1 else contextlib.nullcontext())
     with pool as executor:
         for k in range(1, config.k_max + 1):
             tic = time.perf_counter()
@@ -323,6 +327,20 @@ def _window_cost(t_kin: float, t_fluid: float, t_lift: float, t_proj: float,
     return (t_lift + t_proj + t_kin + t_fluid) / n_p + t_fluid
 
 
+def _check_costs(t_kin, t_fluid, t_lift, t_proj, n_g, n_p) -> None:
+    """A ConfigurationError naming the first cost-model input out of range:
+    t_kin must be a finite number > 0, t_fluid, t_lift and t_proj finite
+    numbers >= 0, and n_g and n_p integers >= 1."""
+    if not 0.0 < _real("t_kin", t_kin) < math.inf:
+        raise ConfigurationError(f"need a finite t_kin > 0, got {t_kin}")
+    for name, t in (("t_fluid", t_fluid), ("t_lift", t_lift), ("t_proj", t_proj)):
+        if not 0.0 <= _real(name, t) < math.inf:
+            raise ConfigurationError(f"need a finite {name} >= 0, got {t}")
+    for name, n in (("n_g", n_g), ("n_p", n_p)):
+        if _count(name, n) < 1:
+            raise ConfigurationError(f"need {name} >= 1, got {n}")
+
+
 def parareal_cost(k: int, t_kin: float, t_fluid: float, t_lift: float,
                   t_proj: float, n_g: int, n_p: int) -> float:
     """Modeled wall time of k corrected iterations on n_p workers.
@@ -332,8 +350,10 @@ def parareal_cost(k: int, t_kin: float, t_fluid: float, t_lift: float,
     than 450 for n_g = 50 and k = 9. Each window is also charged a coarse
     solve in the parallel stage that the pool does not run (_window_cost).
     The model overstates the cost, so estimate_k_opt's break-even count is a
-    conservative, low estimate.
+    conservative, low estimate. Inputs out of range raise a
+    ConfigurationError naming the value (_check_costs).
     """
+    _check_costs(t_kin, t_fluid, t_lift, t_proj, n_g, n_p)
     return t_fluid + n_g * k * _window_cost(t_kin, t_fluid, t_lift, t_proj, n_p)
 
 
@@ -342,8 +362,10 @@ def estimate_k_opt(t_kin: float, t_fluid: float, t_lift: float, t_proj: float,
     """Largest useful iteration count before the outer loop stops paying off.
 
     Ceiling of the break-even point of parareal_cost against the serial fine
-    cost n_g * t_kin, clamped to at least one iteration.
+    cost n_g * t_kin, clamped to at least one iteration. Inputs out of range
+    raise a ConfigurationError naming the value (_check_costs).
     """
+    _check_costs(t_kin, t_fluid, t_lift, t_proj, n_g, n_p)
     ratio = ((n_g * t_kin - t_fluid)
              / (n_g * _window_cost(t_kin, t_fluid, t_lift, t_proj, n_p)))
     return max(1, math.ceil(ratio))

@@ -146,7 +146,7 @@ def run_comparison(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
         "fluid_seconds": seconds["fluid"],
         "parareal_seconds": seconds["parareal"],
         "speedup": speedup,
-        "k_opt": estimate_k_opt(**stage_timing, n_g=n_g, n_p=cfg.workers),
+        "k_opt": estimate_k_opt(**stage_timing, n_g=n_g, n_p=n_p),
         "windows_solved": windows_solved,
         "ceiling": ceiling,
         "efficiency": speedup / n_p,

@@ -1,6 +1,7 @@
 """Mesh builders: placement, symmetry, validation."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ def test_velocity_grid_rejects_bad_input():
 
 def test_time_grids_nesting():
     tg = build_time_grids(0.5, 200, 800)
-    assert tg.dt_g == 0.5 / 200
+    assert [f.name for f in fields(tg)] == ["n_g", "dt_f", "coarse_times"]
+    assert tg.n_g == 200
     assert tg.dt_f == 0.5 / 800
     assert tg.coarse_times.shape == (201,)
     assert tg.coarse_times[0] == 0.0

@@ -167,6 +167,40 @@ def test_module_entry_point_end_to_end(tmp_path):
     assert "Traceback" not in done.stderr and not (tmp_path / "bad").exists()
 
 
+BLAST_SMALL = """\
+preset = blast
+n_x = 50
+n_vx = 8
+n_vy = 8
+n_vz = 8
+t_final = 0.25
+n_g = 10
+n_f = 40
+epsilon = 1e-2
+k_max = 5
+workers = 1
+"""
+
+
+def test_blast_with_absorbing_ends_fails_parareal_loudly(tmp_path):
+    # the Euler coarse cannot carry blast's absorbing ends: iteration 1's
+    # correction drives cell 0's density negative, and the run says so in
+    # one line. ROADMAP item 2's coarse should make this a convergence test.
+    cfg = tmp_path / "blast.cfg"
+    cfg.write_text(BLAST_SMALL)
+    done = _python_m_parabgk("run", "--config", cfg, "--out", tmp_path / "absorbing")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(
+        "error: iteration 1 correction at window 3 left the physical regime: "
+        "corrected density at cell 0 is -0.2447"), done.stderr
+    assert "Traceback" not in done.stderr
+    # with periodic ends the same problem runs all its iterations
+    cfg.write_text(BLAST_SMALL + "bc = periodic\n")
+    done = _python_m_parabgk("run", "--config", cfg, "--out", tmp_path / "periodic")
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_run_parareal_writes_convergence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MICRO)

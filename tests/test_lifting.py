@@ -1,6 +1,7 @@
 """Maxwellian reconstruction against scalar oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,19 @@ def test_lift_rejects_degenerate_inputs():
                              r"positive number$"):
         lift(U, grid, normalize_mass=True)
     assert np.all(np.isfinite(lift(U, grid)))
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0, "0.5", None])
+def test_lift_refuses_a_weight_that_is_not_a_finite_number_at_least_zero(weight):
+    # it gave a NaN, an inf or a partly negative cube, or a bare TypeError;
+    # out is left as it was
+    grid = _grid(n_v=4, n_x=4)
+    out = np.full((4, 4, 4, 4), 7.0)
+    with pytest.raises(DegenerateStateError,
+                       match=rf"^lift's weight is {re.escape(repr(weight))}, "
+                             r"not a finite number >= 0$"):
+        lift(_uniform(4, 1.0, (0, 0, 0), 1.0), grid, out=out, weight=weight)
+    assert np.all(out == 7.0)
 
 
 def test_maxwellian_marginals_share_lifts_checks():

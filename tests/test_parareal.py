@@ -56,8 +56,25 @@ def test_coarse_sweep_matches_direct_fluid_composition():
     times = disc.time.coarse_times
     for n in range(1, disc.time.n_g + 1):
         U = propagate_fluid(U, float(times[n - 1]), float(times[n]),
-                            disc.phase.space, None, disc.bc, dt_max=disc.time.dt_g)
+                            disc.phase.space, None, disc.bc)
         assert traj.snapshots[n].sup_distance(U) == 0.0
+
+
+def test_coarse_sweep_steps_each_window_to_its_own_end():
+    # the windows come from linspace, so most are not t_final / n_g wide to
+    # the last bit; each coarse window is stepped from its start to its own
+    # end under the CFL bound alone, as a direct Euler solve of that span is
+    disc = _tiny_disc(n_g=50, n_f=200, t_final=0.25)
+    times = disc.time.coarse_times
+    assert np.any(np.diff(times) != 0.25 / 50)
+    traj = initial_coarse_sweep(_sod_like(12), disc, None)
+    U = _sod_like(12)
+    for n in range(1, disc.time.n_g + 1):
+        U = propagate_fluid(U, float(times[n - 1]), float(times[n]),
+                            disc.phase.space, None, disc.bc)
+        assert traj.snapshots[n].rho.tobytes() == U.rho.tobytes(), n
+        assert traj.snapshots[n].u.tobytes() == U.u.tobytes(), n
+        assert traj.snapshots[n].theta.tobytes() == U.theta.tobytes(), n
 
 
 def test_coarse_sweep_single_window():
@@ -113,24 +130,46 @@ def test_parallel_jumps_bitwise_equal_serial():
         assert np.array_equal(a.theta, b.theta)
 
 
-def test_pool_has_no_more_processes_than_windows():
+def test_pool_has_no_more_processes_than_windows(monkeypatch):
     # a forked pool starts all its processes at the first task, each holding
-    # a window state; with 2 windows, 2 of 4 workers would sit idle
+    # a window state; run_parareal sizes it to min(workers, n_g), so with 2
+    # windows, 4 workers start 2 processes rather than leave 2 idle
     disc = _tiny_disc(n_g=2, n_f=8)
     kinetic = KineticParams(epsilon=1e-2)
-    serial = initial_coarse_sweep(_sod_like(12), disc, None)
-    compute_jumps(serial, 1, disc, kinetic, None)
-    pooled = initial_coarse_sweep(_sod_like(12), disc, None)
     before = {child.pid for child in multiprocessing.active_children()}
-    executor = make_executor(4, disc, kinetic, None)
-    try:
-        compute_jumps(pooled, 1, disc, kinetic, None, executor=executor)
-        started = [child for child in multiprocessing.active_children()
-                   if child.pid not in before]
-        assert len(started) == 2
-    finally:
-        executor.shutdown()
+    started = []
+
+    def counted(*args, **kwargs):
+        compute_jumps(*args, **kwargs)
+        started.append(len([child for child in multiprocessing.active_children()
+                            if child.pid not in before]))
+
+    monkeypatch.setattr(parareal, "compute_jumps", counted)
+    pooled, _ = run_parareal(_sod_like(12), PararealConfig(1, 1e-300, workers=4),
+                             disc, kinetic)
+    serial, _ = run_parareal(_sod_like(12), PararealConfig(1, 1e-300), disc, kinetic)
+    assert started == [2, 0]
     for a, b in zip(serial.jumps, pooled.jumps):
+        assert a.rho.tobytes() == b.rho.tobytes()
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.theta.tobytes() == b.theta.tobytes()
+
+
+def test_one_window_runs_without_a_pool(monkeypatch):
+    # n_p = min(workers, n_g) = 1: the one window's fine solve runs in this
+    # process, as with one worker, and no pool is forked to do it
+    def no_pool(*args):
+        raise AssertionError("a pool was started for one window")
+
+    disc = _tiny_disc(n_g=1, n_f=4)
+    kinetic = KineticParams(epsilon=1e-2)
+    serial, records = run_parareal(_sod_like(12), PararealConfig(2, 1e-300),
+                                   disc, kinetic)
+    monkeypatch.setattr(parareal, "make_executor", no_pool)
+    traj, got = run_parareal(_sod_like(12), PararealConfig(2, 1e-300, workers=2),
+                             disc, kinetic)
+    assert [(r.k, r.error) for r in got] == [(r.k, r.error) for r in records]
+    for a, b in zip(serial.snapshots, traj.snapshots):
         assert a.rho.tobytes() == b.rho.tobytes()
         assert a.u.tobytes() == b.u.tobytes()
         assert a.theta.tobytes() == b.theta.tobytes()
@@ -281,8 +320,7 @@ def _full_sweep_parareal(U0, k_max, disc, kinetic):
 
     def coarse(U, n):
         return propagate_fluid(U, float(times[n - 1]), float(times[n]),
-                               disc.phase.space, kinetic.force, disc.bc,
-                               dt_max=disc.time.dt_g)
+                               disc.phase.space, kinetic.force, disc.bc)
 
     def fine(U, n):
         f = propagate_kinetic(lift(U, disc.phase), float(times[n - 1]),
@@ -576,6 +614,45 @@ def test_config_validation():
 def test_estimate_k_opt_documented_example():
     assert estimate_k_opt(10.0, 0.1, 0.05, 0.05, 100, 32) == 24
     assert estimate_k_opt(10.0, 0.0, 0.0, 0.0, 100, 1) == 1
+
+
+def test_compare_charges_k_opt_to_the_processes_that_run(tmp_path, monkeypatch):
+    # k_opt models the pool of n_p = min(workers, n_g) processes, as the
+    # report's ceiling and efficiency do, not the workers asked for
+    given = []
+
+    def recorded(*args, **kwargs):
+        given.append(kwargs["n_p"])
+        return estimate_k_opt(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "estimate_k_opt", recorded)
+    cfg = config.RunConfig(case="sod", x_min=0.0, x_max=2.0, n_x=12, v_max=8.0,
+                           n_vx=8, n_vy=8, n_vz=8, epsilon=1e-2, bc="absorbing",
+                           t_final=0.05, n_g=1, n_f=4, k_max=1, tol=1e-300,
+                           workers=2)
+    report = runner.run_comparison(cfg, tmp_path)
+    assert given == [1]
+    assert report["efficiency"] == report["speedup"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 0.1, 0.1, 0.1, 10, 0), r"^need n_p >= 1, got 0$"),
+    ((1.0, 0.1, 0.1, 0.1, 0, 2), r"^need n_g >= 1, got 0$"),
+    ((1.0, 0.1, 0.1, 0.1, 10, 2.0), r"^need an integer n_p, got 2\.0$"),
+    ((0.0, 0.0, 0.0, 0.0, 10, 2), r"^need a finite t_kin > 0, got 0\.0$"),
+    ((math.nan, 0.1, 0.1, 0.1, 10, 2), r"^need a finite t_kin > 0, got nan$"),
+    ((math.inf, 0.1, 0.1, 0.1, 10, 2), r"^need a finite t_kin > 0, got inf$"),
+    ((1.0, -0.1, 0.1, 0.1, 10, 2), r"^need a finite t_fluid >= 0, got -0\.1$"),
+    ((1.0, 0.1, math.nan, 0.1, 10, 2), r"^need a finite t_lift >= 0, got nan$"),
+    ((1.0, 0.1, 0.1, math.inf, 10, 2), r"^need a finite t_proj >= 0, got inf$"),
+    ((1.0, 0.1, 0.1, "0.1", 10, 2), r"^need a real number t_proj, got '0\.1'$"),
+])
+def test_cost_model_refuses_inputs_out_of_range(args, message):
+    # each raised a bare ZeroDivisionError or ValueError, or gave a number
+    with pytest.raises(ConfigurationError, match=message):
+        estimate_k_opt(*args)
+    with pytest.raises(ConfigurationError, match=message):
+        parareal_cost(3, *args)
 
 
 def test_parareal_cost_break_even():

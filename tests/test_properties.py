@@ -233,9 +233,9 @@ def _made_or_refused(make):
 
 
 def _require_spacings(*made):
-    """Every spacing dx, dv, dt_g and dt_f that a made grid holds is > 0."""
+    """Every spacing dx, dv and dt_f that a made grid holds is > 0."""
     for grid in made:
-        for name in ("dx", "dv", "dt_g", "dt_f"):
+        for name in ("dx", "dv", "dt_f"):
             assert np.all(np.asarray(getattr(grid, name, 1.0)) > 0.0), (name, grid)
 
 
