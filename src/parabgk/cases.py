@@ -31,18 +31,10 @@ __all__ = [
 
 def _piecewise(space: SpatialGrid, edges, states) -> MomentField:
     """states[i] applies on [edges[i-1], edges[i]); cells are classified by center."""
-    x = space.centers
-    rho = np.empty_like(x)
-    u = np.zeros((x.size, 3))
-    theta = np.empty_like(x)
-    lo = -np.inf
-    for edge, (r, ux, t) in zip(list(edges) + [np.inf], states):
-        mask = (x >= lo) & (x < edge)
-        rho[mask] = r
-        u[mask, 0] = ux
-        theta[mask] = t
-        lo = edge
-    return MomentField(rho, u, theta)
+    table = np.array(states, dtype=float)[np.searchsorted(edges, space.centers, side="right")]
+    u = np.zeros((space.n_x, 3))
+    u[:, 0] = table[:, 1]
+    return MomentField(table[:, 0].copy(), u, table[:, 2].copy())
 
 
 def sod_moments(space: SpatialGrid) -> MomentField:

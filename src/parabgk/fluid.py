@@ -99,27 +99,30 @@ def stable_dt_fluid(v: np.ndarray, space: SpatialGrid) -> float:
 
 
 def propagate_fluid(U0: MomentField, t0: float, t1: float, space: SpatialGrid,
-                    force: np.ndarray | None, bc: BoundaryKind,
-                    dt_max: float | None = None) -> MomentField:
+                    force: np.ndarray | None, bc: BoundaryKind) -> MomentField:
     """Advance primitive moments from t0 to t1 on the conserved variables of
     the SpatialGrid `space`; the result is a new MomentField, a copy of U0
-    when t1 == t0 is finite.
+    when t1 == t0 is finite. Each step is the CFL bound of stable_dt_fluid,
+    or what remains of the span when that is less.
 
     `force` is the per-cell field E_i along x (None means no field), the
     kinetic solver's `KineticParams.force`.
 
-    A field whose length is not the cell count, and a t0 or t1 that is not
-    finite (march's check), are refused with a ConfigurationError, and a
-    start state that is not physical (see MomentField.require_physical)
-    with a DegenerateStateError, before any step. A step that leaves a
-    density or pressure that is not a finite positive number raises
-    BlowUpError naming the step and the cell; a non-finite momentum or
-    energy makes the pressure non-finite.
+    A start state that is not physical (see MomentField.require_physical)
+    is refused with a DegenerateStateError, and a field or a start state
+    whose length is not the cell count, and a t0 or t1 that is not finite
+    (march's check), with a ConfigurationError, before any step. A step
+    that leaves a density or pressure that is not a finite positive number
+    raises BlowUpError naming the step and the cell; a non-finite momentum
+    or energy makes the pressure non-finite.
     """
     if force is not None and len(force) != space.n_x:
         raise ConfigurationError(f"the field has {len(force)} values "
                                  f"for {space.n_x} cells")
     U0.require_physical("fluid's initial")
+    if U0.n_x != space.n_x:
+        raise ConfigurationError(f"fluid's initial state has {U0.n_x} cells "
+                                 f"for a grid of {space.n_x}")
     if t1 == t0 and np.isfinite(t0):
         return U0.copy()
     dx = space.dx
@@ -140,5 +143,5 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, space: SpatialGrid,
         return new
 
     v = march(primitive_to_conserved(U0), t0, t1,
-              lambda v: stable_dt_fluid(v, space), advance, dt_max)
+              lambda v: stable_dt_fluid(v, space), advance)
     return conserved_to_primitive(v)

@@ -81,6 +81,14 @@ class PhaseGrid:
     space: SpatialGrid
     velocity: VelocityGrid
 
+    def require_shape(self, f: np.ndarray, what: str) -> None:
+        """ConfigurationError naming what unless f has this grid's shape
+        (n_x,) + n_v with n_x >= 1."""
+        want = (self.space.n_x,) + self.velocity.n_v
+        if np.shape(f) != want or not want[0]:
+            raise ConfigurationError(f"{what} needs f of shape {want} with n_x >= 1, "
+                                     f"got {np.shape(f)}")
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -175,32 +183,26 @@ def build_time_grids(t_final: float, n_g: int, n_f: int) -> TimeGrids:
     return TimeGrids(n_g, dt_f, np.linspace(0.0, t_final, n_g + 1))
 
 
-def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable,
-          dt_max: float | None = None):
-    """Advance state from t0 to t1 with steps min(stable_dt, dt_max, remaining).
+def march(state, t0: float, t1: float, stable_dt: Callable, advance: Callable):
+    """Advance state from t0 to t1 with steps min(stable_dt(state), remaining).
 
-    t0 <= t1 must be finite and dt_max, when given, > 0, else a
-    ConfigurationError is raised before any step. stable_dt(state) returns
-    the stability cap, or raises DegenerateStateError on a state it cannot
-    bound; advance(state, dt) returns the next state, or raises
-    DegenerateStateError naming the cell where it meets a state it cannot
-    use. Either, or a step whose size is not > 0 (a cap that is 0 or NaN),
-    fails the step: march raises a BlowUpError with the 1-based step.
+    t0 <= t1 must be finite, else a ConfigurationError is raised before any
+    step. stable_dt(state) returns the step cap, or raises
+    DegenerateStateError on a state it cannot bound; advance(state, dt)
+    returns the next state, or raises DegenerateStateError naming the cell
+    where it meets a state it cannot use. Either, or a step whose size is not
+    > 0 (a cap that is 0 or NaN), fails the step: march raises a BlowUpError
+    with the 1-based step.
     """
     span = t1 - t0
     if not 0.0 <= span < math.inf:
         raise ConfigurationError(f"need finite t1 >= t0, got [{t0}, {t1}]")
-    if dt_max is not None and not dt_max > 0.0:
-        raise ConfigurationError(f"need dt_max > 0, got {dt_max}")
     elapsed = 0.0
     step = 0
     while span - elapsed > _SPAN_GUARD * span:
         step += 1
         try:
-            dt = stable_dt(state)
-            if dt_max is not None:
-                dt = min(dt, dt_max)
-            dt = min(dt, span - elapsed)
+            dt = min(stable_dt(state), span - elapsed)
             if not dt > 0.0:
                 raise DegenerateStateError(f"step size is {dt}, not > 0")
             state = advance(state, dt)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .grid import SpatialGrid
 from .moments import MomentField
 from .parareal import ConvergenceRecord
@@ -56,7 +57,15 @@ def _column(values: np.ndarray) -> list[str]:
 
 def write_snapshots(snapshots: list[MomentField], space: SpatialGrid,
                     out_dir: str | Path) -> list[Path]:
-    """One snap_NNNNN.csv per coarse time, one row per cell."""
+    """One snap_NNNNN.csv per coarse time, one row per cell.
+
+    A snapshot whose cell count is not space.n_x raises ConfigurationError,
+    naming its index and both counts, before any file is written.
+    """
+    for n, U in enumerate(snapshots):
+        if U.n_x != space.n_x:
+            raise ConfigurationError(f"snapshot {n} has {U.n_x} cells "
+                                     f"for a grid of {space.n_x}")
     out_dir = _directory(out_dir)
     x = _column(space.centers)
     return [_write_table(out_dir / f"snap_{n:05d}.csv", SNAPSHOT_HEADER,

@@ -101,13 +101,10 @@ def _require_shape(f: np.ndarray, grid: PhaseGrid, params: KineticParams,
                    what: str) -> None:
     """ConfigurationError unless f has the grid's shape (n_x,) + n_v, n_x >= 1,
     and the field, when there is one, one value per cell."""
-    want = (grid.space.n_x,) + grid.velocity.n_v
-    if np.shape(f) != want or not want[0]:
-        raise ConfigurationError(f"{what} needs f of shape {want} with n_x >= 1, "
-                                 f"got {np.shape(f)}")
-    if params.force is not None and len(params.force) != want[0]:
+    grid.require_shape(f, what)
+    if params.force is not None and len(params.force) != len(f):
         raise ConfigurationError(f"the field has {len(params.force)} values "
-                                 f"for {want[0]} cells")
+                                 f"for {len(f)} cells")
 
 
 def _block_rows(grid: PhaseGrid) -> int:
@@ -235,14 +232,19 @@ def propagate_kinetic(f: np.ndarray, t0: float, t1: float, grid: PhaseGrid,
     one x row at a time and then relaxes it one block of x rows at a time,
     each kernel allocating and freeing its own scratch. A step fails only
     through bgk_relax's checks, which name the cell; march adds the step.
-    An f of another shape than the grid's, or of no cells, and a field
-    whose length is not the cell count are refused before any step.
+    An f of another shape than the grid's, or of no cells, a field whose
+    length is not the cell count and a dt_max, when given, that is not > 0
+    (NaN included) are refused before any step.
     """
     _require_shape(f, grid, params, "kinetic propagation")
     cap = stable_dt_kinetic(grid, params)
+    if dt_max is not None:
+        if not dt_max > 0.0:
+            raise ConfigurationError(f"need dt_max > 0, got {dt_max}")
+        cap = min(cap, dt_max)
 
     def advance(f, dt):
         f = transport_update(f, dt, grid, params, bc)
         return bgk_relax(f, dt, grid, params)
 
-    return march(f, t0, t1, lambda f: cap, advance, dt_max)
+    return march(f, t0, t1, lambda f: cap, advance)

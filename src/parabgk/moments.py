@@ -121,7 +121,10 @@ def project(f: np.ndarray, grid: PhaseGrid) -> MomentField:
 
     The three 1D marginals take two passes over the cube: the v_x marginal
     directly, and the v_y and v_z marginals from the (v_y, v_z) plane sums.
+    An f whose shape is not the grid's (n_x,) + n_v, or that has no cells,
+    raises ConfigurationError.
     """
+    grid.require_shape(f, "projection")
     # +inf and -inf in one cell, or a sum past the float range, would warn
     # here; the density check of moments_of_marginals refuses that cell
     with np.errstate(invalid="ignore", over="ignore"):

@@ -141,7 +141,7 @@ def test_boundary_kind_values():
 
 
 def test_march_schedule_and_guards():
-    # steps are min(stable, dt_max, remaining); the last one is partial
+    # steps are min(stable, remaining); the last one is partial
     steps = []
 
     def advance(t, dt):
@@ -151,7 +151,8 @@ def test_march_schedule_and_guards():
     assert march(0.0, 0.0, 1.0, lambda t: 0.3, advance) == 1.0
     assert steps == [0.3, 0.3, 0.3, 1.0 - (0.3 + 0.3 + 0.3)]
     steps.clear()
-    march(0.0, 0.0, 1.0, lambda t: 0.3, advance, dt_max=0.25)
+    # a cap that divides the span takes whole steps, with no trailing microstep
+    march(0.0, 0.0, 1.0, lambda t: 0.25, advance)
     assert steps == [0.25] * 4
     steps.clear()
     state = object()
@@ -188,22 +189,19 @@ def _stepper(limit=1000):
     return advance, calls
 
 
-@pytest.mark.parametrize("t0, t1, dt_max, message", [
-    (0.0, 1.0, 0.0, r"^need dt_max > 0, got 0\.0$"),
-    (0.0, 1.0, -1e-3, r"^need dt_max > 0, got -0\.001$"),
-    (0.0, 1.0, math.nan, r"^need dt_max > 0, got nan$"),
-    (0.0, math.nan, None, r"^need finite t1 >= t0, got \[0\.0, nan\]$"),
-    (0.0, math.inf, None, r"^need finite t1 >= t0, got \[0\.0, inf\]$"),
-    (math.nan, 1.0, None, r"^need finite t1 >= t0, got \[nan, 1\.0\]$"),
-    (-math.inf, 0.0, None, r"^need finite t1 >= t0, got \[-inf, 0\.0\]$"),
-    (-1e308, 1e308, None, r"^need finite t1 >= t0"),
-])
-def test_march_refuses_a_span_or_cap_it_cannot_step(t0, t1, dt_max, message):
-    # a cap that is not > 0 once stepped forever, and a non-finite end
-    # returned the state after zero steps; both are refused before a step
+@pytest.mark.parametrize("t0, t1, message", [
+    (0.0, math.nan, r"^need finite t1 >= t0, got \[0\.0, nan\]$"),
+    (0.0, math.inf, r"^need finite t1 >= t0, got \[0\.0, inf\]$"),
+    (math.nan, 1.0, r"^need finite t1 >= t0, got \[nan, 1\.0\]$"),
+    (-math.inf, 0.0, r"^need finite t1 >= t0, got \[-inf, 0\.0\]$"),
+    (-1e308, 1e308, r"^need finite t1 >= t0"),
+], ids=["nan-end", "inf-end", "nan-start", "-inf-start", "overflowing-span"])
+def test_march_refuses_a_span_it_cannot_step(t0, t1, message):
+    # a non-finite end once returned the state after zero steps; it is
+    # refused before a step
     advance, calls = _stepper()
     with pytest.raises(ConfigurationError, match=message):
-        march(0.0, t0, t1, lambda t: 0.1, advance, dt_max)
+        march(0.0, t0, t1, lambda t: 0.1, advance)
     assert calls == []
 
 

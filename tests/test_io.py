@@ -8,11 +8,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import parabgk
-from parabgk import (ConvergenceRecord, MomentField, build_spatial_grid,
-                     read_convergence, read_snapshot, write_convergence,
-                     write_snapshots, write_timing)
+from parabgk import (ConfigurationError, ConvergenceRecord, MomentField,
+                     build_spatial_grid, read_convergence, read_snapshot,
+                     write_convergence, write_snapshots, write_timing)
 from parabgk import cli, config, runner
 from parabgk.cli import main
 
@@ -62,6 +63,18 @@ def test_snapshot_round_trip_is_exact(tmp_path):
         lines = path.read_text().splitlines()
         assert lines[0] == "x,rho,ux,uy,uz,theta"
         assert len(lines) == 6  # header + one row per cell
+
+
+@pytest.mark.parametrize("n_x", [60, 10])
+def test_a_snapshot_of_another_cell_count_is_refused(tmp_path, n_x):
+    # zip once cut the rows to the shorter of the snapshot and the grid: a
+    # 60-cell snapshot on a 50-cell grid lost 10 cells without a word
+    space = build_spatial_grid(0.0, 2.0, 50)
+    snapshots = _random_snapshots(2, 50) + _random_snapshots(1, n_x)
+    with pytest.raises(ConfigurationError,
+                       match=rf"^snapshot 2 has {n_x} cells for a grid of 50$"):
+        write_snapshots(snapshots, space, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_round_trip(tmp_path):

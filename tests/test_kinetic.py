@@ -6,6 +6,7 @@ the vectorized kernels.
 """
 
 import math
+import re
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
@@ -388,14 +389,20 @@ def test_propagate_rejects_reversed_interval():
 
 
 @pytest.mark.parametrize("t0, t1, dt_max", [(math.nan, 0.1, None), (0.0, math.inf, None),
-                                            (0.0, 0.1, math.nan)])
+                                            (0.0, 0.1, math.nan), (0.0, 0.1, 0.0),
+                                            (0.0, 0.1, -1e-3)])
 def test_propagate_refuses_an_end_or_cap_it_cannot_step(t0, t1, dt_max):
-    # each once returned f after zero steps, or ignored the NaN cap
+    # each once returned f after zero steps, stepped forever or ignored the
+    # NaN cap; a NaN must not slip through min with the stability cap
     grid = _grid(n_x=2, n_v=8)
     f = lift(_uniform(2, 1.0, (0, 0, 0), 1.0), grid)
-    with pytest.raises(ConfigurationError, match=r"^need (finite t1 >= t0|dt_max > 0)"):
+    before = f.copy()
+    message = (r"^need finite t1 >= t0" if dt_max is None
+               else rf"^need dt_max > 0, got {re.escape(str(dt_max))}$")
+    with pytest.raises(ConfigurationError, match=message):
         propagate_kinetic(f, t0, t1, grid, KineticParams(epsilon=1.0),
                           BoundaryKind.PERIODIC, dt_max)
+    assert np.array_equal(f, before)
 
 
 def test_propagate_respects_dt_cap():

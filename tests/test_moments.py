@@ -1,14 +1,16 @@
 """Projection quadrature and the primitive/conserved algebra."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parabgk import (DegenerateStateError, MomentField, PhaseGrid,
-                     build_spatial_grid, build_velocity_grid,
-                     conserved_to_primitive, lift, maxwellian_marginals,
+from parabgk import (ConfigurationError, DegenerateStateError, KineticParams,
+                     MomentField, PhaseGrid, bgk_relax, build_spatial_grid,
+                     build_velocity_grid, conserved_to_primitive, lift,
+                     maxwellian_marginals, moments_of_marginals,
                      primitive_to_conserved, project)
 from oracles import gauss_moments
 
@@ -79,6 +81,24 @@ def test_project_zero_distribution_is_degenerate():
             project(f, grid)
 
 
+@pytest.mark.parametrize("shape", [(50, 8, 8, 4), (50, 8, 8), (10, 8, 8, 8),
+                                   (0, 8, 8, 8)],
+                         ids=["short-v_z", "3-D", "10-cells", "no-cells"])
+def test_project_refuses_f_of_another_shape_than_the_grid(shape):
+    # a short velocity axis once raised a bare ValueError and a 3-D array an
+    # AxisError; project now refuses each as the relaxation does, in one check
+    grid = _grid(n_x=50, n_v=8)
+    f = np.ones(shape)
+    with pytest.raises(ConfigurationError) as projected:
+        project(f, grid)
+    with pytest.raises(ConfigurationError) as relaxed:
+        bgk_relax(f, 0.1, grid, KineticParams(epsilon=1.0))
+    want = (rf"needs f of shape \(50, 8, 8, 8\) with n_x >= 1, "
+            rf"got {re.escape(str(shape))}$")
+    assert re.fullmatch("projection " + want, str(projected.value))
+    assert re.fullmatch("relaxation " + want, str(relaxed.value))
+
+
 def test_primitive_to_conserved_examples():
     # packed per cell as (rho, rho u_x, rho u_y, rho u_z, E)
     v = primitive_to_conserved(_uniform(1, 1.0, (0.0, 0.0, 0.0), 1.0))
@@ -116,7 +136,7 @@ def test_a_state_with_no_cells_is_refused():
     for call, what in ((lambda: empty.require_physical("state"), "state density"),
                        (lambda: lift(empty, grid), "lift's density"),
                        (lambda: maxwellian_marginals(empty, grid), "lift's density"),
-                       (lambda: project(np.empty((0, 4, 4, 4)), grid),
+                       (lambda: moments_of_marginals([np.empty((0, 4))] * 3, grid),
                         "density in projection"),
                        (lambda: conserved_to_primitive(np.empty((0, 5))),
                         "density in conserved state")):
