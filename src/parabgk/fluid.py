@@ -89,8 +89,11 @@ def rusanov_flux(vl: np.ndarray, vr: np.ndarray) -> np.ndarray:
 
 def stable_dt_fluid(v: np.ndarray, space: SpatialGrid) -> float:
     """Acoustic CFL bound 0.9 dx / max(|u_x| + sqrt(theta)) of packed states
-    on the SpatialGrid `space`; DegenerateStateError if that largest wave
-    speed is not a finite positive number (every cell at rest with theta = 0)."""
+    on the SpatialGrid `space`; DegenerateStateError if there are no cells
+    or that largest wave speed is not a finite positive number (every cell
+    at rest with theta = 0)."""
+    if not len(v):
+        raise DegenerateStateError("fluid state has no cells")
     speed = float(np.max(_wave_speed(v)))
     if not 0.0 < speed < np.inf:
         raise DegenerateStateError(f"the largest wave speed is {speed}, "
@@ -101,9 +104,10 @@ def stable_dt_fluid(v: np.ndarray, space: SpatialGrid) -> float:
 def propagate_fluid(U0: MomentField, t0: float, t1: float, space: SpatialGrid,
                     force: np.ndarray | None, bc: BoundaryKind) -> MomentField:
     """Advance primitive moments from t0 to t1 on the conserved variables of
-    the SpatialGrid `space`; the result is a new MomentField, a copy of U0
-    when t1 == t0 is finite. Each step is the CFL bound of stable_dt_fluid,
-    or what remains of the span when that is less.
+    the SpatialGrid `space` through march; the result is a new MomentField,
+    over an empty span, where no step is taken, equal to U0 up to the
+    rounding of the conserved round trip. Each step is the CFL bound of
+    stable_dt_fluid, or what remains of the span when that is less.
 
     `force` is the per-cell field E_i along x (None means no field), the
     kinetic solver's `KineticParams.force`.
@@ -123,8 +127,6 @@ def propagate_fluid(U0: MomentField, t0: float, t1: float, space: SpatialGrid,
     if U0.n_x != space.n_x:
         raise ConfigurationError(f"fluid's initial state has {U0.n_x} cells "
                                  f"for a grid of {space.n_x}")
-    if t1 == t0 and np.isfinite(t0):
-        return U0.copy()
     dx = space.dx
     periodic = bc is BoundaryKind.PERIODIC
 

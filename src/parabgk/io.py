@@ -45,9 +45,27 @@ def _write_table(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def _read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """The header and the rows of a file written by _write_table, split into fields."""
-    header, *rows = (line.split(",") for line in Path(path).read_text().splitlines())
+def _read_table(path: str | Path, types=None) -> tuple[list[str], list[list]]:
+    """The header and the rows of a file written by _write_table, each field
+    converted by its column's type in types (float in every column of the
+    header when types is None). A line with another field count or a field
+    its type refuses, and a file with no header line, raise
+    ConfigurationError naming the path and the line."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ConfigurationError(f"{path} line 1: no header")
+    header = lines[0].split(",")
+    types = types or [float] * len(header)
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        fields = line.split(",")
+        try:
+            if len(fields) != len(types):
+                raise ValueError(f"{len(fields)} fields where {len(types)} are needed")
+            if number > 1:
+                rows.append([kind(field) for kind, field in zip(types, fields)])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} line {number}: {exc}") from None
     return header, rows
 
 
@@ -74,9 +92,10 @@ def write_snapshots(snapshots: list[MomentField], space: SpatialGrid,
 
 
 def read_snapshot(path: str | Path) -> dict[str, np.ndarray]:
-    """Columns of one snapshot file as float arrays keyed by header name."""
+    """Columns of one snapshot file as float arrays keyed by header name; a
+    malformed file raises ConfigurationError (_read_table)."""
     header, rows = _read_table(path)
-    data = np.asarray([[float(cell) for cell in row] for row in rows])
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
@@ -88,8 +107,9 @@ def write_convergence(records: list[ConvergenceRecord],
 
 
 def read_convergence(path: str | Path) -> list[ConvergenceRecord]:
-    return [ConvergenceRecord(int(k), float(err), float(sec))
-            for k, err, sec in _read_table(path)[1]]
+    """The records of one convergence file; a malformed file raises
+    ConfigurationError (_read_table)."""
+    return [ConvergenceRecord(*row) for row in _read_table(path, (int, float, float))[1]]
 
 
 def write_timing(report: dict, out_dir: str | Path) -> Path:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError
+from .errors import ConfigurationError, DegenerateStateError
 from .grid import PhaseGrid
 
 __all__ = [
@@ -50,11 +50,22 @@ __all__ = [
 
 @dataclass
 class MomentField:
-    """Primitive moments per spatial cell: density, bulk velocity, temperature."""
+    """Primitive moments per spatial cell: density, bulk velocity, temperature.
+
+    Parts whose shapes are not rho (n,), u (n, 3) and theta (n,) for one n
+    are refused with a ConfigurationError naming the shapes; n may be 0.
+    """
 
     rho: np.ndarray    # (n_x,)
     u: np.ndarray      # (n_x, 3)
     theta: np.ndarray  # (n_x,)
+
+    def __post_init__(self):
+        shapes = (self.rho.shape, self.u.shape, self.theta.shape)
+        n = shapes[0][:1]
+        if not n or shapes != (n, n + (3,), n):
+            raise ConfigurationError("a MomentField needs rho (n,), u (n, 3) and "
+                                     f"theta (n,), got shapes {shapes}")
 
     @property
     def n_x(self) -> int:
@@ -137,11 +148,19 @@ def moments_of_marginals(margs, grid: PhaseGrid) -> MomentField:
     """Quadrature moments of a distribution given by its three 1D marginals.
 
     margs[a] is an (n_x, n_v[a]) array, the distribution summed over the
-    other two velocity axes with no cell-volume factor. Two-pass form: the
-    discrete mean u is computed first and the temperature accumulates
-    |v - u|^2 around it, one separable term per velocity axis.
+    other two velocity axes with no cell-volume factor; marginals of other
+    shapes, or not three of them, raise ConfigurationError naming the shapes
+    needed and given, and marginals of no cells DegenerateStateError.
+    Two-pass form: the discrete mean u is computed first and the temperature
+    accumulates |v - u|^2 around it, one separable term per velocity axis.
     """
     v = grid.velocity
+    got = tuple([m.shape for m in margs])
+    n = got[0][:1] if got else ()
+    if not n or got != tuple([n + (k,) for k in v.n_v]):
+        need = ", ".join(f"(n, {k})" for k in v.n_v)
+        raise ConfigurationError(f"moments of marginals need shapes {need} "
+                                 f"for one n, got {got}")
     dvol = v.cell_volume
     with np.errstate(invalid="ignore", over="ignore"):  # the check decides
         rho = margs[0].sum(axis=1) * dvol
@@ -193,7 +212,8 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
     so must the amplitude the cell's Maxwellian is scaled to, else a
     DegenerateStateError names the first cell that is not. The cube is filled
     as one outer product per cell, g_x times the flattened (v_y, v_z) plane
-    g_y g_z, into out when it is given; out must be C-contiguous. The
+    g_y g_z, into out when it is given; an out that is not a C-contiguous
+    array of shape (U.n_x,) + n_v raises ConfigurationError. The
     amplitude of every cell is scaled by the one weight, a finite number
     >= 0, else a DegenerateStateError names it. With normalize_mass the
     discrete mass matches rho exactly rather than up to quadrature error:
@@ -202,15 +222,18 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
     if not (isinstance(weight, numbers.Real) and 0.0 <= weight < math.inf):
         raise DegenerateStateError(f"lift's weight is {weight!r}, "
                                    "not a finite number >= 0")
+    shape = (U.n_x,) + grid.velocity.n_v
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        # reshape would fail, or hand einsum a copy and leave out unwritten
+        raise ConfigurationError(f"lift needs a C-contiguous out of shape {shape}, "
+                                 f"got shape {out.shape}, C-contiguous "
+                                 f"{out.flags.c_contiguous}")
     (gx, gy, gz), _, amp = _tables(U, grid, normalize_mass)
     gx *= (amp * weight)[:, None]
     gyz = gy[:, :, None] * gz[:, None, :]
     n, n_vx = gx.shape
-    if out is None:
-        out = np.empty((n,) + grid.velocity.n_v)
-    elif not out.flags.c_contiguous:
-        # reshape would hand einsum a copy and out would stay unwritten
-        raise ValueError("lift needs a C-contiguous out")
     np.einsum("ij,ik->ijk", gx, gyz.reshape(n, -1), out=out.reshape(n, n_vx, -1))
     return out
 

@@ -70,6 +70,12 @@ def test_stable_dt_refuses_a_state_with_no_wave_speed():
         stable_dt_fluid(primitive_to_conserved(cold), _grid(n_x=4))
 
 
+def test_stable_dt_refuses_a_state_with_no_cells():
+    # an empty state once failed in numpy's reduction of the wave speeds
+    with pytest.raises(DegenerateStateError, match=r"^fluid state has no cells$"):
+        stable_dt_fluid(np.empty((0, 5)), _grid(n_x=4))
+
+
 @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (0.0, math.inf),
                                     (math.nan, 0.1), (math.inf, math.inf),
                                     (-math.inf, -math.inf)])
@@ -167,6 +173,21 @@ def test_empty_interval_and_reversed_interval():
     assert same.sup_distance(U) == 0.0
     with pytest.raises(ConfigurationError):
         propagate_fluid(U, 1.0, 0.5, grid, None, BoundaryKind.PERIODIC)
+
+
+def test_an_empty_span_takes_the_conserved_round_trip_and_no_step():
+    # an empty span goes through march, which takes no step, so a moving
+    # state comes back as its conserved round trip, not as a copy
+    x = _grid(n_x=20).centers
+    U = MomentField(1.0 + 0.3 * np.sin(np.pi * x),
+                    np.stack([0.3 * np.cos(np.pi * x), 0.1 * x, -0.2 * x], axis=1),
+                    0.7 + 0.1 * x)
+    same = propagate_fluid(U, 0.25, 0.25, _grid(n_x=20), np.ones(20),
+                           BoundaryKind.ABSORBING)
+    trip = conserved_to_primitive(primitive_to_conserved(U))
+    for got, want in zip((same.rho, same.u, same.theta), (trip.rho, trip.u, trip.theta)):
+        assert got.tobytes() == want.tobytes()
+    assert same.sup_distance(U) <= 1e-15
 
 
 @pytest.mark.parametrize("theta, message", [

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -84,6 +85,26 @@ def test_convergence_round_trip(tmp_path):
     assert path.name == "convergence.csv"
     assert path.read_text().splitlines()[0] == "k,error,seconds"
     assert read_convergence(path) == records
+
+
+@pytest.mark.parametrize("read, text, line, why", [
+    (read_snapshot, "x,rho\r\n1,abc\r\n", 2, "could not convert string to float: 'abc'"),
+    (read_snapshot, "x,rho\r\n1,2\r\n3\r\n", 3, "1 fields where 2 are needed"),
+    (read_convergence, "k,error,seconds\r\n1,0.5\r\n", 2, "2 fields where 3 are needed"),
+    (read_convergence, "k,error\r\n1,0.5\r\n", 1, "2 fields where 3 are needed"),
+    (read_convergence, "k,error,seconds\r\n1.5,0.5,1.0\r\n", 2, "invalid literal"),
+    (read_snapshot, "", 1, "no header"),
+    (read_convergence, "", 1, "no header"),
+], ids=["snapshot-text", "snapshot-short-row", "convergence-short-row",
+        "convergence-short-header", "convergence-fractional-k", "snapshot-empty",
+        "convergence-empty"])
+def test_a_malformed_file_is_refused_by_path_and_line(tmp_path, read, text, line, why):
+    # a field that is not a number, and a row of two fields, once escaped
+    # as bare ValueErrors from float() and from unpacking
+    path = tmp_path / "table.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path} line {line}: {why}")):
+        read(path)
 
 
 def test_artifact_bytes_are_pinned(tmp_path):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parabgk import (DegenerateStateError, MomentField, PhaseGrid,
-                     build_spatial_grid, build_velocity_grid, lift,
+from parabgk import (ConfigurationError, DegenerateStateError, MomentField,
+                     PhaseGrid, build_spatial_grid, build_velocity_grid, lift,
                      maxwellian_marginals, project)
 from oracles import maxwellian_value
 
@@ -106,9 +106,20 @@ def test_lift_rejects_an_out_it_cannot_fill_in_place():
     # out unwritten
     grid = _grid(n_v=8)
     strided = np.zeros((2, 8, 8, 16))[..., ::2]
-    with pytest.raises(ValueError, match="C-contiguous"):
+    with pytest.raises(ConfigurationError, match="C-contiguous"):
         lift(_uniform(2, 1.0, (0, 0, 0), 1.0), grid, out=strided)
     assert not strided.any()
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 8, 8), (6, 8, 8, 8), (5, 8, 8, 4), (5, 512)])
+def test_lift_rejects_an_out_of_another_shape(shape):
+    # 4 rows for 5 cells once failed in numpy's reshape, and 6 rows were
+    # filled only in part
+    out = np.zeros(shape)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"out of shape (5, 8, 8, 8), got shape {shape}")):
+        lift(_uniform(5, 1.0, (0, 0, 0), 1.0), _grid(n_v=8, n_x=5), out=out)
+    assert not out.any()
 
 
 def test_round_trip_recovers_moments():

@@ -144,6 +144,29 @@ def test_a_state_with_no_cells_is_refused():
             call()
 
 
+@pytest.mark.parametrize("rho, u, theta", [
+    ((5,), (5, 2), (5,)), ((5,), (5, 3), (4,)), ((5,), (5,), (5,)),
+    ((5, 1), (5, 3), (5,)), ((), (3,), ()), ((0,), (0,), (0,)),
+], ids=["u-of-2-columns", "theta-short", "u-1d", "rho-2d", "scalars", "no-cells-u-1d"])
+def test_a_moment_field_of_parts_that_disagree_is_refused(rho, u, theta):
+    # a 2-column u once reached write_snapshots as rows of 5 fields under a
+    # 6-field header, lift as an IndexError, and a short theta lost a row
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"got shapes {(rho, u, theta)}")):
+        MomentField(np.ones(rho), np.zeros(u), np.ones(theta))
+
+
+@pytest.mark.parametrize("shapes", [
+    [(5, 4)] * 3, [(5, 8)] * 2, [(5, 8), (5, 8), (4, 8)], [(8,)] * 3, [],
+], ids=["other-n-v", "two", "cells-disagree", "1d", "none"])
+def test_marginals_that_do_not_fit_the_grid_are_refused(shapes):
+    # three (5, 4) marginals on an 8^3 grid once failed in a numpy broadcast,
+    # and two marginals with an IndexError
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"need shapes (n, 8), (n, 8), (n, 8) for one n, got {tuple(shapes)}")):
+        moments_of_marginals([np.ones(s) for s in shapes], _grid(n_x=5, n_v=8))
+
+
 def test_round_trip_on_random_states():
     rng = np.random.default_rng(3)
     U = MomentField(rng.uniform(0.1, 3.0, 20),

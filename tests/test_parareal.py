@@ -522,6 +522,17 @@ def test_fine_chain_names_the_failing_window(monkeypatch):
     assert isinstance(info.value.__cause__, BlowUpError)
 
 
+def test_fine_chain_from_a_start_of_another_cell_count_names_window_1():
+    # a 4-cell start on a 5-cell grid once escaped lift as a bare broadcast
+    # ValueError
+    disc = _tiny_disc(n_x=5)
+    with pytest.raises(SolverError, match=r"^window 1 failed: ConfigurationError: "
+                       r"lift needs a C-contiguous out of shape \(4, 8, 8, 8\), "
+                       r"got shape \(5, 8, 8, 8\)") as info:
+        fine_moment_chain(_sod_like(4), disc, KineticParams(epsilon=1e-2))
+    assert isinstance(info.value.__cause__, ConfigurationError)
+
+
 class _FailFirstCallPerProcess:
     """A relaxation that logs every call, fails a process's first one, sleeps after.
 

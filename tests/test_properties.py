@@ -6,6 +6,7 @@ any value or refuse it with a SolverError. Tier-1 turns a numpy
 RuntimeWarning into an error, so a warning fails these tests too."""
 
 import math
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from parabgk import (PRESETS, BoundaryKind, KineticParams, MomentField,
                      SpatialGrid, bgk_relax, build_discretization, build_params,
                      build_spatial_grid, build_time_grids, build_velocity_grid,
                      conserved_to_primitive, lift, maxwellian_marginals, project,
-                     propagate_fluid, propagate_kinetic, transport_update)
+                     propagate_fluid, propagate_kinetic, transport_update,
+                     write_snapshots)
 
 _N_X = (0, 1, 2, 5)
 _VELOCITY = build_velocity_grid(4.0, 2)
@@ -94,6 +96,32 @@ def test_euler_layer_takes_any_state(rows, bc, with_field):
     force = np.full(n_x, -1.0) if with_field else None
     _finite_or_refused(lambda: propagate_fluid(_moments(rows), 0.0, 0.05,
                                                _space(n_x), force, bc))
+
+
+def _misshaped(rows, flaw):
+    """The moments of rows with u cut to two columns or theta one cell short."""
+    U = _moments(rows)
+    if flaw == "u-of-2-columns":
+        return MomentField(U.rho, U.u[:, :2], U.theta)
+    return MomentField(U.rho, U.u, U.theta[:-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_rows(_ANY, 5).filter(len), bc=st.sampled_from(BoundaryKind),
+       flaw=st.sampled_from(["u-of-2-columns", "theta-short"]))
+def test_moment_states_that_do_not_fit_are_refused(rows, bc, flaw):
+    """A state whose parts disagree in shape is refused with a SolverError
+    when it is made, so no layer gets to use it: a 2-column u once reached
+    write_snapshots as rows of 5 fields under a 6-field header, and a short
+    theta lost a row there. No snapshot file is written."""
+    grid = PhaseGrid(_space(len(rows)), _VELOCITY)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for use in (lambda U: lift(U, grid), lambda U: maxwellian_marginals(U, grid),
+                    lambda U: propagate_fluid(U, 0.0, 0.05, grid.space, None, bc),
+                    lambda U: write_snapshots([U], grid.space, out)):
+            _refused(lambda: use(_misshaped(rows, flaw)))
+        assert not out.exists()
 
 
 # a cell holding +inf and -inf, and a row past the float range, once made
