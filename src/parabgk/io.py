@@ -5,12 +5,21 @@ in CR LF and no field quoted: each field is a number or a fixed column name.
 Floats are written with repr, Python's shortest digit string that round-trips
 to the same double, so the same values give the same bytes and readers
 recover the exact values.
+
+Each table's columns are declared once, in order, each with its type: the
+snapshot table's six floats, and the convergence table's ConvergenceRecord
+fields with their annotated types, so a field added to the record is a new
+column. The writer writes each field as the repr of its column's type
+applied to the value; the reader refuses any other header and converts each
+field by its column's type.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,8 +36,9 @@ __all__ = [
     "write_timing",
 ]
 
-SNAPSHOT_HEADER = ["x", "rho", "ux", "uy", "uz", "theta"]
-CONVERGENCE_HEADER = ["k", "error", "seconds"]
+# Each table's columns, in order, with the type a field is written and read by.
+SNAPSHOT_COLUMNS = dict.fromkeys(["x", "rho", "ux", "uy", "uz", "theta"], float)
+CONVERGENCE_COLUMNS = get_type_hints(ConvergenceRecord)
 
 
 def _directory(out_dir: str | Path) -> Path:
@@ -37,40 +47,36 @@ def _directory(out_dir: str | Path) -> Path:
     return out_dir
 
 
-def _write_table(path: Path, header: list[str], rows) -> Path:
-    """Write the header and each row of formatted fields, comma-joined, one
-    line each ending in CR LF."""
-    text = "".join(",".join(row) + "\r\n" for row in [header, *rows])
+def _write_table(path: Path, columns: dict[str, type], values) -> Path:
+    """Write the header of columns, then one row per index into values, which
+    holds one sequence per column in order. Each field is the repr of its
+    column's type applied to the value; fields are comma-joined and every
+    line ends in CR LF."""
+    fields = [map(repr, map(kind, column)) for kind, column in zip(columns.values(), values)]
+    text = "".join(",".join(row) + "\r\n" for row in [columns, *zip(*fields)])
     path.write_text(text, newline="")
     return path
 
 
-def _read_table(path: str | Path, types=None) -> tuple[list[str], list[list]]:
-    """The header and the rows of a file written by _write_table, each field
-    converted by its column's type in types (float in every column of the
-    header when types is None). A line with another field count or a field
-    its type refuses, and a file with no header line, raise
-    ConfigurationError naming the path and the line."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ConfigurationError(f"{path} line 1: no header")
-    header = lines[0].split(",")
-    types = types or [float] * len(header)
+def _read_table(path: str | Path, columns: dict[str, type]) -> list[list]:
+    """The rows of a file written by _write_table with columns, each field
+    converted by its column's type. A file with no header line or another
+    header, a line with another field count and a field its type refuses
+    raise ConfigurationError naming the path and the line."""
+    lines, header = Path(path).read_text().splitlines(), ",".join(columns)
+    if lines[:1] != [header]:
+        why = f"header {lines[0]!r} where {header!r} is needed" if lines else "no header"
+        raise ConfigurationError(f"{path} line 1: {why}")
     rows = []
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         try:
-            if len(fields) != len(types):
-                raise ValueError(f"{len(fields)} fields where {len(types)} are needed")
-            if number > 1:
-                rows.append([kind(field) for kind, field in zip(types, fields)])
+            if len(fields) != len(columns):
+                raise ValueError(f"{len(fields)} fields where {len(columns)} are needed")
+            rows.append([kind(field) for kind, field in zip(columns.values(), fields)])
         except ValueError as exc:
             raise ConfigurationError(f"{path} line {number}: {exc}") from None
-    return header, rows
-
-
-def _column(values: np.ndarray) -> list[str]:
-    return [repr(x) for x in np.asarray(values, dtype=float).tolist()]
+    return rows
 
 
 def write_snapshots(snapshots: list[MomentField], space: SpatialGrid,
@@ -85,31 +91,30 @@ def write_snapshots(snapshots: list[MomentField], space: SpatialGrid,
             raise ConfigurationError(f"snapshot {n} has {U.n_x} cells "
                                      f"for a grid of {space.n_x}")
     out_dir = _directory(out_dir)
-    x = _column(space.centers)
-    return [_write_table(out_dir / f"snap_{n:05d}.csv", SNAPSHOT_HEADER,
-                         zip(x, *map(_column, (U.rho, *U.u.T, U.theta))))
+    x = space.centers.tolist()
+    return [_write_table(out_dir / f"snap_{n:05d}.csv", SNAPSHOT_COLUMNS,
+                         [x, U.rho.tolist(), *U.u.T.tolist(), U.theta.tolist()])
             for n, U in enumerate(snapshots)]
 
 
 def read_snapshot(path: str | Path) -> dict[str, np.ndarray]:
-    """Columns of one snapshot file as float arrays keyed by header name; a
+    """Columns of one snapshot file as float arrays keyed by column name; a
     malformed file raises ConfigurationError (_read_table)."""
-    header, rows = _read_table(path)
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    return {name: data[:, j] for j, name in enumerate(header)}
+    rows = _read_table(path, SNAPSHOT_COLUMNS)
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(SNAPSHOT_COLUMNS))
+    return {name: data[:, j] for j, name in enumerate(SNAPSHOT_COLUMNS)}
 
 
 def write_convergence(records: list[ConvergenceRecord],
                       out_dir: str | Path) -> Path:
-    return _write_table(_directory(out_dir) / "convergence.csv", CONVERGENCE_HEADER,
-                        ([str(rec.k), repr(rec.error), repr(rec.seconds)]
-                         for rec in records))
+    return _write_table(_directory(out_dir) / "convergence.csv", CONVERGENCE_COLUMNS,
+                        zip(*map(astuple, records)))
 
 
 def read_convergence(path: str | Path) -> list[ConvergenceRecord]:
     """The records of one convergence file; a malformed file raises
     ConfigurationError (_read_table)."""
-    return [ConvergenceRecord(*row) for row in _read_table(path, (int, float, float))[1]]
+    return [ConvergenceRecord(*row) for row in _read_table(path, CONVERGENCE_COLUMNS)]
 
 
 def write_timing(report: dict, out_dir: str | Path) -> Path:

@@ -48,12 +48,15 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentField:
     """Primitive moments per spatial cell: density, bulk velocity, temperature.
 
-    Parts whose shapes are not rho (n,), u (n, 3) and theta (n,) for one n
-    are refused with a ConfigurationError naming the shapes; n may be 0.
+    Parts that are not numpy arrays are refused with a ConfigurationError
+    naming their types, and parts whose shapes are not rho (n,), u (n, 3)
+    and theta (n,) for one n with one naming the shapes; n may be 0. The
+    parts cannot be rebound, so the checks hold for as long as the field
+    lives; the arrays' elements can still be written.
     """
 
     rho: np.ndarray    # (n_x,)
@@ -61,6 +64,10 @@ class MomentField:
     theta: np.ndarray  # (n_x,)
 
     def __post_init__(self):
+        if not (isinstance(self.rho, np.ndarray) and isinstance(self.u, np.ndarray)
+                and isinstance(self.theta, np.ndarray)):
+            types = tuple(type(part).__name__ for part in (self.rho, self.u, self.theta))
+            raise ConfigurationError(f"a MomentField needs numpy arrays, got types {types}")
         shapes = (self.rho.shape, self.u.shape, self.theta.shape)
         n = shapes[0][:1]
         if not n or shapes != (n, n + (3,), n):
@@ -213,7 +220,7 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
     DegenerateStateError names the first cell that is not. The cube is filled
     as one outer product per cell, g_x times the flattened (v_y, v_z) plane
     g_y g_z, into out when it is given; an out that is not a C-contiguous
-    array of shape (U.n_x,) + n_v raises ConfigurationError. The
+    float64 array of shape (U.n_x,) + n_v raises ConfigurationError. The
     amplitude of every cell is scaled by the one weight, a finite number
     >= 0, else a DegenerateStateError names it. With normalize_mass the
     discrete mass matches rho exactly rather than up to quadrature error:
@@ -225,11 +232,13 @@ def lift(U: MomentField, grid: PhaseGrid, normalize_mass: bool = False,
     shape = (U.n_x,) + grid.velocity.n_v
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        # reshape would fail, or hand einsum a copy and leave out unwritten
-        raise ConfigurationError(f"lift needs a C-contiguous out of shape {shape}, "
-                                 f"got shape {out.shape}, C-contiguous "
-                                 f"{out.flags.c_contiguous}")
+    elif out.shape != shape or not out.flags.c_contiguous or out.dtype != np.float64:
+        # reshape would fail, or hand einsum a copy and leave out unwritten;
+        # einsum cannot cast the float64 products to float32, and no caller
+        # reads a cube of another dtype
+        raise ConfigurationError(f"lift needs a C-contiguous float64 out of shape {shape}, "
+                                 f"got shape {out.shape}, dtype {out.dtype}, "
+                                 f"C-contiguous {out.flags.c_contiguous}")
     (gx, gy, gz), _, amp = _tables(U, grid, normalize_mass)
     gx *= (amp * weight)[:, None]
     gyz = gy[:, :, None] * gz[:, None, :]

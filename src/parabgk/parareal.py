@@ -309,8 +309,13 @@ def fine_moment_chain(U0: MomentField, disc: Discretization,
     all on one window state.
 
     This is the trajectory the outer iteration reproduces exactly once k
-    reaches the window count. It is a window chain (_window_chain).
+    reaches the window count. It is a window chain (_window_chain). A start
+    state whose cell count is not the grid's raises ConfigurationError,
+    naming both counts, before window 1.
     """
+    if U0.n_x != disc.phase.space.n_x:
+        raise ConfigurationError(f"fine chain's start state has {U0.n_x} cells "
+                                 f"for a grid of {disc.phase.space.n_x}")
     state = _window_state(disc)
     return _window_chain(U0.copy(), disc.time.n_g,
                          lambda n, U: _kinetic_window(n, U, disc, kinetic, state)[0])

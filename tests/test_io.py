@@ -1,5 +1,6 @@
 """Artifact files and the command line wrapper."""
 
+import dataclasses
 import json
 import os
 import re
@@ -79,28 +80,46 @@ def test_a_snapshot_of_another_cell_count_is_refused(tmp_path, n_x):
 
 
 def test_convergence_round_trip(tmp_path):
+    # a record of numpy scalars was once written as np.float64(0.1), a field
+    # read_convergence refused
     records = [ConvergenceRecord(1, 0.125, 2.5),
-               ConvergenceRecord(2, 1.7e-9, 1.0625)]
+               ConvergenceRecord(2, 1.7e-9, 1.0625),
+               ConvergenceRecord(np.int64(3), np.float64(0.1), np.float32(0.25))]
     path = write_convergence(records, tmp_path)
     assert path.name == "convergence.csv"
-    assert path.read_text().splitlines()[0] == "k,error,seconds"
-    assert read_convergence(path) == records
+    assert path.read_text().splitlines() == ["k,error,seconds", "1,0.125,2.5",
+                                             "2,1.7e-09,1.0625", "3,0.1,0.25"]
+    back = read_convergence(path)
+    assert back == records
+    kinds = [tuple(map(type, dataclasses.astuple(rec))) for rec in back]
+    assert kinds == [(int, float, float)] * 3
+
+
+SNAPSHOT_HEADER_LINE = "x,rho,ux,uy,uz,theta\r\n"
 
 
 @pytest.mark.parametrize("read, text, line, why", [
-    (read_snapshot, "x,rho\r\n1,abc\r\n", 2, "could not convert string to float: 'abc'"),
-    (read_snapshot, "x,rho\r\n1,2\r\n3\r\n", 3, "1 fields where 2 are needed"),
+    (read_snapshot, SNAPSHOT_HEADER_LINE + "1,abc,0,0,0,1\r\n", 2,
+     "could not convert string to float: 'abc'"),
+    (read_snapshot, SNAPSHOT_HEADER_LINE + "1,2,0,0,0,1\r\n3\r\n", 3,
+     "1 fields where 6 are needed"),
     (read_convergence, "k,error,seconds\r\n1,0.5\r\n", 2, "2 fields where 3 are needed"),
-    (read_convergence, "k,error\r\n1,0.5\r\n", 1, "2 fields where 3 are needed"),
+    (read_convergence, "k,error\r\n1,0.5\r\n", 1,
+     "header 'k,error' where 'k,error,seconds' is needed"),
     (read_convergence, "k,error,seconds\r\n1.5,0.5,1.0\r\n", 2, "invalid literal"),
     (read_snapshot, "", 1, "no header"),
     (read_convergence, "", 1, "no header"),
+    (read_snapshot, "k,error,seconds\r\n1,0.5,1.0\r\n", 1,
+     "header 'k,error,seconds' where 'x,rho,ux,uy,uz,theta' is needed"),
+    (read_convergence, SNAPSHOT_HEADER_LINE + "1,2,0,0,0,1\r\n", 1,
+     "header 'x,rho,ux,uy,uz,theta' where 'k,error,seconds' is needed"),
 ], ids=["snapshot-text", "snapshot-short-row", "convergence-short-row",
         "convergence-short-header", "convergence-fractional-k", "snapshot-empty",
-        "convergence-empty"])
+        "convergence-empty", "snapshot-reads-convergence", "convergence-reads-snapshot"])
 def test_a_malformed_file_is_refused_by_path_and_line(tmp_path, read, text, line, why):
     # a field that is not a number, and a row of two fields, once escaped
-    # as bare ValueErrors from float() and from unpacking
+    # as bare ValueErrors from float() and from unpacking; read_snapshot once
+    # read a convergence file as arrays keyed k, error and seconds
     path = tmp_path / "table.csv"
     path.write_text(text, newline="")
     with pytest.raises(ConfigurationError, match=re.escape(f"{path} line {line}: {why}")):

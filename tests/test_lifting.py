@@ -111,6 +111,17 @@ def test_lift_rejects_an_out_it_cannot_fill_in_place():
     assert not strided.any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+def test_lift_rejects_an_out_of_another_dtype(dtype):
+    # a float32 out once escaped einsum as a bare TypeError about casting
+    out = np.zeros((5, 8, 8, 8), dtype=dtype)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"lift needs a C-contiguous float64 out of shape (5, 8, 8, 8), got shape "
+            f"(5, 8, 8, 8), dtype {np.dtype(dtype)}, C-contiguous True")):
+        lift(_uniform(5, 1.0, (0, 0, 0), 1.0), _grid(n_v=8, n_x=5), out=out)
+    assert not out.any()
+
+
 @pytest.mark.parametrize("shape", [(4, 8, 8, 8), (6, 8, 8, 8), (5, 8, 8, 4), (5, 512)])
 def test_lift_rejects_an_out_of_another_shape(shape):
     # 4 rows for 5 cells once failed in numpy's reshape, and 6 rows were

@@ -1,5 +1,6 @@
 """Projection quadrature and the primitive/conserved algebra."""
 
+import dataclasses
 import math
 import re
 
@@ -154,6 +155,26 @@ def test_a_moment_field_of_parts_that_disagree_is_refused(rho, u, theta):
     with pytest.raises(ConfigurationError, match=re.escape(
             f"got shapes {(rho, u, theta)}")):
         MomentField(np.ones(rho), np.zeros(u), np.ones(theta))
+
+
+def test_a_moment_field_of_parts_that_are_not_arrays_is_refused():
+    # lists once escaped as a bare AttributeError from .shape
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "a MomentField needs numpy arrays, got types ('list', 'list', 'list')")):
+        MomentField([1.0], [[0.0, 0.0, 0.0]], [1.0])
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "got types ('ndarray', 'ndarray', 'float')")):
+        MomentField(np.ones(1), np.zeros((1, 3)), 1.0)
+
+
+def test_a_moment_field_part_cannot_be_rebound():
+    # a 2-column u rebound after construction once reached write_snapshots
+    # as rows of 5 fields under the 6-field header; elements stay writable
+    U = _uniform(5, 1.0, (0, 0, 0), 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        U.u = np.zeros((5, 2))
+    U.theta[1:] = 0.5
+    assert U.u.shape == (5, 3) and U.theta[1] == 0.5
 
 
 @pytest.mark.parametrize("shapes", [

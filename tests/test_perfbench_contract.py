@@ -146,3 +146,25 @@ def test_alloc_probe_counts_what_a_window_relaxation_allocates(harness, monkeypa
     assert len(peaks) == 1
     probe = bench.alloc_peaks_mb(U0, disc, params)[1]
     assert abs(probe - peaks[0]) <= f[0].nbytes / 1e6
+
+
+@pytest.mark.parametrize("mode", ["fluid", "fine", "parareal"])
+def test_read_run_reads_back_what_run_mode_writes(harness, tmp_path, monkeypatch, mode):
+    # the benchmark checks and compares every mode's snapshots through
+    # read_run, which reads them by column name
+    bench, _ = harness
+    written = []
+    write = runner.write_artifacts
+    monkeypatch.setattr(runner, "write_artifacts",
+                        lambda snapshots, *rest: written.append(snapshots) or
+                        write(snapshots, *rest))
+    cfg = RunConfig("sod", 0.0, 2.0, 8, 8.0, 6, 6, 6, 1e-2, "absorbing",
+                    0.05, 2, 4, 2, 1e-8, mode=mode, workers=1)
+    out = runner.run_mode(cfg, tmp_path / mode)
+    snaps, blob = bench.read_run(out)
+    [expected] = written
+    assert len(snaps) == len(expected) == cfg.n_g + 1
+    for got, want in zip(snaps, expected):
+        for part in ("rho", "u", "theta"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    assert blob == b"".join(path.read_bytes() for path in sorted(out.glob("snap_*.csv")))
